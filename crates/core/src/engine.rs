@@ -26,7 +26,7 @@ use crate::mdp::{MdpConfig, MdpEngine};
 use crate::memory::{check_working_set, detect_spills, knob_at_cap, WorkingSetFinding};
 use crate::reservoir::Reservoir;
 use crate::template::TemplateStore;
-use autodbaas_simdb::{Backend, KnobClass, KnobId, QueryProfile, SpillKind};
+use autodbaas_simdb::{Backend, KnobClass, KnobId, MetricId, QueryProfile, SpillKind};
 use autodbaas_telemetry::{SimTime, MILLIS_PER_MIN};
 use autodbaas_tuner::WorkloadRepository;
 use rand::rngs::StdRng;
@@ -228,10 +228,15 @@ impl Tde {
     /// optionally consulting the tuner repository for the background-writer
     /// baseline.
     pub fn run<B: Backend>(&mut self, db: &mut B, repo: Option<&WorkloadRepository>) -> TdeReport {
-        let now = db.now();
-        let mut report = TdeReport::default();
+        self.ingest(db);
+        self.detect(db, repo)
+    }
 
-        // --- 1. Ingest the streaming log since the last run -------------
+    /// Step 1 of a run: fold the streaming log since the last run into the
+    /// class histogram, the template store and the reservoir. Entries are
+    /// read in place from the backend's ring; only a query the reservoir
+    /// admits is copied.
+    fn ingest<B: Backend>(&mut self, db: &B) {
         // Decay the histogram so the window tracks the *current* pattern
         // (Fig. 14's point is quick reaction to workload change).
         self.hist.decay_half();
@@ -239,24 +244,26 @@ impl Tde {
         // whole history — a stale sample would keep indicting queries that
         // stopped arriving.
         self.reservoir.clear();
-        let new_queries: Vec<QueryProfile> = db
-            .query_log()
-            .filter(|l| l.at >= self.last_ingested_at)
-            .map(|l| l.query.clone())
-            .collect();
-        self.last_ingested_at = now;
-        for q in &new_queries {
-            self.hist.record(q);
-            self.templates.ingest(q);
-            self.reservoir.offer(q.clone(), &mut self.rng);
+        for l in db.query_log().since(self.last_ingested_at) {
+            self.hist.record(&l.query);
+            self.templates.ingest(&l.query);
+            self.reservoir.offer_with(|| l.query.clone(), &mut self.rng);
         }
-        let sampled: Vec<QueryProfile> = self.reservoir.items().to_vec();
+        self.last_ingested_at = db.now();
+    }
+
+    /// Steps 2–5 of a run, over the window [`ingest`](Self::ingest) left in
+    /// the reservoir and histogram.
+    fn detect<B: Backend>(&mut self, db: &mut B, repo: Option<&WorkloadRepository>) -> TdeReport {
+        let now = db.now();
+        let mut report = TdeReport::default();
+        let sampled = self.reservoir.items();
 
         // --- 2. Memory detector + entropy filtration --------------------
-        let spills = detect_spills(db, &sampled);
+        let spills = detect_spills(db, sampled);
         // Oversubscription: work areas were pushed past the instance's
         // memory; there may be no spills left, but the machine is swapping.
-        let swapping = db.swap_factor() > 1.05 && !new_queries.is_empty();
+        let swapping = db.swap_factor() > 1.05 && self.reservoir.seen() > 0;
         let throttled = !spills.is_empty() || swapping;
         let any_at_cap = swapping
             || spills
@@ -327,12 +334,11 @@ impl Tde {
         // Read-heavy workloads whose hot set outgrows the buffer show up as
         // a depressed hit ratio rather than a spill; that is a memory-class
         // throttle on the (restart-bound) buffer knob.
-        {
+        let signature = {
             let snap = db.metrics_snapshot();
-            let delta = snap.delta(&self.window_snapshot.take().unwrap_or(snap.clone()));
-            self.window_snapshot = Some(snap);
-            let hits = delta[autodbaas_simdb::MetricId::BlksHit.index()];
-            let reads = delta[autodbaas_simdb::MetricId::BlksRead.index()];
+            let earlier = self.window_snapshot.as_ref().unwrap_or(&snap);
+            let hits = snap.delta_of(earlier, MetricId::BlksHit);
+            let reads = snap.delta_of(earlier, MetricId::BlksRead);
             let total = hits + reads;
             if total > 1_000.0 {
                 let ratio = hits / total;
@@ -345,20 +351,16 @@ impl Tde {
                     });
                 }
             }
-        }
+            self.window_snapshot.insert(snap).as_vec()
+        };
 
         // --- 4. Background-writer detector -------------------------------
         // An empty repository cannot map a baseline, so skip outright —
         // healthy gated fleets run for hours with zero captured samples.
-        // The signature reuses the §3b snapshot: nothing touches `db`
-        // between the two sections, so it is the same vector re-read.
+        // The signature is the §3b snapshot, borrowed where it is stored:
+        // nothing touches `db` between the two sections.
         if let Some(repo) = repo.filter(|r| r.total_samples() > 0) {
-            let signature = self
-                .window_snapshot
-                .as_ref()
-                .map(|s| s.as_vec().to_vec())
-                .unwrap_or_default();
-            if let Some(baseline) = baseline_from_repo(repo, &signature, self.cfg.baseline_window_s)
+            if let Some(baseline) = baseline_from_repo(repo, signature, self.cfg.baseline_window_s)
             {
                 if self.bg_detector.detect(db, baseline).is_some() {
                     let knob = db.planner().roles().checkpoint_interval;
@@ -377,7 +379,7 @@ impl Tde {
         {
             self.mdp_last_run = now;
             let mut knobs = db.knobs().clone();
-            let outcomes = self.mdp.step(db, &mut knobs, &sampled, &mut self.rng);
+            let outcomes = self.mdp.step(db, &mut knobs, sampled, &mut self.rng);
             for o in &outcomes {
                 // Accepted moves persist on the live instance (the probe is
                 // a real knob change, reload-class by construction).
@@ -544,6 +546,8 @@ snap_struct!(TdeReport {
 mod tests {
     use super::*;
     use autodbaas_simdb::{Catalog, DbFlavor, DiskKind, InstanceType, QueryKind, SimDatabase};
+    use autodbaas_snapshot::encode_to_vec;
+    use rand::Rng;
 
     const MIB: u64 = 1024 * 1024;
 
@@ -760,5 +764,128 @@ mod tests {
         tde.reset_workload_state();
         assert_eq!(tde.templates().len(), 0);
         assert_eq!(tde.histogram().total(), 0);
+    }
+
+    impl Tde {
+        /// The ingest this engine shipped with — filter the whole ring,
+        /// clone the window, clone again into the reservoir — kept as the
+        /// reference `Tde::ingest` is tested against.
+        fn ingest_oracle<B: Backend>(&mut self, db: &B) {
+            self.hist.decay_half();
+            self.reservoir.clear();
+            let new_queries: Vec<QueryProfile> = db
+                .query_log()
+                .since(0)
+                .filter(|l| l.at >= self.last_ingested_at)
+                .map(|l| l.query.clone())
+                .collect();
+            self.last_ingested_at = db.now();
+            for q in &new_queries {
+                self.hist.record(q);
+                self.templates.ingest(q);
+                self.reservoir.offer(q.clone(), &mut self.rng);
+            }
+        }
+    }
+
+    /// Submit `n` queries with seeded kinds and hardly-ever-repeating literals,
+    /// eight per 100 ms tick; the last few stay at the clock the next TDE
+    /// run reads, so they sit exactly on the next window's boundary.
+    fn drive_window<B: Backend>(d: &mut B, gen: &mut StdRng, n: usize) {
+        for i in 0..n {
+            let kind = QueryKind::ALL[gen.gen_range(0..QueryKind::ALL.len())];
+            let mut q = QueryProfile::new(kind, gen.gen_range(0..6));
+            q.rows_examined = gen.gen_range(1..5_000);
+            q.sort_bytes = gen.gen_range(0..96) * MIB;
+            q.literals = [gen.gen_range(-500_000..500_000), gen.gen_range(-500..500)];
+            d.submit(&q, 1);
+            if i % 8 == 7 {
+                d.tick(100);
+            }
+        }
+        if n == 0 {
+            d.tick(100);
+        }
+    }
+
+    #[test]
+    fn streaming_ingest_is_bit_identical_to_the_collect_filter_clone_oracle() {
+        use autodbaas_simdb::{AnyBackend, QueryLog};
+        // Window sizes: under the reservoir, over it, empty, over the ring.
+        let windows = [50, 0, 3_000, 700, 0, 0, 64, 2_500, 1, 300];
+        for flavor in [DbFlavor::Postgres, DbFlavor::Lsm] {
+            for seed in [11u64, 12, 13] {
+                let mk = || {
+                    let catalog = Catalog::synthetic(6, 2_000_000_000, 150, 2);
+                    AnyBackend::new(flavor, InstanceType::M4XLarge, DiskKind::Ssd, catalog, seed)
+                };
+                let (mut db_s, mut db_o) = (mk(), mk());
+                let cfg = TdeConfig {
+                    mdp_interval_ms: MILLIS_PER_MIN / 2,
+                    ..TdeConfig::default()
+                };
+                let mut streaming = Tde::new(&db_s.profile().clone(), cfg.clone(), seed);
+                let mut oracle = Tde::new(&db_o.profile().clone(), cfg, seed);
+                let (mut gen_s, mut gen_o) =
+                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let mut overflowed = false;
+                let (mut on_boundary, mut empty) = (false, false);
+                for (w, &n) in windows.iter().enumerate() {
+                    // Logged at the clock the last run read: `at ==
+                    // last_ingested_at`, so this window takes them again.
+                    on_boundary |= db_s.query_log().since(db_s.now()).len() > 0;
+                    drive_window(&mut db_s, &mut gen_s, n);
+                    drive_window(&mut db_o, &mut gen_o, n);
+                    overflowed |= db_s.query_log().since(0).len() == QueryLog::CAPACITY;
+
+                    let report_s = streaming.run(&mut db_s, None);
+                    oracle.ingest_oracle(&db_o);
+                    let report_o = oracle.detect(&mut db_o, None);
+
+                    let ctx = format!("{flavor:?} seed {seed} window {w}");
+                    assert_eq!(encode_to_vec(&report_s), encode_to_vec(&report_o), "{ctx}");
+                    assert_eq!(streaming.hist.counts(), oracle.hist.counts(), "{ctx}");
+                    assert_eq!(
+                        streaming.reservoir.items(),
+                        oracle.reservoir.items(),
+                        "{ctx}"
+                    );
+                    assert_eq!(streaming.reservoir.seen(), oracle.reservoir.seen(), "{ctx}");
+                    assert_eq!(
+                        encode_to_vec(&streaming.rng),
+                        encode_to_vec(&oracle.rng),
+                        "{ctx}"
+                    );
+                    // Everything else the run touched, MDP knob moves included.
+                    assert_eq!(encode_to_vec(&streaming), encode_to_vec(&oracle), "{ctx}");
+                    assert_eq!(encode_to_vec(&db_s), encode_to_vec(&db_o), "{ctx}");
+                    empty |= streaming.reservoir.seen() == 0;
+                }
+                assert!(overflowed, "a window must overflow the ring");
+                assert!(on_boundary, "a window must start on logged entries");
+                assert!(empty, "a window must be empty");
+            }
+        }
+    }
+
+    #[test]
+    fn tde_state_is_flat_on_a_loaded_node() {
+        // A loaded node sees a few hundred never-repeating literal pairs per
+        // window; the engine's persistent state must not remember them.
+        let mut d = db();
+        let mut tde = Tde::new(&d.profile().clone(), TdeConfig::default(), 8);
+        let mut gen = StdRng::seed_from_u64(8);
+        // Not counted: the MDP's Fig. 6 learning curves, one point per
+        // MDP step by design.
+        let size = |tde: &Tde| encode_to_vec(tde).len() - encode_to_vec(&tde.mdp).len();
+        let mut size_at_10 = 0;
+        for window in 1..=100 {
+            drive_window(&mut d, &mut gen, 600);
+            let _ = tde.run(&mut d, None);
+            if window == 10 {
+                size_at_10 = size(&tde);
+            }
+        }
+        assert_eq!(size(&tde), size_at_10);
     }
 }

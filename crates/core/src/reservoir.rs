@@ -43,14 +43,21 @@ impl<T> Reservoir<T> {
 
     /// Offer one stream element (Algorithm R).
     pub fn offer(&mut self, item: T, rng: &mut dyn RngCore) {
+        self.offer_with(|| item, rng);
+    }
+
+    /// [`offer`](Self::offer) for a stream read in place: `make` builds the
+    /// element only if it is admitted, and the RNG is consulted exactly as
+    /// `offer` consults it — once per element after the reservoir filled.
+    pub fn offer_with(&mut self, make: impl FnOnce() -> T, rng: &mut dyn RngCore) {
         self.seen += 1;
         if self.items.len() < self.capacity {
-            self.items.push(item);
+            self.items.push(make());
         } else {
             // Replace a random slot with probability capacity/seen.
             let j = rng.gen_range(0..self.seen);
             if (j as usize) < self.capacity {
-                self.items[j as usize] = item;
+                self.items[j as usize] = make();
             }
         }
     }

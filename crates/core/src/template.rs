@@ -8,7 +8,6 @@
 //! actual (most frequent) parameters to the template").
 
 use autodbaas_simdb::{QueryKind, QueryProfile};
-use std::collections::HashMap;
 
 /// Identifier of a template within a [`TemplateStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -36,6 +35,22 @@ pub fn normalize_sql(sql: &str) -> String {
     out
 }
 
+/// Literal pairs monitored per template. Workload literals are drawn from
+/// ~10⁹ values, so an exact count per pair grows without bound; the TDE
+/// only needs the *most frequent* pair, which a Space-Saving summary of
+/// this many slots tracks in O(1) state.
+const LITERAL_SLOTS: usize = 8;
+
+/// One monitored literal pair. After `n` ingested instances a pair seen
+/// `f` times that is still monitored has `f <= count <= f + n /
+/// LITERAL_SLOTS`, and every pair with `f > n / LITERAL_SLOTS` *is*
+/// monitored (Metwally et al.'s Space-Saving guarantee).
+#[derive(Debug, Clone, Copy, Default)]
+struct LiteralSlot {
+    literals: [i64; 2],
+    count: u64,
+}
+
 /// Aggregate knowledge about one template.
 #[derive(Debug, Clone)]
 pub struct TemplateEntry {
@@ -48,25 +63,57 @@ pub struct TemplateEntry {
     /// A representative query instance (kept with the template so plans can
     /// be re-evaluated later); updated to track the most frequent literals.
     pub representative: QueryProfile,
-    literal_counts: HashMap<[i64; 2], u64>,
+    /// Space-Saving summary of the literal pairs seen, the most counted
+    /// pair — the representative's — in slot 0. An unused slot has count 0
+    /// and is therefore evicted before any used one.
+    slots: [LiteralSlot; LITERAL_SLOTS],
 }
 
-/// Memo key that fully determines a query's normalised template text.
-///
-/// [`QueryProfile::render_sql`] has a fixed shape — `"{verb} t{table}
-/// WHERE k = {lit0} AND v < {lit1}"` — and [`normalize_sql`] collapses
-/// every digit run to `?`, so only the verb (no digits in any verb) and the
-/// literals' *signs* (the `-` of a negative literal survives stripping)
-/// reach the normalised text. Hashing this 3-tuple replaces two string
-/// allocations and a string-keyed lookup per ingested query.
-type TemplateKey = (QueryKind, bool, bool);
+impl TemplateEntry {
+    /// Count one instance and its literals; the representative is copied
+    /// only when slot 0 changes hands. A strict-majority pair always holds
+    /// it: counts sum to `frequency` and never undercount.
+    fn observe(&mut self, q: &QueryProfile) {
+        self.frequency += 1;
+        // One pass: the pair's slot if it is monitored, else the
+        // least-counted slot (the first of equals), which the pair takes
+        // over, count included.
+        let (mut i, mut monitored) = (0, false);
+        for (k, s) in self.slots.iter().enumerate() {
+            if s.literals == q.literals {
+                (i, monitored) = (k, true);
+                break;
+            }
+            if s.count < self.slots[i].count {
+                i = k;
+            }
+        }
+        self.slots[i].literals = q.literals;
+        self.slots[i].count += 1;
+        let overtakes = self.slots[i].count > self.slots[0].count;
+        if overtakes {
+            self.slots.swap(0, i);
+        }
+        if overtakes || (i == 0 && !monitored) {
+            self.representative = q.clone();
+        }
+    }
+}
 
 /// The template dictionary built from the streaming log.
 #[derive(Debug, Default)]
 pub struct TemplateStore {
-    by_text: HashMap<String, TemplateId>,
-    /// Fast path: render/normalise-free lookup for profile-shaped queries.
-    by_key: HashMap<TemplateKey, TemplateId>,
+    /// Memo of template ids, indexed by all that reaches a query's
+    /// normalised text: `[kind][signs of the two literals]`.
+    ///
+    /// [`QueryProfile::render_sql`] has a fixed shape — `"{verb} t{table}
+    /// WHERE k = {lit0} AND v < {lit1}"` — and [`normalize_sql`] collapses
+    /// every digit run to `?`, so only the verb (no digits in any verb) and
+    /// the literals' *signs* (the `-` of a negative literal survives
+    /// stripping) reach the normalised text. Indexing an array by those
+    /// replaces two string allocations and a string-keyed lookup per
+    /// ingested query.
+    by_key: [[Option<TemplateId>; 4]; QueryKind::ALL.len()],
     entries: Vec<TemplateEntry>,
 }
 
@@ -78,44 +125,33 @@ impl TemplateStore {
 
     /// Ingest one query instance; returns its template id.
     pub fn ingest(&mut self, q: &QueryProfile) -> TemplateId {
-        let key: TemplateKey = (q.kind, q.literals[0] < 0, q.literals[1] < 0);
-        let id = match self.by_key.get(&key) {
-            Some(&id) => id,
+        let signs = usize::from(q.literals[0] < 0) * 2 + usize::from(q.literals[1] < 0);
+        let memo = &mut self.by_key[q.kind.index()][signs];
+        let id = match *memo {
+            Some(id) => id,
             None => {
+                // First sight of this kind and signs: kinds sharing a verb
+                // normalise to the same text.
                 let text = normalize_sql(&q.render_sql());
-                let id = match self.by_text.get(&text) {
-                    Some(&id) => id,
+                let id = match self.entries.iter().find(|e| e.text == text) {
+                    Some(e) => e.id,
                     None => {
                         let id = TemplateId(self.entries.len() as u32);
                         self.entries.push(TemplateEntry {
                             id,
-                            text: text.clone(),
+                            text,
                             frequency: 0,
                             representative: q.clone(),
-                            literal_counts: HashMap::new(),
+                            slots: Default::default(),
                         });
-                        self.by_text.insert(text, id);
                         id
                     }
                 };
-                self.by_key.insert(key, id);
+                *memo = Some(id);
                 id
             }
         };
-        let e = &mut self.entries[id.0 as usize];
-        e.frequency += 1;
-        let lit_count = e.literal_counts.entry(q.literals).or_insert(0);
-        *lit_count += 1;
-        // Keep the representative at the most frequent literal set.
-        let best = *lit_count;
-        let rep_count = e
-            .literal_counts
-            .get(&e.representative.literals)
-            .copied()
-            .unwrap_or(0);
-        if best >= rep_count {
-            e.representative = q.clone();
-        }
+        self.entries[id.0 as usize].observe(q);
         id
     }
 
@@ -141,9 +177,7 @@ impl TemplateStore {
 
     /// Drop all state (workload switch).
     pub fn clear(&mut self) {
-        self.by_text.clear();
-        self.by_key.clear();
-        self.entries.clear();
+        *self = Self::default();
     }
 }
 
@@ -158,35 +192,18 @@ impl Snap for TemplateId {
     }
 }
 
+autodbaas_snapshot::snap_struct!(LiteralSlot { literals, count });
+
 autodbaas_snapshot::snap_struct!(TemplateEntry {
     id,
     text,
     frequency,
     representative,
-    literal_counts
+    slots
 });
 
-impl Snap for TemplateStore {
-    fn encode(&self, w: &mut SnapWriter) {
-        // Entries are the primary data; both lookup maps rebuild from them.
-        self.entries.encode(w);
-    }
-    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let entries: Vec<TemplateEntry> = Snap::decode(r)?;
-        let mut by_text = HashMap::new();
-        let mut by_key = HashMap::new();
-        for e in &entries {
-            by_text.insert(e.text.clone(), e.id);
-            let rep = &e.representative;
-            by_key.insert((rep.kind, rep.literals[0] < 0, rep.literals[1] < 0), e.id);
-        }
-        Ok(Self {
-            by_text,
-            by_key,
-            entries,
-        })
-    }
-}
+// Entries are the primary data; the memo refills as queries arrive.
+autodbaas_snapshot::snap_struct!(TemplateStore { entries } defaults { by_key: Default::default() });
 
 #[cfg(test)]
 mod tests {
@@ -275,5 +292,89 @@ mod tests {
             normalize_sql("SELECT t1 WHERE k = -5 AND v < 7")
         );
         assert_eq!(store.entry(a).frequency, 2);
+    }
+    #[test]
+    fn all_distinct_literals_leave_the_store_a_fixed_size() {
+        // The production case: literals drawn from ~10⁹ values never
+        // repeat, so an exact per-pair count would grow with every query.
+        let mut store = TemplateStore::new();
+        let mut size_early = 0;
+        for i in 0..1_000_000i64 {
+            let id = store.ingest(&q(QueryKind::Update, 0, [i, 1_000_000 + i]));
+            if i == 999 {
+                size_early = autodbaas_snapshot::encode_to_vec(&store).len();
+            }
+            if i % 50_000 == 0 {
+                let e = store.entry(id);
+                assert_eq!(e.slots.iter().map(|s| s.count).sum::<u64>(), e.frequency);
+                assert_eq!(e.representative.literals, e.slots[0].literals);
+            }
+        }
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.entry(TemplateId(0)).frequency, 1_000_000);
+        assert_eq!(
+            autodbaas_snapshot::encode_to_vec(&store).len(),
+            size_early,
+            "template state must not grow with the number of distinct literals"
+        );
+    }
+
+    #[test]
+    fn store_round_trips_through_a_snapshot() {
+        let mut store = TemplateStore::new();
+        for i in 0..100i64 {
+            store.ingest(&q(QueryKind::PointSelect, 0, [i % 7, -(i % 3)]));
+            store.ingest(&q(QueryKind::RangeSelect, 1, [i, i]));
+            store.ingest(&q(QueryKind::Delete, 2, [-i, 4]));
+        }
+        let bytes = autodbaas_snapshot::encode_to_vec(&store);
+        let mut back: TemplateStore = autodbaas_snapshot::decode_from_slice(&bytes).unwrap();
+        assert_eq!(autodbaas_snapshot::encode_to_vec(&back), bytes);
+        // The memo starts empty and refills to the same ids.
+        for probe in [
+            q(QueryKind::PointSelect, 9, [1, -1]),
+            q(QueryKind::RangeSelect, 9, [1, 1]),
+            q(QueryKind::Delete, 9, [-1, 1]),
+            q(QueryKind::Join, 9, [1, 1]),
+        ] {
+            assert_eq!(back.ingest(&probe), store.ingest(&probe));
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn summary_keeps_every_heavy_hitter_and_the_majority_is_representative(
+            // Half the draws collapse onto literal 0, so streams with a
+            // heavy hitter, with a strict majority and with neither all occur.
+            stream in prop::collection::vec(0i64..40, 1..600),
+        ) {
+            let mut store = TemplateStore::new();
+            let mut exact = std::collections::BTreeMap::<[i64; 2], u64>::new();
+            for &v in &stream {
+                let lits = [(v - 20).max(0), v % 2];
+                store.ingest(&q(QueryKind::Insert, 0, lits));
+                *exact.entry(lits).or_default() += 1;
+            }
+            let n = stream.len() as u64;
+            let e = store.entry(TemplateId(0));
+            prop_assert_eq!(e.frequency, n);
+            prop_assert_eq!(e.slots.iter().map(|s| s.count).sum::<u64>(), n);
+            prop_assert_eq!(e.representative.literals, e.slots[0].literals);
+            prop_assert!(e.slots.iter().all(|s| s.count <= e.slots[0].count));
+            for (lits, &f) in &exact {
+                let slot = e.slots.iter().find(|s| s.count > 0 && s.literals == *lits);
+                if f * LITERAL_SLOTS as u64 > n {
+                    prop_assert!(slot.is_some(), "{lits:?} seen {f}/{n} times fell out");
+                }
+                if let Some(s) = slot {
+                    prop_assert!(f <= s.count && s.count <= f + n / LITERAL_SLOTS as u64);
+                }
+                if 2 * f > n {
+                    prop_assert_eq!(e.representative.literals, *lits);
+                }
+            }
+        }
     }
 }

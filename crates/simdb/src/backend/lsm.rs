@@ -34,8 +34,8 @@ use crate::bufferpool::{BufferPool, DEFAULT_CHUNK_BYTES};
 use crate::catalog::{Catalog, PAGE_BYTES};
 use crate::disk::{DiskSet, WriteSource};
 use crate::engine::{
-    ApplyMode, ApplyReport, ConfigChange, LoggedQuery, RecoveryReport, SubmitResult,
-    RECOVERY_BASE_MS, REDO_REPLAY_BYTES_PER_MS,
+    ApplyMode, ApplyReport, ConfigChange, RecoveryReport, SubmitResult, RECOVERY_BASE_MS,
+    REDO_REPLAY_BYTES_PER_MS,
 };
 use crate::executor::{ExecOutcome, Executor, WorkerPool};
 use crate::instance::{enforce_memory_cap, DiskKind, InstanceType};
@@ -43,11 +43,11 @@ use crate::knobs::{DbFlavor, KnobId, KnobProfile, KnobSet};
 use crate::metrics::{MetricId, Metrics, MetricsSnapshot};
 use crate::planner::{Plan, Planner};
 use crate::query::{QueryKind, QueryProfile};
+use crate::query_log::QueryLog;
 use crate::wal::Wal;
 use autodbaas_telemetry::{SimTime, TimeSeries, MILLIS_PER_SEC};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
 
 /// Same apply-disruption constants as the page heap: the §4 semantics are
 /// a property of the *service manager*, not the engine.
@@ -57,7 +57,6 @@ const SOCKET_STALL_MS: u64 = 4_000;
 const SOCKET_JITTER_MS: u64 = 12_000;
 const SOCKET_JITTER_FACTOR: f64 = 1.9;
 const RESTART_DOWNTIME_MS: u64 = 8_000;
-const QUERY_LOG_CAP: usize = 2_048;
 const CAPACITY_CONCURRENCY: f64 = 3.0;
 
 /// Base compaction window at `compaction_spread = 1.0`, divided by the
@@ -114,7 +113,7 @@ pub struct LsmDatabase {
     tick_busy_ms: f64,
     tick_capacity_ms: f64,
     // Observability.
-    query_log: VecDeque<LoggedQuery>,
+    query_log: QueryLog,
     throughput_series: TimeSeries,
     completed_this_window: u64,
     window_started: SimTime,
@@ -178,7 +177,7 @@ impl LsmDatabase {
             staged: Vec::new(),
             tick_busy_ms: 0.0,
             tick_capacity_ms: instance.vcpus() as f64 * 1_000.0 * CAPACITY_CONCURRENCY,
-            query_log: VecDeque::with_capacity(QUERY_LOG_CAP),
+            query_log: QueryLog::default(),
             throughput_series: TimeSeries::with_capacity(16 * 1024),
             completed_this_window: 0,
             window_started: 0,
@@ -314,14 +313,7 @@ impl LsmDatabase {
                 self.dead_bytes += bytes;
             }
         }
-        if self.query_log.len() == QUERY_LOG_CAP {
-            self.query_log.pop_front();
-        }
-        self.query_log.push_back(LoggedQuery {
-            query: q.clone(),
-            at: self.now,
-            spilled: outcome.spilled.is_some(),
-        });
+        self.query_log.push(q, self.now, outcome.spilled.is_some());
         self.completed_this_window += exec_count;
         Some(outcome)
     }
@@ -463,8 +455,8 @@ impl Backend for LsmDatabase {
     fn now(&self) -> SimTime {
         self.now
     }
-    fn query_log(&self) -> std::collections::vec_deque::Iter<'_, LoggedQuery> {
-        self.query_log.iter()
+    fn query_log(&self) -> &QueryLog {
+        &self.query_log
     }
     fn throughput_series(&self) -> &TimeSeries {
         &self.throughput_series

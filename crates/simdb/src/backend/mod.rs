@@ -25,16 +25,16 @@ pub use lsm::LsmDatabase;
 use crate::catalog::Catalog;
 use crate::disk::DiskSet;
 use crate::engine::{
-    ApplyMode, ApplyReport, ConfigChange, LoggedQuery, RecoveryReport, SimDatabase, SubmitResult,
+    ApplyMode, ApplyReport, ConfigChange, RecoveryReport, SimDatabase, SubmitResult,
 };
 use crate::instance::{DiskKind, InstanceType};
 use crate::knobs::{DbFlavor, KnobId, KnobProfile, KnobSet};
 use crate::metrics::{MetricId, Metrics, MetricsSnapshot};
 use crate::planner::{Plan, Planner};
 use crate::query::QueryProfile;
+use crate::query_log::QueryLog;
 use crate::wal::Wal;
 use autodbaas_telemetry::{SimTime, TimeSeries};
-use std::collections::vec_deque;
 
 /// Which engine family a backend belongs to. One kind can serve several
 /// [`DbFlavor`]s (the page heap backs both the PostgreSQL- and MySQL-style
@@ -164,7 +164,7 @@ pub trait Backend {
     /// Current sim time.
     fn now(&self) -> SimTime;
     /// Recent query log (streaming-log stand-in for the TDE).
-    fn query_log(&self) -> vec_deque::Iter<'_, LoggedQuery>;
+    fn query_log(&self) -> &QueryLog;
     /// Throughput series: completed queries per second.
     fn throughput_series(&self) -> &TimeSeries;
     /// Working-set gauge; `reset` starts a new epoch.
@@ -301,10 +301,6 @@ impl AnyBackend {
     pub fn now(&self) -> SimTime {
         Backend::now(self)
     }
-    /// See [`Backend::query_log`].
-    pub fn query_log(&self) -> vec_deque::Iter<'_, LoggedQuery> {
-        Backend::query_log(self)
-    }
     /// See [`Backend::throughput_series`].
     pub fn throughput_series(&self) -> &TimeSeries {
         Backend::throughput_series(self)
@@ -408,7 +404,7 @@ impl Backend for AnyBackend {
     fn now(&self) -> SimTime {
         dispatch!(self, db => db.now())
     }
-    fn query_log(&self) -> vec_deque::Iter<'_, LoggedQuery> {
+    fn query_log(&self) -> &QueryLog {
         dispatch!(self, db => db.query_log())
     }
     fn throughput_series(&self) -> &TimeSeries {

@@ -12,16 +12,16 @@ use super::Backend;
 use crate::catalog::Catalog;
 use crate::disk::DiskSet;
 use crate::engine::{
-    ApplyMode, ApplyReport, ConfigChange, LoggedQuery, RecoveryReport, SimDatabase, SubmitResult,
+    ApplyMode, ApplyReport, ConfigChange, RecoveryReport, SimDatabase, SubmitResult,
 };
 use crate::instance::InstanceType;
 use crate::knobs::{DbFlavor, KnobId, KnobProfile, KnobSet};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::planner::{Plan, Planner};
 use crate::query::QueryProfile;
+use crate::query_log::QueryLog;
 use crate::wal::Wal;
 use autodbaas_telemetry::{SimTime, TimeSeries};
-use std::collections::vec_deque;
 
 impl Backend for SimDatabase {
     fn flavor(&self) -> DbFlavor {
@@ -60,7 +60,7 @@ impl Backend for SimDatabase {
     fn now(&self) -> SimTime {
         SimDatabase::now(self)
     }
-    fn query_log(&self) -> vec_deque::Iter<'_, LoggedQuery> {
+    fn query_log(&self) -> &QueryLog {
         SimDatabase::query_log(self)
     }
     fn throughput_series(&self) -> &TimeSeries {

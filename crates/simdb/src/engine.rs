@@ -16,10 +16,10 @@ use crate::knobs::{DbFlavor, KnobId, KnobProfile, KnobSet};
 use crate::metrics::{MetricId, Metrics, MetricsSnapshot};
 use crate::planner::{Plan, Planner};
 use crate::query::QueryProfile;
+use crate::query_log::QueryLog;
 use autodbaas_telemetry::{SimTime, TimeSeries, MILLIS_PER_SEC};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 
 /// One knob change proposed by a tuner or operator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,20 +104,6 @@ pub const RECOVERY_BASE_MS: u64 = 2_000;
 /// so it is slower than the streaming replication rate.
 pub const REDO_REPLAY_BYTES_PER_MS: u64 = 96 * 1024;
 
-/// A recently executed query with its observed spill flag: the TDE's
-/// streaming-log window.
-#[derive(Debug, Clone)]
-pub struct LoggedQuery {
-    /// The query as executed.
-    pub query: QueryProfile,
-    /// When it ran.
-    pub at: SimTime,
-    /// Whether execution spilled to disk.
-    pub spilled: bool,
-}
-
-const QUERY_LOG_CAP: usize = 2_048;
-
 /// One simulated database-service instance.
 ///
 /// # Examples
@@ -172,7 +158,7 @@ pub struct SimDatabase {
     tick_busy_ms: f64,
     tick_capacity_ms: f64,
     // Observability.
-    query_log: VecDeque<LoggedQuery>,
+    query_log: QueryLog,
     throughput_series: TimeSeries,
     completed_this_window: u64,
     window_started: SimTime,
@@ -224,7 +210,7 @@ impl SimDatabase {
             staged: Vec::new(),
             tick_busy_ms: 0.0,
             tick_capacity_ms: instance.vcpus() as f64 * 1_000.0 * CAPACITY_CONCURRENCY,
-            query_log: VecDeque::with_capacity(QUERY_LOG_CAP),
+            query_log: QueryLog::default(),
             throughput_series: TimeSeries::with_capacity(16 * 1024),
             completed_this_window: 0,
             window_started: 0,
@@ -298,10 +284,9 @@ impl SimDatabase {
         self.now
     }
 
-    /// Recent query log (streaming-log stand-in for the TDE). The concrete
-    /// iterator type lets the [`crate::backend::Backend`] trait name it.
-    pub fn query_log(&self) -> std::collections::vec_deque::Iter<'_, LoggedQuery> {
-        self.query_log.iter()
+    /// Recent query log (streaming-log stand-in for the TDE).
+    pub fn query_log(&self) -> &QueryLog {
+        &self.query_log
     }
 
     /// Throughput series: completed queries per second, sampled per tick.
@@ -430,14 +415,7 @@ impl SimDatabase {
                 self.bg.note_dead_tuples(bytes);
             }
         }
-        if self.query_log.len() == QUERY_LOG_CAP {
-            self.query_log.pop_front();
-        }
-        self.query_log.push_back(LoggedQuery {
-            query: q.clone(),
-            at: self.now,
-            spilled: outcome.spilled.is_some(),
-        });
+        self.query_log.push(q, self.now, outcome.spilled.is_some());
         self.completed_this_window += exec_count;
         Some(outcome)
     }
@@ -638,7 +616,6 @@ impl SimDatabase {
 // ------------------------------------------------------- snapshot support
 
 autodbaas_snapshot::snap_struct!(ConfigChange { knob, value });
-autodbaas_snapshot::snap_struct!(LoggedQuery { query, at, spilled });
 
 /// The knob profile, planner and executor are pure functions of
 /// `(flavor, catalog)`, so decode rebuilds them instead of persisting the
@@ -903,7 +880,7 @@ mod tests {
         q.rows_examined = 10_000;
         q.sort_bytes = 512 * 1024 * 1024;
         d.submit(&q, 1);
-        let logged: Vec<_> = d.query_log().collect();
+        let logged: Vec<_> = d.query_log().since(0).collect();
         assert_eq!(logged.len(), 1);
         assert!(
             logged[0].spilled,

@@ -36,13 +36,14 @@ pub mod knobs;
 pub mod metrics;
 pub mod planner;
 pub mod query;
+pub mod query_log;
 pub mod replication;
 pub mod wal;
 
 pub use backend::{AnyBackend, Backend, BackendDescriptor, BackendKind, LsmDatabase};
 pub use catalog::{Catalog, Table, PAGE_BYTES};
 pub use engine::{
-    ApplyMode, ApplyReport, ConfigChange, LoggedQuery, RecoveryReport, SimDatabase, SubmitResult,
+    ApplyMode, ApplyReport, ConfigChange, RecoveryReport, SimDatabase, SubmitResult,
     RECOVERY_BASE_MS, REDO_REPLAY_BYTES_PER_MS,
 };
 pub use instance::{DiskKind, InstanceType};
@@ -50,5 +51,6 @@ pub use knobs::{DbFlavor, KnobClass, KnobId, KnobProfile, KnobSet, KnobSpec, Kno
 pub use metrics::{MetricId, Metrics, MetricsSnapshot};
 pub use planner::{AccessPath, KnobRoles, Plan, Planner, SpillKind};
 pub use query::{QueryKind, QueryProfile};
+pub use query_log::{LoggedQuery, QueryLog};
 pub use replication::ReplicationSlot;
 pub use wal::{Lsn, Wal};

@@ -36,7 +36,10 @@ pub const MAGIC: [u8; 8] = *b"ADBSNAP1";
 
 /// Snapshot format version. Bump on any layout change; readers reject
 /// mismatches with [`SnapError::UnsupportedVersion`].
-pub const VERSION: u32 = 1;
+///
+/// * 1 — first layout.
+/// * 2 — the TDE's per-template literal map became a fixed-size summary.
+pub const VERSION: u32 = 2;
 
 /// Reserved tag closing every snapshot file; its payload is the running
 /// FNV-1a hash of all preceding bytes.
@@ -1011,12 +1014,20 @@ mod tests {
             FrameReader::new(&wrong_magic).err(),
             Some(SnapError::BadMagic)
         );
-        let mut wrong_version = bytes;
+        let mut wrong_version = bytes.clone();
         wrong_version[8] = 0xfe;
         assert!(matches!(
             FrameReader::new(&wrong_version).err(),
             Some(SnapError::UnsupportedVersion(_))
         ));
+        // A file written before the last layout change is refused by
+        // name, not mis-decoded.
+        let mut v1 = bytes;
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            FrameReader::new(&v1).err(),
+            Some(SnapError::UnsupportedVersion(1))
+        );
     }
 
     #[test]

@@ -34,7 +34,10 @@ impl TimeSeries {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "time series capacity must be positive");
         Self {
-            samples: VecDeque::with_capacity(capacity.min(4096)),
+            // Grown on demand: most of a large fleet's series stay short,
+            // and reserving rings nobody writes to leaves the heap full of
+            // untouched holes that later allocations fault in one by one.
+            samples: VecDeque::new(),
             capacity,
         }
     }

@@ -139,3 +139,27 @@ fn fleet_simulation_is_deterministic_under_seed() {
     assert_eq!(run(5), run(5));
     assert_ne!(run(5).1, run(6).1, "different seeds must differ");
 }
+
+#[test]
+fn loaded_fleet_snapshot_size_is_flat() {
+    // Leak gate: workload literals never repeat, so any per-literal state
+    // in the TDE grows the snapshot by kilobytes per node-minute forever.
+    // Everything a loaded node legitimately keeps is a ring or a summary;
+    // the longest rings (16 384 one-second monitoring samples) are full
+    // after 273 minutes, and from then on the size must stand still.
+    let mut sim = FleetSim::new(FleetConfig::default(), 2);
+    for i in 0..4 {
+        sim.add_node(
+            node(TuningPolicy::TdeDriven, false, 900 + i),
+            &format!("db-{i}"),
+        );
+    }
+    sim.run_for(300 * MILLIS_PER_MIN);
+    let before = sim.snapshot_bytes().len() as f64;
+    sim.run_for(60 * MILLIS_PER_MIN);
+    let after = sim.snapshot_bytes().len() as f64;
+    assert!(
+        (after / before - 1.0).abs() < 0.05,
+        "snapshot grew from {before} B to {after} B over minutes 300..360"
+    );
+}
