@@ -185,7 +185,7 @@ fn main() {
 /// director absorbed — the two axes that bound fleet capacity.
 fn fleet_sweep() {
     let sim_min = 10u64;
-    outln!("\nfleet-size sweep (sharded engine, {sim_min} sim-minutes each):");
+    outln!("\nfleet-size sweep (auto shard count, {sim_min} sim-minutes each):");
     outln!(
         "{:>7} {:>10} {:>16} {:>7} {:>11} {:>13}",
         "nodes",
@@ -196,7 +196,7 @@ fn fleet_sweep() {
         "reqs/min"
     );
     for n in [48usize, 512, 2048, 10_000] {
-        let mut sim = longtail_fleet(n, true, 0, 42);
+        let mut sim = longtail_fleet(n, 0, 42);
         let t = std::time::Instant::now();
         sim.run_for(sim_min * MILLIS_PER_MIN);
         let wall = t.elapsed().as_secs_f64();

@@ -3,22 +3,22 @@
 //! Two legs, both fast enough for the verify recipe:
 //!
 //! 1. **Determinism** — a long-tail 10k-service fleet driven 90 simulated
-//!    seconds (covering one TDE round) serially and on the sharded engine
-//!    with the shard count pinned wide (8), so the cross-thread barrier and
-//!    merge actually run even on a small host. Event-log fingerprints and
-//!    per-node counters must be bit-identical, and the sharded engine must
-//!    account for every node-tick.
-//! 2. **Throughput floor** — the sharded engine (auto shard count) must
-//!    sustain ≥1M node-ticks/s over its fastest 15-second chunk, raced
-//!    against the serial reference in interleaved chunks. A shared host's
-//!    noise stalls can span minutes and tax every chunk, so serial racing
+//!    seconds (covering one TDE round) on one shard and with the shard
+//!    count pinned wide (8), so the cross-thread barrier and merge actually
+//!    run even on a small host. Event-log fingerprints and per-node
+//!    counters must be bit-identical, and both must account for every
+//!    node-tick.
+//! 2. **Throughput floor** — the auto-resolved shard count must sustain
+//!    ≥1M node-ticks/s over its fastest 15-second chunk, raced against a
+//!    one-shard fleet in interleaved chunks. A shared host's noise stalls
+//!    can span minutes and tax every chunk, so the one-shard fleet racing
 //!    through the same window is the control: the gate fires only when the
-//!    sharded engine misses the floor AND loses to serial — an engine
-//!    regression fails both, a noisy host neither.
+//!    auto-sharded fleet misses the floor AND loses to one shard — an
+//!    engine regression fails both, a noisy host neither.
 //!
 //! Flags: `--nodes 10000 --floor 1000000` (defaults shown).
 
-use autodbaas_bench::{arg_value, longtail_fleet, race_engines};
+use autodbaas_bench::{arg_value, longtail_fleet, race_shard_counts};
 use autodbaas_simdb::MetricId;
 use autodbaas_telemetry::{outln, MILLIS_PER_MIN};
 use std::time::Instant;
@@ -33,18 +33,18 @@ fn main() {
 
     // Leg 1: determinism at a forced-wide shard count.
     let smoke_ms = 90_000u64;
-    let mut serial = longtail_fleet(nodes, false, 0, 0xabcd);
-    let mut sharded = longtail_fleet(nodes, true, 8, 0xabcd);
+    let mut one_shard = longtail_fleet(nodes, 1, 0xabcd);
+    let mut sharded = longtail_fleet(nodes, 8, 0xabcd);
     let t = Instant::now();
-    serial.run_for(smoke_ms);
-    let serial_s = t.elapsed().as_secs_f64();
+    one_shard.run_for(smoke_ms);
+    let one_shard_s = t.elapsed().as_secs_f64();
     let t = Instant::now();
     sharded.run_for(smoke_ms);
     let sharded_s = t.elapsed().as_secs_f64();
     assert_eq!(
-        serial.events.fingerprint(),
+        one_shard.events.fingerprint(),
         sharded.events.fingerprint(),
-        "event-log fingerprints diverged between serial and sharded drives"
+        "event-log fingerprints diverged between one-shard and sharded drives"
     );
     let counters = |sim: &autodbaas_cloudsim::FleetSim| -> Vec<(u64, f64)> {
         sim.nodes
@@ -58,42 +58,45 @@ fn main() {
             .collect()
     };
     assert_eq!(
-        counters(&serial),
+        counters(&one_shard),
         counters(&sharded),
-        "per-node counters diverged between serial and sharded drives"
+        "per-node counters diverged between one-shard and sharded drives"
     );
     let expected_ticks = nodes as u64 * (smoke_ms / 1000);
-    assert_eq!(
-        sharded.drive_stats().node_ticks,
-        expected_ticks,
-        "sharded engine lost node-ticks"
-    );
+    for sim in [&one_shard, &sharded] {
+        assert_eq!(
+            sim.drive_stats().node_ticks,
+            expected_ticks,
+            "{}-shard drive lost node-ticks",
+            sim.shard_count()
+        );
+    }
     outln!(
-        "determinism: {nodes} nodes x {}s, serial={serial_s:.2}s sharded({} shards)={sharded_s:.2}s — \
+        "determinism: {nodes} nodes x {}s, one-shard={one_shard_s:.2}s sharded({} shards)={sharded_s:.2}s — \
          fingerprints, per-node counters and {expected_ticks} node-ticks all match",
         smoke_ms / 1000,
         sharded.shard_count(),
     );
 
-    // Leg 2: throughput floor on auto shard resolution, raced against the
-    // serial reference in interleaved 15-second chunks. The absolute floor
+    // Leg 2: throughput floor on auto shard resolution, raced against a
+    // one-shard fleet in interleaved 15-second chunks. The absolute floor
     // is the headline gate, but a shared host's noise stalls can span whole
-    // minutes and tax every chunk; the serial engine racing through the
+    // minutes and tax every chunk; the one-shard fleet racing through the
     // same window is the control that tells a slow host apart from a slow
-    // engine. The gate fires only when the sharded engine misses the floor
-    // AND loses to serial — a genuine engine regression fails both, a noisy
-    // host fails neither test of the engine itself.
+    // engine. The gate fires only when the auto-sharded fleet misses the
+    // floor AND loses to one shard — a genuine engine regression fails
+    // both, a noisy host fails neither test of the engine itself.
     let chunk_ms = MILLIS_PER_MIN / 4;
-    let mut serial = longtail_fleet(nodes, false, 0, 0xf1ee7);
-    let mut sharded = longtail_fleet(nodes, true, 0, 0xf1ee7);
-    serial.run_for(chunk_ms); // warm both to the same sim time
+    let mut one_shard = longtail_fleet(nodes, 1, 0xf1ee7);
+    let mut sharded = longtail_fleet(nodes, 0, 0xf1ee7);
+    one_shard.run_for(chunk_ms); // warm both to the same sim time
     sharded.run_for(chunk_ms);
-    let mut serial_ms = f64::MAX;
+    let mut one_shard_ms = f64::MAX;
     let mut sharded_ms = f64::MAX;
     let mut rounds = 0;
     for round in 0..8 {
-        let (s, p) = race_engines(&mut serial, &mut sharded, chunk_ms, 2);
-        serial_ms = serial_ms.min(s);
+        let (s, p) = race_shard_counts(&mut one_shard, &mut sharded, chunk_ms, 2);
+        one_shard_ms = one_shard_ms.min(s);
         sharded_ms = sharded_ms.min(p);
         rounds = round + 1;
         let tps = (nodes as u64 * chunk_ms) as f64 / sharded_ms;
@@ -103,19 +106,19 @@ fn main() {
     }
     let chunk_ticks = (nodes as u64 * chunk_ms / 1000) as f64;
     let tps = chunk_ticks * 1e3 / sharded_ms;
-    let serial_tps = chunk_ticks * 1e3 / serial_ms;
+    let one_shard_tps = chunk_ticks * 1e3 / one_shard_ms;
     outln!(
         "throughput: fastest {}s-chunk over {rounds} interleaved rounds — \
-         sharded {tps:.0} node-ticks/s vs serial {serial_tps:.0} \
+         sharded {tps:.0} node-ticks/s vs one-shard {one_shard_tps:.0} \
          ({} shard(s), floor {floor:.0})",
         chunk_ms / 1000,
         sharded.shard_count()
     );
     assert!(
-        tps >= floor || tps >= serial_tps,
-        "sharded 10k fleet below the throughput floor AND behind the serial \
-         reference in the same window: sharded {tps:.0} < floor {floor:.0}, \
-         serial {serial_tps:.0} — engine regression, not host noise"
+        tps >= floor || tps >= one_shard_tps,
+        "sharded 10k fleet below the throughput floor AND behind the one-shard \
+         fleet in the same window: sharded {tps:.0} < floor {floor:.0}, \
+         one-shard {one_shard_tps:.0} — engine regression, not host noise"
     );
     outln!("fleet10k_smoke: OK");
 }

@@ -13,17 +13,18 @@
 //!    but batched sweep: `BoConfig { incremental: false }`), and
 //!    `incremental` (the default). The headline number is
 //!    `legacy_ms / incremental_ms`, asserted ≥ 5×.
-//! 3. **Fleet drive** — a 48-database fleet, serial vs the sharded tick
-//!    engine, in interleaved one-minute chunks (fastest chunk per engine);
-//!    node-ticks/second plus a determinism witness (event-log fingerprint
-//!    and total queries must be bit-identical across both engines).
+//! 3. **Fleet drive** — a 48-database fleet, one shard vs the auto-resolved
+//!    shard count, in interleaved one-minute chunks (fastest chunk per
+//!    side); node-ticks/second plus a determinism witness (event-log
+//!    fingerprint and total queries must be bit-identical across both).
+//!    The JSON keeps the field names `serial` (one shard) and `sharded`.
 //! 4. **Backend drive** — a 16-database fleet per backend adapter
-//!    (page-heap and LSM) on the serial engine, recording the relative
+//!    (page-heap and LSM) on one shard, recording the relative
 //!    per-tick cost of each engine profile plus a per-backend determinism
 //!    witness (event-log fingerprint equal across a same-seed replay).
 //! 5. **Fleet scaling** — the same head-to-head over a long-tail tenant
-//!    fleet at {48, 512, 2048, 10_000} services. Fails if the sharded
-//!    engine loses to serial at ≥512 nodes or the 10k fleet drops below
+//!    fleet at {48, 512, 2048, 10_000} services. Fails if the auto-sharded
+//!    fleet loses to one shard at ≥512 nodes or the 10k fleet drops below
 //!    1M node-ticks/s.
 //! 6. **Safe tuning** — one simulated day of the fig18 rig: a guarded
 //!    and an observe-only arm cold-start a BO tuner against the
@@ -43,7 +44,7 @@
 //!
 //! Flags: `--rounds 24 --out BENCH_perf.json`.
 
-use autodbaas_bench::{arg_value, longtail_fleet, race_engines, safetune, NodeSpec};
+use autodbaas_bench::{arg_value, longtail_fleet, race_shard_counts, safetune, NodeSpec};
 use autodbaas_cloudsim::{FleetConfig, FleetSim};
 use autodbaas_core::{TdeConfig, TuningPolicy};
 use autodbaas_simdb::{DbFlavor, InstanceType};
@@ -361,16 +362,16 @@ fn repeated_recommend(rounds: usize, out: &mut String) {
     ));
 }
 
-fn build_fleet(parallel: bool) -> FleetSim {
+fn build_fleet(shards: usize) -> FleetSim {
     let mut sim = FleetSim::new(
         FleetConfig {
             gate_samples_with_tde: false,
             seed: 0xf1ee7,
+            shards,
             ..FleetConfig::default()
         },
         2,
     );
-    sim.set_parallel(parallel);
     for i in 0..48 {
         let wl = tpcc(0.5);
         let catalog = wl.catalog().clone();
@@ -389,19 +390,19 @@ fn build_fleet(parallel: bool) -> FleetSim {
 }
 
 /// Stage 3: fleet ticks/second on the 48-database rig the seed regression
-/// was measured on (230 ms parallel vs 204 ms serial), serial vs the
-/// sharded engine, plus the determinism witness.
+/// was measured on (230 ms parallel vs 204 ms serial), one shard vs the
+/// auto-resolved shard count, plus the determinism witness.
 fn fleet_drive(out: &mut String) {
-    let mut serial = build_fleet(false);
-    let mut sharded = build_fleet(true);
-    serial.run_for(MILLIS_PER_MIN); // warm both engines and the host caches
+    let mut serial = build_fleet(1);
+    let mut sharded = build_fleet(0);
+    serial.run_for(MILLIS_PER_MIN); // warm both fleets and the host caches
     sharded.run_for(MILLIS_PER_MIN);
-    let (serial_ms, sharded_ms) = race_engines(&mut serial, &mut sharded, MILLIS_PER_MIN, 7);
+    let (serial_ms, sharded_ms) = race_shard_counts(&mut serial, &mut sharded, MILLIS_PER_MIN, 7);
     let queries: u64 = serial.nodes.iter().map(|n| n.queries_submitted).sum();
     let node_ticks = 48.0 * 60.0;
     let shards = sharded.shard_count();
     outln!(
-        "fleet 48 dbs, 1-min chunks: serial={serial_ms:.1} ms ({:.0} node-ticks/s)  \
+        "fleet 48 dbs, 1-min chunks: one-shard={serial_ms:.1} ms ({:.0} node-ticks/s)  \
          sharded={sharded_ms:.1} ms ({:.0} node-ticks/s, {shards} shard(s))  queries={queries}",
         node_ticks * 1e3 / serial_ms,
         node_ticks * 1e3 / sharded_ms,
@@ -418,13 +419,14 @@ fn fleet_drive(out: &mut String) {
 }
 
 /// A 16-node single-backend fleet for the per-backend dimension; smaller
-/// than the stage-3 rig so the section stays cheap, serial engine so the
+/// than the stage-3 rig so the section stays cheap, one shard so the
 /// numbers isolate engine-profile cost from sharding.
 fn backend_fleet(flavor: DbFlavor, seed: u64) -> FleetSim {
     let mut sim = FleetSim::new(
         FleetConfig {
             gate_samples_with_tde: false,
             seed,
+            shards: 1,
             ..FleetConfig::default()
         },
         2,
@@ -489,18 +491,17 @@ fn backend_drive(out: &mut String) {
 }
 
 /// Stage 5: the fleet-size sweep (ROADMAP item 1). A long-tail tenant
-/// fleet at {48, 512, 2048, 10_000} services, serial vs sharded, one-minute
-/// interleaved chunks. Hard gates: the sharded engine must not lose to
-/// serial at ≥512 nodes, and the 10k fleet must sustain ≥1M node-ticks/s
-/// on the sharded engine. A losing/slow size gets up to two appeal rounds
-/// of extra chunks before the gate fires, so a single noise burst on a
-/// shared host doesn't fail the bin.
+/// fleet at {48, 512, 2048, 10_000} services, one shard vs the auto-resolved
+/// shard count, one-minute interleaved chunks. Hard gates: auto sharding
+/// must not lose to one shard at ≥512 nodes, and the 10k fleet must sustain
+/// ≥1M node-ticks/s auto-sharded. A losing/slow size gets up to two appeal
+/// rounds of extra chunks before the gate fires, so a single noise burst on
+/// a shared host doesn't fail the bin.
 ///
 /// Both parallel gates apply only when the host can actually parallelize
-/// (≥2 cores): on a single-core host the pool resolves to one worker shard
-/// and the head-to-head degenerates to serial-plus-thread-handoff, so the
-/// strict gates are replaced by a 2× overhead ceiling (a genuinely
-/// pathological sharded engine still fails) and the JSON records
+/// (≥2 cores): on a single-core host auto resolution picks one shard and
+/// the head-to-head races the plain loop against itself, so the strict
+/// gates are replaced by a 2× overhead ceiling and the JSON records
 /// `host_parallelism` so readers know why the timings look the way they do.
 fn fleet_scaling(out: &mut String) {
     const FLOOR_10K: f64 = 1_000_000.0; // node-ticks/s, ROADMAP item 1
@@ -519,12 +520,12 @@ fn fleet_scaling(out: &mut String) {
     let sizes = [48usize, 512, 2048, 10_000];
     for (si, &n) in sizes.iter().enumerate() {
         let reps = if n >= 2048 { 3 } else { 5 };
-        let mut serial = longtail_fleet(n, false, 0, 0xf1ee7);
-        let mut sharded = longtail_fleet(n, true, 0, 0xf1ee7);
+        let mut serial = longtail_fleet(n, 1, 0xf1ee7);
+        let mut sharded = longtail_fleet(n, 0, 0xf1ee7);
         serial.run_for(MILLIS_PER_MIN);
         sharded.run_for(MILLIS_PER_MIN);
         let (mut serial_ms, mut sharded_ms) =
-            race_engines(&mut serial, &mut sharded, MILLIS_PER_MIN, reps);
+            race_shard_counts(&mut serial, &mut sharded, MILLIS_PER_MIN, reps);
         let node_ticks = (n * 60) as f64;
         let mut appeals = 0;
         while appeals < 2
@@ -532,7 +533,7 @@ fn fleet_scaling(out: &mut String) {
             && ((n >= 512 && sharded_ms > serial_ms)
                 || (n >= 10_000 && node_ticks * 1e3 / sharded_ms < FLOOR_10K))
         {
-            let (s, p) = race_engines(&mut serial, &mut sharded, MILLIS_PER_MIN, 2);
+            let (s, p) = race_shard_counts(&mut serial, &mut sharded, MILLIS_PER_MIN, 2);
             serial_ms = serial_ms.min(s);
             sharded_ms = sharded_ms.min(p);
             appeals += 1;
@@ -541,13 +542,13 @@ fn fleet_scaling(out: &mut String) {
         let sharded_tps = node_ticks * 1e3 / sharded_ms;
         let shards = sharded.shard_count();
         outln!(
-            "fleet_scaling n={n:>6}: serial={serial_ms:>8.1} ms ({serial_tps:>9.0} t/s)  \
+            "fleet_scaling n={n:>6}: one-shard={serial_ms:>8.1} ms ({serial_tps:>9.0} t/s)  \
              sharded={sharded_ms:>8.1} ms ({sharded_tps:>9.0} t/s, {shards} shard(s))"
         );
         if parallel_host {
             assert!(
                 n < 512 || sharded_ms <= serial_ms,
-                "sharded drive slower than serial at {n} nodes \
+                "sharded drive slower than one shard at {n} nodes \
                  ({sharded_ms:.1} ms vs {serial_ms:.1} ms)"
             );
             assert!(
@@ -558,7 +559,7 @@ fn fleet_scaling(out: &mut String) {
             assert!(
                 sharded_ms <= serial_ms * 2.0,
                 "sharded overhead ceiling breached on single-core host at {n} \
-                 nodes ({sharded_ms:.1} ms vs {serial_ms:.1} ms serial)"
+                 nodes ({sharded_ms:.1} ms vs {serial_ms:.1} ms one-shard)"
             );
         }
         out.push_str(&format!(

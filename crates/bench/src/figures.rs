@@ -145,10 +145,10 @@ pub fn seed_offline(
 /// serving 2 rps of TPC-C traffic and the rest idle — the shape of a real
 /// DBaaS fleet, where a thin head of hot tenants rides on a long idle
 /// tail. `shards = 0` leaves the shard count to auto resolution; a
-/// positive value pins it (the determinism smokes force it wide).
-/// Deterministic for a given `seed` and engine, and bit-identical across
-/// engines and shard counts.
-pub fn longtail_fleet(n: usize, parallel: bool, shards: usize, seed: u64) -> FleetSim {
+/// positive value pins it (`1` is the plain loop, the determinism smokes
+/// force it wide). Deterministic for a given `seed`, and bit-identical
+/// across shard counts.
+pub fn longtail_fleet(n: usize, shards: usize, seed: u64) -> FleetSim {
     let mut sim = FleetSim::new(
         FleetConfig {
             seed,
@@ -157,7 +157,6 @@ pub fn longtail_fleet(n: usize, parallel: bool, shards: usize, seed: u64) -> Fle
         },
         2,
     );
-    sim.set_parallel(parallel);
     let proto = tpcc(0.5);
     let catalog = proto.catalog().clone();
     for i in 0..n {
@@ -180,49 +179,42 @@ pub fn longtail_fleet(n: usize, parallel: bool, shards: usize, seed: u64) -> Fle
     sim
 }
 
-/// One interleaved serial-vs-sharded comparison over two lockstep sims.
+/// One interleaved one-shard-vs-wide comparison over two lockstep sims.
 ///
-/// Both engines are bit-identical, so after every chunk the two sims are in
-/// the same simulated state and each chunk measures the same work. Chunks
-/// alternate which engine runs first (a shared host's slow phases cannot
-/// systematically tax one side) and each side reports its *fastest* chunk —
-/// the least-interference estimate of its true cost. Returns
-/// `(serial_ms, sharded_ms)` per chunk; panics if the engines diverge.
-pub fn race_engines(
-    serial: &mut FleetSim,
-    sharded: &mut FleetSim,
+/// The fleet is bit-identical at any shard count, so after every chunk the
+/// two sims are in the same simulated state and each chunk measures the
+/// same work. Chunks alternate which sim runs first (a shared host's slow
+/// phases cannot systematically tax one side) and each side reports its
+/// *fastest* chunk — the least-interference estimate of its true cost.
+/// Returns `(one_shard_ms, wide_ms)` per chunk; panics if the sims diverge.
+pub fn race_shard_counts(
+    one_shard: &mut FleetSim,
+    wide: &mut FleetSim,
     chunk_ms: u64,
     reps: usize,
 ) -> (f64, f64) {
-    let mut serial_best = f64::MAX;
-    let mut sharded_best = f64::MAX;
+    let mut best = [f64::MAX; 2];
     for rep in 0..reps {
-        let serial_first = rep % 2 == 0;
         for leg in 0..2 {
-            let serial_turn = (leg == 0) == serial_first;
-            let sim: &mut FleetSim = if serial_turn { serial } else { sharded };
+            let side = (rep + leg) % 2;
+            let sim: &mut FleetSim = if side == 0 { one_shard } else { wide };
             let t = std::time::Instant::now();
             sim.run_for(chunk_ms);
-            let ms = t.elapsed().as_secs_f64() * 1e3;
-            if serial_turn {
-                serial_best = serial_best.min(ms);
-            } else {
-                sharded_best = sharded_best.min(ms);
-            }
+            best[side] = best[side].min(t.elapsed().as_secs_f64() * 1e3);
         }
     }
     assert_eq!(
-        serial.events.fingerprint(),
-        sharded.events.fingerprint(),
-        "sharded drive must be bit-identical to serial"
+        one_shard.events.fingerprint(),
+        wide.events.fingerprint(),
+        "a wide-shard drive must be bit-identical to the one-shard drive"
     );
     let q = |sim: &FleetSim| -> u64 { sim.nodes.iter().map(|n| n.queries_submitted).sum() };
     assert_eq!(
-        q(serial),
-        q(sharded),
-        "engines diverged on accepted queries"
+        q(one_shard),
+        q(wide),
+        "shard counts diverged on accepted queries"
     );
-    (serial_best, sharded_best)
+    (best[0], best[1])
 }
 
 /// Parse a simple `--flag value` style argument.

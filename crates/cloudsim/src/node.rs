@@ -267,22 +267,9 @@ impl ManagedDatabase {
         self.tde.reset_workload_state();
     }
 
-    /// Objective over the window that just closed: completed queries per
-    /// second. Reads the one counter it needs instead of materialising a
-    /// full snapshot + delta vector.
-    pub fn window_objective(&self, window_ms: u64) -> f64 {
-        let executed = self
-            .db()
-            .metrics()
-            .get(autodbaas_simdb::MetricId::QueriesExecuted)
-            - self
-                .window_start_snapshot
-                .get(autodbaas_simdb::MetricId::QueriesExecuted);
-        executed * 1000.0 / window_ms.max(1) as f64
-    }
-
-    /// [`ManagedDatabase::window_objective`] from an already-taken snapshot
-    /// (the fleet TDE round snapshots once and derives everything from it).
+    /// Objective over the window that just closed — completed queries per
+    /// second — from an already-taken snapshot (the fleet TDE round
+    /// snapshots once and derives everything from it).
     pub fn window_objective_from(&self, snap: &MetricsSnapshot, window_ms: u64) -> f64 {
         let executed = snap.delta_of(
             &self.window_start_snapshot,
@@ -427,7 +414,7 @@ mod tests {
         for _ in 0..20 {
             n.drive(1_000);
         }
-        let qps = n.window_objective(20_000);
+        let qps = n.window_objective_from(&n.db().metrics_snapshot(), 20_000);
         assert!((300.0..700.0).contains(&qps), "qps {qps}");
     }
 

@@ -7,8 +7,7 @@
 //! module replaces it with a [`ShardPool`]: the fleet is partitioned *once*
 //! into `W` contiguous shards; shards `1..W` are owned by long-lived worker
 //! threads that park between ticks, and shard `0` is driven by the calling
-//! thread itself, so `W = 1` degenerates to the plain serial loop with zero
-//! synchronisation.
+//! thread itself, so `W = 1` is the plain loop with zero synchronisation.
 //!
 //! # Barrier protocol
 //!
@@ -20,7 +19,7 @@
 //! waits for `done == W - 1` (Acquire) — that pairing makes every worker
 //! write happen-before the caller's merge. Outputs are merged in ascending
 //! shard order; since shards are contiguous ascending index ranges, the
-//! merged order equals the serial drive order and the engines are
+//! merged order equals the one-shard drive order and the fleet is
 //! bit-identical for any shard count.
 //!
 //! # Determinism witness
@@ -177,11 +176,6 @@ impl ShardPool {
         self.ranges.len()
     }
 
-    /// Fleet size this pool was partitioned for.
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
     /// Drive one tick across every shard and merge the outputs in shard
     /// order. `nodes` must be the same fleet (same length) the pool was
     /// built for.
@@ -196,7 +190,7 @@ impl ShardPool {
             ..DriveStats::default()
         };
         if self.handles.is_empty() {
-            // Single shard: the plain serial loop, no synchronisation.
+            // Single shard: the plain loop, no synchronisation.
             for node in nodes {
                 let t = node.drive(tick_ms);
                 total.submitted += t.submitted;
@@ -248,7 +242,7 @@ impl ShardPool {
             panic!("a fleet shard worker panicked while driving its nodes");
         }
 
-        // Merge in ascending shard order — the serial drive order.
+        // Merge in ascending shard order — the one-shard drive order.
         for (w, slot) in self.slots.iter().enumerate() {
             let out = *slot.out.lock();
             let expected = self.mirrors[w].gen::<u64>();

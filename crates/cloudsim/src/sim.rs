@@ -50,25 +50,17 @@ pub struct FleetConfig {
     pub apply_recommendations: bool,
     /// Master seed.
     pub seed: u64,
-    /// Shard count for the sharded tick engine ([`FleetSim::set_parallel`]):
-    /// `0` resolves automatically — [`drive_threads`](Self::drive_threads)
-    /// if set, else the machine's available parallelism, capped so no shard
-    /// owns fewer than [`parallel_threshold`](Self::parallel_threshold)
-    /// nodes. An explicit count is taken as-is (clamped to `[1, nodes]`),
-    /// cap skipped. Shard 0 runs on the stepping thread itself, so one
-    /// shard is exactly the serial loop.
-    pub shards: usize,
-    /// Minimum nodes per worker shard under automatic shard resolution —
-    /// below this the coordination overhead exceeds the win. Ignored when
-    /// [`shards`](Self::shards) is explicit.
-    pub parallel_threshold: usize,
-    /// Automatic shard resolution's thread budget; `0` means "use the
-    /// machine's available parallelism". Node order and RNG streams are
-    /// per-node, so serial and sharded drives produce bit-identical fleets
-    /// for any shard count (pinned by
-    /// `parallel_drive_is_deterministic_and_equivalent` and the
+    /// Shard count of the tick engine: `0` resolves to the machine's
+    /// available parallelism, capped so no shard owns fewer than
+    /// `MIN_NODES_PER_SHARD` nodes; an explicit count is taken as-is
+    /// (clamped to `[1, nodes]`), cap skipped. Resolved when the shard pool
+    /// is (re)built, not per tick. Shard 0 runs on the stepping thread
+    /// itself, so one shard is the plain loop with no synchronisation.
+    /// Node order and RNG streams are per-node, so the fleet is
+    /// bit-identical for any shard count (pinned by
+    /// `naive_and_gated_engines_are_bit_identical` and the
     /// `serial_and_sharded_fleets_are_bit_identical` property test).
-    pub drive_threads: usize,
+    pub shards: usize,
     /// How long past its promised `ready_at` a tuning request may wait for
     /// its recommendation before the node gives up and retries. Counted
     /// from `ready_at` (not submission) so director backlog under
@@ -121,8 +113,6 @@ impl Default for FleetConfig {
             apply_recommendations: true,
             seed: 0,
             shards: 0,
-            parallel_threshold: 8,
-            drive_threads: 0,
             request_timeout_ms: 5 * 60 * 1_000,
             retry_base_ms: 30_000,
             retry_max_attempts: 6,
@@ -131,6 +121,23 @@ impl Default for FleetConfig {
             rollback: None,
         }
     }
+}
+
+/// Fewest nodes automatic shard resolution gives a shard: below this the
+/// barrier costs more than the shard contributes.
+const MIN_NODES_PER_SHARD: usize = 8;
+
+/// Shard count for a pool over `n_nodes` nodes under [`FleetConfig::shards`]
+/// (`0` = automatic). [`ShardPool::new`] clamps the result to `[1, n_nodes]`.
+fn resolve_shards(configured: usize, n_nodes: usize) -> usize {
+    if configured > 0 {
+        // Explicit: trusted as-is, no nodes-per-shard cap — the determinism
+        // tests sweep shard counts far beyond what auto resolution picks.
+        return configured;
+    }
+    std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .min(n_nodes.div_ceil(MIN_NODES_PER_SHARD))
 }
 
 /// The tuner backend actually computing recommendations.
@@ -196,17 +203,12 @@ pub struct FleetSim {
     /// Due tuning responses: (ready_at, node, request seq). The seq lets a
     /// late response for an already-retried request be dropped as stale.
     pending: BinaryHeap<Reverse<(SimTime, usize, u64)>>,
-    /// Persistent sharded tick engine; built lazily on the first sharded
-    /// step and rebuilt when the fleet size or shard count changes.
+    /// Persistent sharded tick engine; built lazily on the first step and
+    /// dropped (to be rebuilt) when a node is added.
     pool: Option<ShardPool>,
     /// SoA per-node due times gating the control scan and recovery flush.
     hot: HotState,
-    /// Cached machine thread budget for auto shard resolution. Querying
-    /// `available_parallelism` reads procfs/cgroup state (~12µs a call) —
-    /// per tick that dwarfs small fleets, so it is resolved exactly once.
-    thread_budget: Option<usize>,
-    /// Fleet drive totals merged from the shard outputs (sharded drives
-    /// only; the serial engine is the untouched reference path).
+    /// Fleet drive totals merged from the shard outputs.
     drive_stats: DriveStats,
     /// Reusable scratch for the per-tick chaos drain.
     fault_scratch: Vec<FaultEvent>,
@@ -217,7 +219,6 @@ pub struct FleetSim {
     now: SimTime,
     last_tde_run: SimTime,
     rng: StdRng,
-    parallel: bool,
     /// Safe-tuning governor ([`FleetSim::enable_safety`]); `None` leaves
     /// every existing run's fingerprint untouched.
     safety: Option<SafetyGovernor>,
@@ -258,14 +259,12 @@ impl FleetSim {
             pending: BinaryHeap::new(),
             pool: None,
             hot: HotState::new(),
-            thread_budget: None,
             drive_stats: DriveStats::default(),
             fault_scratch: Vec::new(),
             plan_scratch: Vec::new(),
             window_scratch: Vec::new(),
             now: 0,
             last_tde_run: 0,
-            parallel: false,
             safety: None,
         }
     }
@@ -376,13 +375,6 @@ impl FleetSim {
             .collect()
     }
 
-    /// Drive the fleet's per-tick traffic on the sharded tick engine:
-    /// persistent worker shards behind a generation barrier (see
-    /// [`crate::shard`]), with the control scan gated by the SoA hot state.
-    /// Per-node determinism is unchanged (each node owns its RNG) and the
-    /// shard merge order equals the serial order, so results are
-    /// bit-identical to the serial engine; only wall-clock speed differs.
-    /// Off by default.
     /// Arm the OnlineTune-style safety layer: every tenant gets a safe
     /// region seeded at its current config, and every tuner candidate is
     /// clamped into it before the vetted apply. Late-joining nodes are
@@ -404,23 +396,16 @@ impl FleetSim {
         self.safety.as_ref()
     }
 
-    pub fn set_parallel(&mut self, on: bool) {
-        self.parallel = on;
-        if !on {
-            self.pool = None; // joins the workers
-        }
-    }
-
     /// Fleet drive totals (node-ticks, accepted queries, down node-ticks)
-    /// accumulated by the sharded engine. Zero while driving serially.
+    /// merged from the shard outputs every tick.
     pub fn drive_stats(&self) -> DriveStats {
         self.drive_stats
     }
 
-    /// Shard count of the live pool (1 when driving serially or before the
-    /// first sharded step builds the pool). Benchmarks report this next to
-    /// wall-clock numbers so a figure regenerated on a different machine
-    /// records how wide the drive actually ran.
+    /// Shard count of the live pool (1 before the first step builds it).
+    /// Benchmarks report this next to wall-clock numbers so a figure
+    /// regenerated on a different machine records how wide the drive
+    /// actually ran.
     pub fn shard_count(&self) -> usize {
         self.pool.as_ref().map_or(1, |p| p.shards())
     }
@@ -458,6 +443,7 @@ impl FleetSim {
         }
         self.nodes.push(node);
         self.hot.push_node();
+        self.pool = None; // partitioned for the old fleet size; joins the workers
         idx
     }
 
@@ -540,23 +526,21 @@ impl FleetSim {
 
         // 0b. Interaction plan: revert ended bursts, then deliver every
         // scheduled interaction that came due this tick. Both run before
-        // the traffic phase, so a serial and a sharded drive of the same
-        // plan see identical node state at every tick.
+        // the traffic phase, so every shard count sees identical node
+        // state at every tick.
         if !self.burst_revert.is_empty() || self.plan.is_some() {
             self.plan_tick();
         }
 
-        // 1. Traffic. Databases are independent within a tick. The sharded
-        // engine partitions them once over persistent worker shards (shard
-        // 0 is this thread); the serial engine is the untouched reference
-        // loop the property tests compare against.
-        if self.parallel {
-            self.drive_sharded();
-        } else {
-            for node in &mut self.nodes {
-                node.drive(self.cfg.tick_ms);
-            }
-        }
+        // 1. Traffic. Databases are independent within a tick: the pool
+        // partitions them once over persistent worker shards (shard 0 is
+        // this thread, so one shard is the plain loop).
+        let pool = self.pool.get_or_insert_with(|| {
+            let n = self.nodes.len();
+            ShardPool::new(resolve_shards(self.cfg.shards, n), n, self.cfg.seed)
+        });
+        let tick = pool.drive_tick(&mut self.nodes, self.cfg.tick_ms);
+        self.drive_stats.accumulate(&tick);
 
         // 2. Crash recoveries that completed this tick.
         self.flush_recoveries();
@@ -594,53 +578,6 @@ impl FleetSim {
                 self.reconcile_all();
             }
         }
-    }
-
-    /// Shard count the sharded engine should run with right now.
-    fn resolve_shards(&mut self) -> usize {
-        let n = self.nodes.len();
-        if n == 0 {
-            return 1;
-        }
-        if self.cfg.shards > 0 {
-            // Explicit: trusted as-is (clamped to the fleet), no
-            // nodes-per-shard cap — the determinism property tests sweep
-            // shard counts far beyond what auto resolution would pick.
-            return self.cfg.shards.min(n);
-        }
-        let budget = if self.cfg.drive_threads > 0 {
-            self.cfg.drive_threads
-        } else {
-            *self.thread_budget.get_or_insert_with(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(4)
-            })
-        };
-        // Never give a worker shard fewer than `parallel_threshold` nodes:
-        // below that the barrier costs more than the shard contributes.
-        budget
-            .min(n.div_ceil(self.cfg.parallel_threshold.max(1)))
-            .max(1)
-    }
-
-    /// Drive one tick on the sharded engine, (re)building the pool when the
-    /// fleet size or resolved shard count changed.
-    fn drive_sharded(&mut self) {
-        let want = self.resolve_shards();
-        let stale = self
-            .pool
-            .as_ref()
-            .is_none_or(|p| p.shards() != want || p.n_nodes() != self.nodes.len());
-        if stale {
-            self.pool = Some(ShardPool::new(want, self.nodes.len(), self.cfg.seed));
-        }
-        let tick = self
-            .pool
-            .as_mut()
-            .expect("built above")
-            .drive_tick(&mut self.nodes, self.cfg.tick_ms);
-        self.drive_stats.accumulate(&tick);
     }
 
     /// Recompute node `idx`'s SoA control-due entry: the earliest of its
@@ -870,21 +807,15 @@ impl FleetSim {
     /// exponential-backoff retries, fire due retries, and re-attempt
     /// lag-deferred applies.
     ///
-    /// The sharded engine gates each node behind its SoA due time — a node
-    /// whose earliest possible action lies in the future is provably a
-    /// no-op, so the scan walks one dense `u64` per node instead of the
-    /// node structs. The serial engine keeps the legacy full scan; both
-    /// visit actionable nodes in the same ascending order, so the emitted
-    /// events (and therefore the log fingerprint) are identical.
+    /// Each node is gated behind its SoA due time — a node whose earliest
+    /// possible action lies in the future is provably a no-op, so the scan
+    /// walks one dense `u64` per node instead of the node structs.
+    /// Actionable nodes are visited in ascending order, exactly as a full
+    /// scan would (the test-only naive engine lowers every entry to `0` to
+    /// get that full scan and must match bit for bit).
     fn control_scan(&mut self) {
-        if self.parallel {
-            for idx in 0..self.nodes.len() {
-                if self.hot.control_due(idx) <= self.now {
-                    self.control_node(idx);
-                }
-            }
-        } else {
-            for idx in 0..self.nodes.len() {
+        for idx in 0..self.nodes.len() {
+            if self.hot.control_due(idx) <= self.now {
                 self.control_node(idx);
             }
         }
@@ -1212,15 +1143,7 @@ impl FleetSim {
                     .map(|t| t.knob.0 as usize)
                     .collect();
                 match bo.recommend_focused(&self.repo, node.workload_id, &focus) {
-                    Some(rec) => {
-                        if std::env::var("AUTODBAAS_DEBUG_MAPPING").is_ok() {
-                            eprintln!(
-                                "map: node={} -> {:?} train={} ",
-                                node.workload_id.0, rec.mapped_from, rec.train_samples
-                            );
-                        }
-                        rec.config
-                    }
+                    Some(rec) => rec.config,
                     None => return, // nothing learned yet
                 }
             }
@@ -1366,8 +1289,6 @@ snap_struct!(FleetConfig {
     apply_recommendations,
     seed,
     shards,
-    parallel_threshold,
-    drive_threads,
     request_timeout_ms,
     retry_base_ms,
     retry_max_attempts,
@@ -1404,9 +1325,9 @@ impl Snap for TunerBackend {
 }
 
 // The fleet's complete deterministic state. Scratch that the next tick
-// rebuilds (shard pool threads, thread-budget cache, drain buffers) is
-// deliberately absent: a restored fleet re-resolves them lazily, exactly
-// as a freshly built one does, so serial/sharded equivalence carries over.
+// rebuilds (shard pool threads, drain buffers) is deliberately absent: a
+// restored fleet rebuilds them lazily, exactly as a freshly built one
+// does, so shard-count invariance carries over.
 // `recovery_due` holds `&'static str` labels and round-trips through the
 // bounded telemetry interner.
 impl Snap for FleetSim {
@@ -1436,7 +1357,6 @@ impl Snap for FleetSim {
         self.now.encode(w);
         self.last_tde_run.encode(w);
         self.rng.encode(w);
-        self.parallel.encode(w);
         self.safety.encode(w);
     }
     fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
@@ -1467,7 +1387,6 @@ impl Snap for FleetSim {
         let now = SimTime::decode(r)?;
         let last_tde_run = SimTime::decode(r)?;
         let rng = Snap::decode(r)?;
-        let parallel = bool::decode(r)?;
         let safety = Option::<SafetyGovernor>::decode(r)?;
         Ok(FleetSim {
             cfg,
@@ -1487,7 +1406,6 @@ impl Snap for FleetSim {
             pending,
             pool: None,
             hot,
-            thread_budget: None,
             drive_stats,
             fault_scratch: Vec::new(),
             plan_scratch: Vec::new(),
@@ -1495,7 +1413,6 @@ impl Snap for FleetSim {
             now,
             last_tde_run,
             rng,
-            parallel,
             safety,
         })
     }
@@ -1662,19 +1579,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_drive_is_deterministic_and_equivalent() {
+    fn drive_totals_equal_per_node_sums_at_every_shard_count() {
         // `shards: 4` forces real worker threads even on a single-core
-        // machine, where auto resolution would fall back to one shard.
-        let build = |shards: Option<usize>| {
+        // machine, where auto resolution falls back to one shard.
+        let build = |shards: usize| {
             let mut sim = FleetSim::new(
                 FleetConfig {
                     gate_samples_with_tde: false,
-                    shards: shards.unwrap_or(0),
+                    shards,
                     ..FleetConfig::default()
                 },
                 2,
             );
-            sim.set_parallel(shards.is_some());
             for i in 0..10 {
                 sim.add_node(
                     make_node(TuningPolicy::TdeDriven, 100 + i),
@@ -1682,31 +1598,178 @@ mod tests {
                 );
             }
             sim.run_for(5 * MILLIS_PER_MIN);
+            sim
+        };
+        let queries = |sim: &FleetSim| -> Vec<u64> {
+            sim.nodes.iter().map(|n| n.queries_submitted).collect()
+        };
+        let (one, four) = (build(1), build(4));
+        assert_eq!(queries(&one), queries(&four));
+        assert_eq!(one.events.fingerprint(), four.events.fingerprint());
+        for (sim, shards) in [(&one, 1), (&four, 4)] {
+            assert_eq!(sim.shard_count(), shards);
+            let stats = sim.drive_stats();
+            assert_eq!(stats.node_ticks, 10 * 5 * 60);
+            assert_eq!(stats.submitted, queries(sim).iter().sum::<u64>());
+            assert_eq!(
+                stats.down_ticks,
+                sim.nodes.iter().map(|n| n.down_ticks).sum::<u64>()
+            );
+        }
+    }
+
+    /// The tightest bound `control_due[idx]` may hold: the earliest time
+    /// any of the node's control fields can act.
+    fn true_control_due(node: &ManagedDatabase) -> u64 {
+        let in_flight = node.in_flight.map_or(u64::MAX, |r| r.deadline);
+        let retry = node.retry_at.unwrap_or(u64::MAX);
+        let deferred = node
+            .deferred_apply
+            .as_ref()
+            .map_or(u64::MAX, |d| d.next_try_at);
+        in_flight.min(retry).min(deferred)
+    }
+
+    /// The reference engine lives here: `HotState` entries are only lower
+    /// bounds, so a one-shard fleet whose entries are lowered to `0` before
+    /// every step is the plain drive loop plus a full per-node control scan
+    /// — the legacy serial engine, with no second code path. Gated fleets
+    /// at any shard count must match it bit for bit.
+    #[test]
+    fn naive_and_gated_engines_are_bit_identical() {
+        use crate::plan::{InteractionPlan, PlanAction, PlanEvent};
+        let fault = |at, node, kind| FaultEvent { at, node, kind };
+        let act = |at, node, action| PlanEvent { at, node, action };
+        let build = |shards: usize| {
+            let mut sim = FleetSim::new(
+                FleetConfig {
+                    tde_period_ms: MILLIS_PER_MIN,
+                    tuner: TunerKind::Rl, // fixed 50 ms service time: exact timing
+                    seed: 7,
+                    shards,
+                    request_timeout_ms: 30_000,
+                    retry_base_ms: 5_000,
+                    max_apply_lag_bytes: 1, // any visible lag parks the apply
+                    rollback: Some(RollbackPolicy::default()),
+                    ..FleetConfig::default()
+                },
+                2,
+            );
+            // Page-heap on even indices, LSM on odd; nodes 0, 1 and 4 are HA.
+            for i in 0..10u64 {
+                let wl = tpcc(0.5);
+                let node = ManagedDatabase::new(
+                    if i % 2 == 0 {
+                        DbFlavor::Postgres
+                    } else {
+                        DbFlavor::Lsm
+                    },
+                    InstanceType::M4Large,
+                    DiskKind::Ssd,
+                    wl.catalog().clone(),
+                    Box::new(wl),
+                    ArrivalProcess::Constant(200.0),
+                    TuningPolicy::Periodic(2 * MILLIS_PER_MIN),
+                    WorkloadId(0),
+                    TdeConfig::default(),
+                    300 + i,
+                )
+                .with_slaves(if matches!(i, 0 | 1 | 4) { 1 } else { 0 });
+                sim.add_node(node, &format!("db-{i}"));
+            }
+            // Every node requests at t = 120 s and is answered at 121 s.
+            sim.enable_chaos(FaultPlan::new(vec![
+                fault(30_000, 1, FaultKind::VmCrash), // HA: failover + rejoin
+                fault(30_000, 3, FaultKind::VmCrash), // solo: restart
+                fault(110_000, 0, FaultKind::ReplicaLagSpike { pause_ms: 60_000 }),
+                fault(121_000, 2, FaultKind::RequestLoss),
+                fault(199_000, 8, FaultKind::MasterCrashMidApply), // hits the knob push
+                fault(235_000, 4, FaultKind::SlaveCrashMidApply),
+                fault(
+                    241_000,
+                    5,
+                    FaultKind::TunerOutage {
+                        duration_ms: 60_000,
+                    },
+                ),
+            ]));
+            sim.enable_plan(InteractionPlan::new(vec![
+                act(
+                    40_000,
+                    6,
+                    PlanAction::Burst {
+                        rate_qps: 900.0,
+                        duration_ms: 60_000,
+                    },
+                ),
+                act(50_000, 7, PlanAction::AddReplica),
+                act(200_000, 8, PlanAction::KnobPush { value: 1.0 }),
+                act(260_000, 9, PlanAction::Maintenance),
+                act(300_000, 7, PlanAction::RemoveReplica),
+            ]));
+            sim
+        };
+        let ticks = 8 * 60;
+        let outcome = |mut sim: FleetSim| {
+            sim.cfg.shards = 0; // the one config byte the three runs differ in
             (
+                sim.events.fingerprint(),
                 sim.nodes
                     .iter()
-                    .map(|n| n.queries_submitted)
+                    .map(|n| (n.queries_submitted, n.down_ticks, n.total_ticks))
                     .collect::<Vec<_>>(),
-                sim.events.fingerprint(),
                 sim.drive_stats(),
+                sim.snapshot_bytes(),
             )
         };
-        let serial = build(None);
-        assert_eq!(serial.2, crate::shard::DriveStats::default());
+
+        let mut naive = build(1);
+        for _ in 0..ticks {
+            for idx in 0..naive.nodes.len() {
+                naive.hot.set_control_due(idx, 0);
+            }
+            naive.step();
+        }
+        // The plan exercised every control path the gate could get wrong.
+        for label in [
+            "request.timeout",
+            "request.retry",
+            "request.stale_dropped",
+            "apply.lag_deferred",
+            "apply.rejected_slave_crash",
+            "apply.master_crashed",
+            "apply.ok",
+            "recover.failover",
+            "recover.rejoined",
+            "recover.restarted",
+            "recover.slave_restarted",
+            "plan.burst_end",
+        ] {
+            assert!(naive.events.count(label) > 0, "{label} never fired");
+        }
+        let reference = outcome(naive);
+
         for shards in [1, 4] {
-            let sharded = build(Some(shards));
-            assert_eq!(serial.0, sharded.0, "sharding must not change results");
-            assert_eq!(serial.1, sharded.1, "event logs must match");
-            assert_eq!(
-                sharded.2.node_ticks,
-                10 * 5 * 60,
-                "sharded drives meter node-ticks"
-            );
-            assert_eq!(
-                sharded.2.submitted,
-                sharded.0.iter().sum::<u64>(),
-                "merged submit totals must equal the per-node counters"
-            );
+            let mut gated = build(shards);
+            for tick in 0..ticks {
+                gated.step();
+                // A stale (too late) entry fails here, at the tick it was
+                // written, not as a distant fingerprint diff.
+                for (idx, node) in gated.nodes.iter().enumerate() {
+                    assert!(
+                        gated.hot.control_due(idx) <= true_control_due(node),
+                        "shards={shards} tick={tick} node={idx}: control_due {} > true {}",
+                        gated.hot.control_due(idx),
+                        true_control_due(node)
+                    );
+                }
+            }
+            assert_eq!(gated.shard_count(), shards);
+            let got = outcome(gated);
+            assert_eq!(got.0, reference.0, "shards={shards}: event logs");
+            assert_eq!(got.1, reference.1, "shards={shards}: node counters");
+            assert_eq!(got.2, reference.2, "shards={shards}: drive stats");
+            assert!(got.3 == reference.3, "shards={shards}: snapshot bytes");
         }
     }
 
@@ -1750,17 +1813,16 @@ mod tests {
                 },
             ]
         };
-        let build = |shards: Option<usize>| {
+        let build = |shards: usize| {
             let mut sim = FleetSim::new(
                 FleetConfig {
                     gate_samples_with_tde: false,
-                    shards: shards.unwrap_or(0),
+                    shards,
                     rollback: Some(RollbackPolicy::default()),
                     ..FleetConfig::default()
                 },
                 2,
             );
-            sim.set_parallel(shards.is_some());
             for i in 0..6 {
                 sim.add_node(
                     make_node(TuningPolicy::TdeDriven, 200 + i),
@@ -1771,7 +1833,7 @@ mod tests {
             sim.run_for(6 * MILLIS_PER_MIN);
             sim
         };
-        let serial = build(None);
+        let serial = build(1);
         assert_eq!(serial.plan_remaining(), 0);
         for label in [
             "plan.burst",
@@ -1792,8 +1854,8 @@ mod tests {
         assert_eq!(serial.nodes[1].service.n_slaves(), 0, "removed at 150s");
         // The burst tripled node 0's arrivals for a minute.
         assert!(serial.nodes[0].queries_submitted > serial.nodes[4].queries_submitted);
-        // Bit-identical under the sharded tick engine.
-        let sharded = build(Some(3));
+        // Bit-identical on three shards.
+        let sharded = build(3);
         assert_eq!(
             serial
                 .nodes

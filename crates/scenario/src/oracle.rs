@@ -25,7 +25,7 @@ pub enum Property {
     /// No quarantined (low-quality) sample leaked into online training
     /// while capture was TDE-gated.
     SampleHygiene,
-    /// The serial and sharded tick engines produced bit-identical runs
+    /// The one-shard and wide-shard drives produced bit-identical runs
     /// (event-log fingerprints and per-node query counters).
     ShardedIdentity,
     /// A mid-plan save/restore round trip did not change the run: the
@@ -117,11 +117,11 @@ impl Property {
                 let sharded_fp = out.fingerprint_sharded?;
                 if sharded_fp != out.fingerprint_serial {
                     Some(format!(
-                        "event-log fingerprints diverge: serial {:016x} vs sharded {:016x}",
+                        "event-log fingerprints diverge: one-shard {:016x} vs sharded {:016x}",
                         out.fingerprint_serial, sharded_fp
                     ))
                 } else if out.queries_sharded.as_ref() != Some(&out.queries_serial) {
-                    Some("per-node query counters diverge between engines".to_string())
+                    Some("per-node query counters diverge between shard counts".to_string())
                 } else {
                     None
                 }

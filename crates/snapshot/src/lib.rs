@@ -39,7 +39,9 @@ pub const MAGIC: [u8; 8] = *b"ADBSNAP1";
 ///
 /// * 1 — first layout.
 /// * 2 — the TDE's per-template literal map became a fixed-size summary.
-pub const VERSION: u32 = 2;
+/// * 3 — the fleet lost its engine switch: `FleetConfig` dropped its two
+///   shard-resolution fields, `FleetSim` its engine-flag byte.
+pub const VERSION: u32 = 3;
 
 /// Reserved tag closing every snapshot file; its payload is the running
 /// FNV-1a hash of all preceding bytes.
@@ -1020,14 +1022,16 @@ mod tests {
             FrameReader::new(&wrong_version).err(),
             Some(SnapError::UnsupportedVersion(_))
         ));
-        // A file written before the last layout change is refused by
-        // name, not mis-decoded.
-        let mut v1 = bytes;
-        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            FrameReader::new(&v1).err(),
-            Some(SnapError::UnsupportedVersion(1))
-        );
+        // A file written before a layout change is refused by name, not
+        // mis-decoded.
+        for old in 1..VERSION {
+            let mut stale = bytes.clone();
+            stale[8..12].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                FrameReader::new(&stale).err(),
+                Some(SnapError::UnsupportedVersion(old))
+            );
+        }
     }
 
     #[test]

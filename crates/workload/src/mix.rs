@@ -85,9 +85,11 @@ impl TemplateSpec {
     }
 
     /// Mark parallelizable.
-    pub fn parallel(mut self) -> Self {
-        self.parallelizable = true;
-        self
+    pub fn parallel(self) -> Self {
+        Self {
+            parallelizable: true,
+            ..self
+        }
     }
 
     /// Set the access-locality exponent.

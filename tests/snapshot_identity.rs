@@ -42,7 +42,6 @@ fn fleet(shards: usize, seed: u64) -> FleetSim {
         FleetConfig {
             seed,
             shards,
-            parallel_threshold: 1,
             rollback: Some(Default::default()),
             ..FleetConfig::default()
         },
@@ -57,9 +56,6 @@ fn fleet(shards: usize, seed: u64) -> FleetSim {
         sim.add_node(node(flavor, i == 2, seed ^ (i * 131)), &format!("db-{i}"));
     }
     sim.enable_chaos(FaultPlan::standard(4, 30 * MILLIS_PER_MIN));
-    if shards > 1 {
-        sim.set_parallel(true);
-    }
     sim
 }
 
