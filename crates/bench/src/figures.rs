@@ -145,8 +145,8 @@ pub fn seed_offline(
 /// serving 2 rps of TPC-C traffic and the rest idle — the shape of a real
 /// DBaaS fleet, where a thin head of hot tenants rides on a long idle
 /// tail. `shards = 0` leaves the shard count to auto resolution; a
-/// positive value pins it (`1` is the plain loop, the determinism smokes
-/// force it wide). Deterministic for a given `seed`, and bit-identical
+/// positive value pins it (`1` is the plain loop, the identity test below
+/// forces it wide). Deterministic for a given `seed`, and bit-identical
 /// across shard counts.
 pub fn longtail_fleet(n: usize, shards: usize, seed: u64) -> FleetSim {
     let mut sim = FleetSim::new(
@@ -179,48 +179,61 @@ pub fn longtail_fleet(n: usize, shards: usize, seed: u64) -> FleetSim {
     sim
 }
 
-/// One interleaved one-shard-vs-wide comparison over two lockstep sims.
-///
-/// The fleet is bit-identical at any shard count, so after every chunk the
-/// two sims are in the same simulated state and each chunk measures the
-/// same work. Chunks alternate which sim runs first (a shared host's slow
-/// phases cannot systematically tax one side) and each side reports its
-/// *fastest* chunk — the least-interference estimate of its true cost.
-/// Returns `(one_shard_ms, wide_ms)` per chunk; panics if the sims diverge.
-pub fn race_shard_counts(
-    one_shard: &mut FleetSim,
-    wide: &mut FleetSim,
-    chunk_ms: u64,
-    reps: usize,
-) -> (f64, f64) {
-    let mut best = [f64::MAX; 2];
-    for rep in 0..reps {
-        for leg in 0..2 {
-            let side = (rep + leg) % 2;
-            let sim: &mut FleetSim = if side == 0 { one_shard } else { wide };
-            let t = std::time::Instant::now();
-            sim.run_for(chunk_ms);
-            best[side] = best[side].min(t.elapsed().as_secs_f64() * 1e3);
-        }
-    }
-    assert_eq!(
-        one_shard.events.fingerprint(),
-        wide.events.fingerprint(),
-        "a wide-shard drive must be bit-identical to the one-shard drive"
-    );
-    let q = |sim: &FleetSim| -> u64 { sim.nodes.iter().map(|n| n.queries_submitted).sum() };
-    assert_eq!(
-        q(one_shard),
-        q(wide),
-        "shard counts diverged on accepted queries"
-    );
-    (best[0], best[1])
-}
-
 /// Parse a simple `--flag value` style argument.
 pub fn arg_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1).cloned())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The 10k-fleet determinism gate: a long-tail fleet driven 90
+    /// simulated seconds (covering one TDE round) on one shard and with the
+    /// shard count pinned to 8, so the cross-thread barrier and merge run
+    /// even on a small host. Event-log fingerprints and per-node counters
+    /// must be bit-identical, and both drives must account for every
+    /// node-tick.
+    #[test]
+    fn fleet10k_one_shard_and_forced_8_shards_are_bit_identical() {
+        let nodes = 10_000usize;
+        let secs = 90u64;
+        let mut one_shard = longtail_fleet(nodes, 1, 0xabcd);
+        let mut sharded = longtail_fleet(nodes, 8, 0xabcd);
+        one_shard.run_for(secs * 1_000);
+        sharded.run_for(secs * 1_000);
+        assert_eq!(sharded.shard_count(), 8);
+        assert_eq!(
+            one_shard.events.fingerprint(),
+            sharded.events.fingerprint(),
+            "event-log fingerprints diverged between one-shard and sharded drives"
+        );
+        let counters = |sim: &FleetSim| -> Vec<(u64, f64)> {
+            sim.nodes
+                .iter()
+                .map(|n| {
+                    (
+                        n.queries_submitted,
+                        n.db().metrics().get(MetricId::QueriesExecuted),
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(
+            counters(&one_shard),
+            counters(&sharded),
+            "per-node counters diverged between one-shard and sharded drives"
+        );
+        for sim in [&one_shard, &sharded] {
+            assert_eq!(
+                sim.drive_stats().node_ticks,
+                nodes as u64 * secs,
+                "{}-shard drive lost node-ticks",
+                sim.shard_count()
+            );
+        }
+    }
 }

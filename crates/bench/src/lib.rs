@@ -1,15 +1,13 @@
-//! Benchmark harness for the AutoDBaaS reproduction.
+//! Figure harness for the AutoDBaaS reproduction.
 //!
-//! Two kinds of targets live here:
+//! **Figure binaries** (`src/bin/fig*.rs`, `ablations.rs`) — one per
+//! table/figure in the paper's evaluation (§3–§5). Each regenerates the
+//! rows/series the paper plots, scaled to laptop wall-time, prints them
+//! with the paper's expectation alongside and asserts the paper's shape.
+//! `EXPERIMENTS.md` records paper-vs-measured for all of them.
 //!
-//! * **Figure binaries** (`src/bin/fig*.rs`) — one per table/figure in the
-//!   paper's evaluation (§3–§5). Each regenerates the rows/series the
-//!   paper plots, scaled to laptop wall-time, and prints them with the
-//!   paper's expectation alongside. `EXPERIMENTS.md` records paper-vs-
-//!   measured for all of them.
-//! * **Criterion micro-benches** (`benches/`) — cost curves for the moving
-//!   parts (GPR training vs. sample count, TDE run overhead, entropy,
-//!   reservoir sampling, the simulated executor, MDP steps).
+//! Timings are not measured here: the repo's one perf harness is
+//! `benchmark/` (see `BENCHMARK.json` and `BENCH_observatory.jsonl`).
 //!
 //! This library crate holds the shared helpers the binaries use.
 

@@ -1,6 +1,5 @@
-//! Shared rig for the safe-online-tuning experiments: the fig18 harness
-//! and the perf-baseline `safetune` stage drive the same two arms, so the
-//! nightly gate and the headline figure can never drift apart.
+//! The rig for the safe-online-tuning experiment: the two arms the fig18
+//! harness drives, in its 1-day smoke and in the 33-day headline figure.
 //!
 //! One arm is **guarded** — the [`SafetyGovernor`] clamps every BO
 //! candidate into a learned safe region around the booted config; the

@@ -3,8 +3,7 @@
 //! ```text
 //! autodbaas-loadgen [--requests 50000] [--conns 8] [--seed 42]
 //!                   [--workers 8] [--rate 2000] [--burst 64]
-//!                   [--out BENCH_gateway.json] [--addr HOST:PORT]
-//!                   [--no-overquota]
+//!                   [--addr HOST:PORT] [--no-overquota]
 //! ```
 //!
 //! Spins an in-process gateway on `127.0.0.1:0` (or targets `--addr`),
@@ -15,10 +14,12 @@
 //! waits for each reply before sending the next request (closed loop), so
 //! a dropped reply deadlocks-by-timeout instead of vanishing silently.
 //!
-//! Results (client p50/p99/max latency, throughput, per-kind counts,
-//! server-side counters) are written as JSON to `--out`. Exit code is
-//! non-zero if any protocol error occurred, any reply was dropped, or —
-//! with the aggressor enabled — no `Busy` reply was observed.
+//! This is the operator's pass/fail smoke, not a benchmark (timings come
+//! from `benchmark/`'s `gateway_mix` workload): it prints summary lines
+//! (totals, client p50/p90/p99/max latency, throughput, server-side
+//! counters) on stdout, and the exit code is non-zero if any protocol
+//! error occurred, any reply was dropped, or — with the aggressor
+//! enabled — no `Busy` reply was observed.
 
 use autodbaas_gateway::{
     serve, AdmissionConfig, ClientError, GatewayClient, GatewayState, Request, Response,
@@ -47,7 +48,6 @@ struct WorkerReport {
     busy: u64,
     protocol_errors: u64,
     latencies_us: Vec<u64>,
-    kind_counts: [u64; 7], // register, metrics, throttle, fetch, apply_ack, health, stats
 }
 
 fn arg(name: &str) -> Option<String> {
@@ -79,8 +79,8 @@ fn run() -> Result<ExitCode, ExitCode> {
     if std::env::args().any(|a| a == "--help" || a == "-h") {
         outln!(
             "usage: autodbaas-loadgen [--requests N] [--conns N] [--seed N] \
-             [--workers N] [--rate RPS] [--burst N] [--out FILE] \
-             [--addr HOST:PORT] [--no-overquota]"
+             [--workers N] [--rate RPS] [--burst N] [--addr HOST:PORT] \
+             [--no-overquota]"
         );
         return Ok(ExitCode::SUCCESS);
     }
@@ -93,7 +93,6 @@ fn run() -> Result<ExitCode, ExitCode> {
     let workers: usize = parsed("--workers", conns + 1)?;
     let rate: f64 = parsed("--rate", 2_000.0)?;
     let burst: f64 = parsed("--burst", 64.0)?;
-    let out = arg("--out").unwrap_or_else(|| "BENCH_gateway.json".to_string());
     let overquota = !std::env::args().any(|a| a == "--no-overquota");
     if conns == 0 || requests == 0 || rate <= 0.0 || burst <= 0.0 {
         eprintln!("error: --requests/--conns/--rate/--burst must be positive");
@@ -193,14 +192,10 @@ fn run() -> Result<ExitCode, ExitCode> {
     let protocol_errors: u64 = all.iter().map(|r| r.protocol_errors).sum();
     let replies = served + busy;
     let dropped = sent.saturating_sub(replies + protocol_errors);
-    let mut kind_counts = [0u64; 7];
-    let mut lat: Vec<f64> = Vec::new();
-    for r in &all {
-        for (k, c) in r.kind_counts.iter().enumerate() {
-            kind_counts[k] += c;
-        }
-        lat.extend(r.latencies_us.iter().map(|&us| us as f64));
-    }
+    let mut lat: Vec<f64> = all
+        .iter()
+        .flat_map(|r| r.latencies_us.iter().map(|&us| us as f64))
+        .collect();
     lat.sort_by(f64::total_cmp);
     let p50 = percentile(&lat, 50.0);
     let p90 = percentile(&lat, 90.0);
@@ -208,87 +203,24 @@ fn run() -> Result<ExitCode, ExitCode> {
     let max = lat.last().copied().unwrap_or(0.0);
     let throughput = sent as f64 / elapsed.as_secs_f64().max(1e-9);
 
-    // Server-side counters (in-process mode only).
-    let server_json = handle.map(|h| {
-        let state = h.shutdown();
-        let s = state.lock();
-        let (srv_served, srv_busy, srv_errors) = s.counters();
-        let (greq, gbusy, gin, gout) = s.meter().gateway_totals();
-        let (recs, cost, _) = s.meter().totals();
-        format!(
-            concat!(
-                "{{\"served\": {}, \"busy\": {}, \"errors\": {}, ",
-                "\"tenant_requests\": {}, \"tenant_busy\": {}, ",
-                "\"bytes_in\": {}, \"bytes_out\": {}, ",
-                "\"recommendations\": {}, \"tuner_cost_ms\": {:.1}}}"
-            ),
-            srv_served, srv_busy, srv_errors, greq, gbusy, gin, gout, recs, cost
-        )
-    });
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"autodbaas-gateway-loadgen-v1\",\n",
-            "  \"config\": {{\"requests\": {}, \"conns\": {}, \"aggressor\": {}, ",
-            "\"workers\": {}, \"rate_per_sec\": {}, \"burst\": {}, \"seed\": {}}},\n",
-            "  \"totals\": {{\"sent\": {}, \"replies\": {}, \"served\": {}, \"busy\": {}, ",
-            "\"aggressor_busy\": {}, \"protocol_errors\": {}, \"dropped\": {}}},\n",
-            "  \"kinds\": {{\"register\": {}, \"metrics\": {}, \"throttle\": {}, ",
-            "\"fetch\": {}, \"apply_ack\": {}, \"health\": {}, \"stats\": {}}},\n",
-            "  \"latency_us\": {{\"p50\": {:.1}, \"p90\": {:.1}, \"p99\": {:.1}, \"max\": {:.1}}},\n",
-            "  \"throughput_rps\": {:.1},\n",
-            "  \"elapsed_s\": {:.3},\n",
-            "  \"server\": {}\n",
-            "}}\n"
-        ),
-        requests,
-        conns,
-        overquota,
-        workers,
-        rate,
-        burst,
-        seed,
-        sent,
-        replies,
-        served,
-        busy,
-        aggressor_busy,
-        protocol_errors,
-        dropped,
-        kind_counts[0],
-        kind_counts[1],
-        kind_counts[2],
-        kind_counts[3],
-        kind_counts[4],
-        kind_counts[5],
-        kind_counts[6],
-        p50,
-        p90,
-        p99,
-        max,
-        throughput,
-        elapsed.as_secs_f64(),
-        server_json.unwrap_or_else(|| "null".to_string()),
-    );
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("error: cannot write {out}: {e}");
-        return Err(ExitCode::FAILURE);
-    }
-
     outln!(
         "loadgen: sent={sent} served={served} busy={busy} (aggressor {aggressor_busy}) \
          errors={protocol_errors} dropped={dropped}"
     );
     outln!(
-        "loadgen: p50={:.0}us p90={:.0}us p99={:.0}us max={:.0}us throughput={:.0} req/s -> {}",
+        "loadgen: p50={:.0}us p90={:.0}us p99={:.0}us max={:.0}us throughput={:.0} req/s",
         p50,
         p90,
         p99,
         max,
-        throughput,
-        out
+        throughput
     );
+    // Drain the in-process gateway and report what it counted.
+    if let Some(h) = handle {
+        let state = h.shutdown();
+        let (srv_served, srv_busy, srv_errors) = state.lock().counters();
+        outln!("loadgen: server served={srv_served} busy={srv_busy} errors={srv_errors}");
+    }
 
     let mut failed = false;
     if protocol_errors > 0 {
@@ -463,17 +395,7 @@ fn call_once(
     report: &mut WorkerReport,
     sent_total: &AtomicU64,
 ) -> Option<Response> {
-    let kind_idx = match req {
-        Request::RegisterService { .. } => 0,
-        Request::PushMetricsWindow { .. } => 1,
-        Request::ThrottleSignal { .. } => 2,
-        Request::FetchRecommendation { .. } => 3,
-        Request::ApplyAck { .. } => 4,
-        Request::Health => 5,
-        Request::Stats => 6,
-    };
     report.sent += 1;
-    report.kind_counts[kind_idx] += 1;
     sent_total.fetch_add(1, Ordering::Relaxed);
     let t0 = Instant::now();
     match client.call(req) {

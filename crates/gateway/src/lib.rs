@@ -23,8 +23,9 @@
 //! * [`clock`] — the crate's single wall-clock boundary.
 //!
 //! Two binaries ship with the crate: `autodbaas-gateway` (the daemon) and
-//! `autodbaas-loadgen` (closed-loop load generator that writes
-//! `BENCH_gateway.json`).
+//! `autodbaas-loadgen` (closed-loop pass/fail smoke: a summary on stdout,
+//! non-zero exit on a protocol error, a dropped reply or an unshed
+//! aggressor).
 
 pub mod admission;
 pub mod client;

@@ -18,8 +18,8 @@
 //!   against shared kernel-row buffers (one matrix product + one batched
 //!   triangular solve), instead of per-candidate allocation and solves.
 //!
-//! The criterion bench `gpr_train` measures the full-fit growth curve;
-//! `gp_incremental` compares it against the extend path.
+//! The benchmark times both at n = 300: `tuner.gp_fit_ms_n300` is the
+//! full fit, `tuner.gp_extend_ms_n300` the extend path.
 
 use crate::linalg::{dot, Matrix};
 

@@ -190,8 +190,8 @@ impl Matrix {
         Some(l)
     }
 
-    /// Reference (unblocked) Cholesky. Kept for the blocked/naive criterion
-    /// microbench comparison and as a cross-check oracle in property tests.
+    /// Reference (unblocked) Cholesky: the property tests' oracle for the
+    /// blocked factorization.
     pub fn cholesky_naive(&self) -> Option<Matrix> {
         assert_eq!(self.rows, self.cols, "cholesky needs a square matrix");
         let n = self.rows;

@@ -302,6 +302,25 @@ proptest! {
     }
 }
 
+/// A shrunk failure of `buffer_update_never_exceeds_upper_limit` once
+/// found by upstream proptest (the shrink branch returned a history value
+/// above the cap). The vendored runner replays no regression files, so the
+/// case is pinned here.
+#[test]
+fn buffer_update_shrink_branch_is_capped_at_the_upper_limit() {
+    let upper = 10_000_000.0;
+    let new_value = autodbaas::ctrlplane::plan_buffer_update(
+        9_762_672_968.172_224,
+        36_302_263_740.114_61,
+        upper,
+        &[4_164_288_721.090_000_6],
+        1,
+    )
+    .expect("a working set above the cap with entropy hits plans an update");
+    assert!(new_value <= upper * 1.0001, "{new_value} > {upper}");
+    assert!(new_value > 0.0);
+}
+
 // ---------------- sharded tick engine ---------------------------------
 
 /// One managed database for the fleet-equivalence property below.
