@@ -41,7 +41,9 @@ pub const MAGIC: [u8; 8] = *b"ADBSNAP1";
 /// * 2 — the TDE's per-template literal map became a fixed-size summary.
 /// * 3 — the fleet lost its engine switch: `FleetConfig` dropped its two
 ///   shard-resolution fields, `FleetSim` its engine-flag byte.
-pub const VERSION: u32 = 3;
+/// * 4 — the BO tuner lost its refit switch: `BoConfig` dropped
+///   `incremental`.
+pub const VERSION: u32 = 4;
 
 /// Reserved tag closing every snapshot file; its payload is the running
 /// FNV-1a hash of all preceding bytes.

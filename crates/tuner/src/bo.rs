@@ -11,15 +11,20 @@
 //!    candidate sweep seeded with perturbations of the best-known config.
 //!
 //! Step 3 does **not** refit from scratch on every request: the tuner keeps
-//! the previous fit (with its Cholesky factor) and, when the new training
-//! set extends the old one, appends the new samples in O(n²) each via
-//! [`GaussianProcess::extend`]. The cache invalidates — falling back to a
-//! full O(n³) refit — when the mapped workload changes, the gated training
-//! window slides (prefix mismatch/truncation), or the rank-1 update goes
-//! numerically indefinite. Step 4 scores the whole candidate sweep through
-//! [`GaussianProcess::predict_batch_into`] with reusable buffers instead of
-//! per-candidate solves. Set [`BoConfig::incremental`] to `false` to get
-//! the historical refit-every-time behaviour (the perf baseline A/Bs both).
+//! the previous fit (with its Cholesky factor) and brings it to the new
+//! training set in O(n²) per sample. Three outcomes, all one code path:
+//! the set is unchanged (*reuse*); it grew at the tail (*extend* — rank-1
+//! appends); or it is at `max_train_samples` and the window moved on by a
+//! few samples (*slide* — the oldest rows are deleted from the factor, the
+//! new ones appended, so a recommendation at the cap pays for the sweep,
+//! not for a fit). The cache invalidates — falling back to a full O(n³)
+//! refit — when the target or the mapped workload changes, when what is
+//! left of the cached set is not a prefix of the requested one (the
+//! mapped block changed, gating dropped something in the middle), when a
+//! bulk arrival would slide further than a refit costs, or when an append
+//! goes numerically indefinite. Step 4 scores the whole candidate sweep
+//! through [`GaussianProcess::predict_batch_into`] with reusable buffers
+//! instead of per-candidate solves.
 //!
 //! The O(n³) GPR training time is also *modelled* ([`BoTuner::train_cost_ms`])
 //! at the paper's reported scale (100–120 s for a production-sized
@@ -55,12 +60,6 @@ pub struct BoConfig {
     /// GP surface, as OtterTune's gradient search behaves when the model
     /// is flat or misled).
     pub anchored_candidates: bool,
-    /// When true (default), reuse the previous fit's Cholesky factor and
-    /// extend it with new samples in O(n²) per sample instead of refitting
-    /// from scratch (see the module docs for the invalidation rules). The
-    /// two paths agree numerically to ~1e-9; disable only to measure the
-    /// historical full-refit cost.
-    pub incremental: bool,
 }
 
 impl Default for BoConfig {
@@ -73,7 +72,6 @@ impl Default for BoConfig {
             max_train_samples: 300,
             tune_top_k: 6,
             anchored_candidates: true,
-            incremental: true,
         }
     }
 }
@@ -94,17 +92,23 @@ pub struct Recommendation {
 }
 
 /// Counters for how the surrogate model has been maintained — lets tests
-/// and the perf baseline verify the incremental path is actually taken.
+/// and the benchmark verify the O(n²) path is actually taken.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BoStats {
     /// Full O(n³) GP fits performed.
     pub full_fits: u64,
-    /// Samples appended via the O(n²) incremental extend.
+    /// Samples appended in O(n²), by an extend or a window slide.
     pub incremental_extends: u64,
 }
 
+/// Most samples one window slide may evict plus append. At n = 300 a
+/// delete costs ~0.12 ms, an append ~0.03 ms and the closing `α` solve
+/// ~0.03 ms against 3.1 ms for the fit: eight steps stay well under it,
+/// and a bulk arrival — where the refit is the cheaper way — is far past.
+const MAX_SLIDE_STEPS: usize = 8;
+
 /// The cached surrogate: the training set it was fitted on (for the
-/// prefix-stability check) plus the fitted GP with its Cholesky factor.
+/// overlap check) plus the fitted GP with its Cholesky factor.
 #[derive(Debug, Clone)]
 struct FitCache {
     target: WorkloadId,
@@ -171,7 +175,7 @@ impl BoTuner {
         &self.cfg
     }
 
-    /// Surrogate-maintenance counters (full fits vs incremental extends).
+    /// Surrogate-maintenance counters (full fits vs O(n²) appends).
     pub fn stats(&self) -> BoStats {
         self.stats
     }
@@ -216,7 +220,7 @@ impl BoTuner {
         // target's own samples: the live workload is the one that grows
         // between calls, so putting its samples at the tail keeps earlier
         // training sets a strict prefix of later ones — which is what lets
-        // the incremental fit cache extend instead of refitting.
+        // the fit cache extend or slide instead of refitting.
         let mapped = tw
             .metric_signature()
             .and_then(|sig| map_workload(repo, &sig, Some(target)))
@@ -255,19 +259,7 @@ impl BoTuner {
         }
 
         let n = xs.len();
-        if self.cfg.incremental {
-            self.refresh_cache(target, mapped, &xs, &ys)?;
-        } else {
-            self.stats.full_fits += 1;
-            let gp = GaussianProcess::fit(&xs, &ys, self.cfg.gp)?;
-            self.cache = Some(FitCache {
-                target,
-                mapped,
-                xs: xs.clone(),
-                ys: ys.clone(),
-                gp,
-            });
-        }
+        self.refresh_cache(target, mapped, &xs, &ys)?;
 
         // Knob selection: vary only the top-ranked knobs (plus any the
         // caller explicitly focuses on); the rest keep their best-known
@@ -343,10 +335,11 @@ impl BoTuner {
         })
     }
 
-    /// Make the cached surrogate match `(xs, ys)`: extend it in O(n²) per
-    /// new sample when the cached training set is a strict prefix of the
-    /// requested one (same target, same mapped workload), otherwise refit
-    /// from scratch. `None` only when the full fit itself fails.
+    /// Make the cached surrogate match `(xs, ys)` in O(n²) per sample when
+    /// the cached training set (same target, same mapped workload), less
+    /// its oldest few samples, is a prefix of the requested one — reuse,
+    /// extend or slide, see [`FitCache::shift_to`] — otherwise refit from
+    /// scratch. `None` only when the full fit itself fails.
     fn refresh_cache(
         &mut self,
         target: WorkloadId,
@@ -355,30 +348,25 @@ impl BoTuner {
         ys: &[f64],
     ) -> Option<()> {
         if let Some(c) = self.cache.as_mut() {
-            let prefix = c.xs.len();
-            let reusable = c.target == target
-                && c.mapped == mapped
-                && prefix <= xs.len()
-                && c.xs[..] == xs[..prefix]
-                && c.ys[..] == ys[..prefix];
-            if reusable {
-                let mut appended = 0;
-                let all_ok = (prefix..xs.len()).all(|i| {
-                    let ok = c.gp.extend(&xs[i], ys[i]);
-                    appended += u64::from(ok);
-                    ok
-                });
-                if all_ok {
-                    c.xs.extend_from_slice(&xs[prefix..]);
-                    c.ys.extend_from_slice(&ys[prefix..]);
-                    self.stats.incremental_extends += appended;
+            if let Some(evict) = c.shift_to(target, mapped, xs, ys) {
+                let keep = c.xs.len() - evict;
+                if evict == 0 && keep == xs.len() {
                     return Some(());
                 }
-                // A failed rank-1 update leaves the factor untouched but the
-                // model half-extended relative to `xs`; fall through to the
-                // full refit (which also escalates jitter if needed).
+                if c.gp.slide(evict, &xs[keep..], &ys[keep..]) {
+                    c.xs.drain(..evict);
+                    c.ys.drain(..evict);
+                    c.xs.extend_from_slice(&xs[keep..]);
+                    c.ys.extend_from_slice(&ys[keep..]);
+                    self.stats.incremental_extends += (xs.len() - keep) as u64;
+                    return Some(());
+                }
+                // A failed rank-1 append leaves the model half-slid; fall
+                // through to the full refit (which escalates jitter).
             }
         }
+        // Drop the stale (possibly half-slid) model before fitting anew.
+        self.cache = None;
         self.stats.full_fits += 1;
         let gp = GaussianProcess::fit(xs, ys, self.cfg.gp)?;
         self.cache = Some(FitCache {
@@ -392,6 +380,36 @@ impl BoTuner {
     }
 }
 
+impl FitCache {
+    /// How many of the oldest cached samples to evict so that the rest is a
+    /// prefix of `(xs, ys)`: 0 when the set only grew, more once the capped
+    /// window has moved on. `None` when no shift of at most
+    /// [`MAX_SLIDE_STEPS`] evictions plus appends gets there. Every
+    /// candidate shift is verified over the whole overlap, on inputs and
+    /// targets — the anchored sweep recommends the best-known configuration
+    /// verbatim, so identical samples sit in the window and matching the
+    /// head alone would pick the wrong shift.
+    fn shift_to(
+        &self,
+        target: WorkloadId,
+        mapped: Option<WorkloadId>,
+        xs: &[Vec<f64>],
+        ys: &[f64],
+    ) -> Option<usize> {
+        if self.target != target || self.mapped != mapped {
+            return None;
+        }
+        let len = self.xs.len();
+        (0..len.min(MAX_SLIDE_STEPS + 1)).find(|&evict| {
+            let keep = len - evict;
+            keep <= xs.len()
+                && (evict == 0 || evict + xs.len() - keep <= MAX_SLIDE_STEPS)
+                && self.xs[evict..] == xs[..keep]
+                && self.ys[evict..] == ys[..keep]
+        })
+    }
+}
+
 use autodbaas_snapshot::snap_struct;
 
 snap_struct!(BoConfig {
@@ -401,8 +419,7 @@ snap_struct!(BoConfig {
     gate_low_quality,
     max_train_samples,
     tune_top_k,
-    anchored_candidates,
-    incremental
+    anchored_candidates
 });
 
 snap_struct!(BoStats {
@@ -692,54 +709,75 @@ mod tests {
         );
     }
 
+    fn sample_at(c: Vec<f64>) -> Sample {
+        Sample {
+            objective: objective(&c),
+            config: c,
+            metrics: vec![100.0, 50.0, 10.0],
+            quality: SampleQuality::High,
+        }
+    }
+
+    fn add_random(repo: &mut WorkloadRepository, id: WorkloadId, rng: &mut StdRng, n: usize) {
+        repo.add_samples(
+            id,
+            (0..n).map(|_| sample_at(vec![rng.gen::<f64>(), rng.gen::<f64>()])),
+        );
+    }
+
+    /// The oracle the retired refit-every-time mode used to be: the cached
+    /// surrogate must predict what a fresh fit of its own window predicts.
+    fn assert_cache_matches_fresh_fit(tuner: &BoTuner) {
+        let c = tuner.cache.as_ref().expect("a live cache");
+        let fresh = GaussianProcess::fit(&c.xs, &c.ys, tuner.cfg.gp).expect("window fits");
+        assert_eq!(c.gp.len(), c.xs.len());
+        let mut rng = StdRng::seed_from_u64(4);
+        for _ in 0..25 {
+            let q = [rng.gen::<f64>(), rng.gen::<f64>()];
+            let (mc, vc) = c.gp.predict(&q);
+            let (mf, vf) = fresh.predict(&q);
+            assert!((mc - mf).abs() < 1e-9, "mean {mc} vs {mf}");
+            // The variance carries y_scale² (~1e5 here): relative to that.
+            assert!((vc - vf).abs() < 1e-9 * (1.0 + vf), "var {vc} vs {vf}");
+        }
+    }
+
     #[test]
-    fn incremental_and_full_refit_agree_on_recommendations() {
-        // Grow a repo across several recommend calls; the incremental path
-        // must produce the same recommendations as refitting every time
-        // (same seed, so identical candidate sweeps).
+    fn cached_surrogate_matches_a_fresh_fit_after_every_call() {
+        // Grow a repo across recommend calls, through the cap: reuse, extend
+        // and slide must each leave the surrogate a fresh fit would build.
         let (mut repo, id) = seeded_repo(30, SampleQuality::High);
-        let mut inc = BoTuner::new(BoConfig::default(), 11);
-        let mut full = BoTuner::new(
+        let mut tuner = BoTuner::new(
             BoConfig {
-                incremental: false,
+                max_train_samples: 50,
                 ..BoConfig::default()
             },
             11,
         );
         let mut rng = StdRng::seed_from_u64(99);
-        for round in 0..4 {
-            let ri = inc.recommend(&repo, id).unwrap();
-            let rf = full.recommend(&repo, id).unwrap();
-            assert_eq!(ri.config, rf.config, "round {round}");
-            assert!(
-                (ri.expected_objective - rf.expected_objective).abs() < 1e-9,
-                "round {round}"
-            );
-            for _ in 0..6 {
-                let c = vec![rng.gen::<f64>(), rng.gen::<f64>()];
-                let o = objective(&c);
-                repo.add_sample(
-                    id,
-                    Sample {
-                        config: c,
-                        metrics: vec![100.0, 50.0, 10.0],
-                        objective: o,
-                        quality: SampleQuality::High,
-                    },
-                );
+        for round in 0..16 {
+            let rec = tuner.recommend(&repo, id).unwrap();
+            assert_cache_matches_fresh_fit(&tuner);
+            assert_eq!(rec.train_samples, (30 + 4 * (round / 2)).min(50));
+            // Every other round adds nothing: the fit is reused as it is.
+            if round % 2 == 1 {
+                add_random(&mut repo, id, &mut rng, 3);
+                repo.add_sample(id, sample_at(rec.config));
             }
         }
-        assert!(
-            inc.stats().incremental_extends > 0,
-            "incremental path must engage"
+        assert_eq!(
+            tuner.stats(),
+            BoStats {
+                full_fits: 1,
+                incremental_extends: 28
+            }
         );
-        assert_eq!(full.stats().incremental_extends, 0);
     }
 
     #[test]
-    fn sliding_window_invalidates_the_cache() {
-        // Once the training window starts sliding, the prefix check fails
-        // and the tuner falls back to full refits — correctness over reuse.
+    fn sliding_window_slides_the_cache() {
+        // Once the training window starts sliding, the cached factor drops
+        // its oldest rows and appends the new ones — no second fit.
         let (mut repo, id) = seeded_repo(99, SampleQuality::High);
         let mut tuner = BoTuner::new(
             BoConfig {
@@ -751,24 +789,115 @@ mod tests {
         tuner.recommend(&repo, id).unwrap();
         let mut rng = StdRng::seed_from_u64(55);
         for _ in 0..10 {
-            let c = vec![rng.gen::<f64>(), rng.gen::<f64>()];
-            let o = objective(&c);
-            repo.add_sample(
-                id,
-                Sample {
-                    config: c,
-                    metrics: vec![100.0, 50.0, 10.0],
-                    objective: o,
-                    quality: SampleQuality::High,
-                },
-            );
+            add_random(&mut repo, id, &mut rng, 1);
+            let rec = tuner.recommend(&repo, id).unwrap();
+            assert_eq!(rec.train_samples, 100, "window must cap");
         }
-        let rec = tuner.recommend(&repo, id).unwrap();
-        assert_eq!(rec.train_samples, 100, "window must cap");
+        assert_eq!(tuner.cached_train_len(), Some(100));
         assert_eq!(
-            tuner.stats().full_fits,
-            2,
-            "a slid window is not a prefix — must refit"
+            tuner.stats(),
+            BoStats {
+                full_fits: 1,
+                incremental_extends: 10
+            }
         );
+        assert_cache_matches_fresh_fit(&tuner);
+    }
+
+    #[test]
+    fn slide_finds_its_shift_past_identical_samples() {
+        // The anchored sweep re-recommends the best-known config verbatim,
+        // so runs of identical samples reach the window's head. The shift
+        // must come from the whole overlap, not from the first sample that
+        // looks like the new head.
+        let mut repo = WorkloadRepository::new();
+        let id = repo.register("target", false);
+        for _ in 0..3 {
+            repo.add_sample(id, sample_at(vec![0.4, 0.6]));
+        }
+        let mut rng = StdRng::seed_from_u64(21);
+        add_random(&mut repo, id, &mut rng, 17);
+        let mut tuner = BoTuner::new(
+            BoConfig {
+                max_train_samples: 20,
+                ..BoConfig::default()
+            },
+            17,
+        );
+        tuner.recommend(&repo, id).unwrap();
+        // One, then two at once: each slide evicts from the identical run.
+        for (round, arrivals) in [1, 2, 1].into_iter().enumerate() {
+            add_random(&mut repo, id, &mut rng, arrivals);
+            tuner.recommend(&repo, id).unwrap();
+            assert_eq!(tuner.stats().full_fits, 1, "round {round} refitted");
+            assert_cache_matches_fresh_fit(&tuner);
+        }
+        assert_eq!(tuner.stats().incremental_extends, 4);
+    }
+
+    #[test]
+    fn bulk_arrival_at_the_cap_refits() {
+        // A hundred samples between two calls would be a hundred deletes and
+        // a hundred appends; one fit is cheaper, so the slide is refused.
+        let (mut repo, id) = seeded_repo(300, SampleQuality::High);
+        let mut tuner = BoTuner::new(BoConfig::default(), 19);
+        tuner.recommend(&repo, id).unwrap();
+        let mut rng = StdRng::seed_from_u64(23);
+        add_random(&mut repo, id, &mut rng, 100);
+        let rec = tuner.recommend(&repo, id).unwrap();
+        assert_eq!(rec.train_samples, 300);
+        assert_eq!(
+            tuner.stats(),
+            BoStats {
+                full_fits: 2,
+                incremental_extends: 0
+            }
+        );
+        // The largest slide still taken: MAX_SLIDE_STEPS / 2 new samples.
+        add_random(&mut repo, id, &mut rng, MAX_SLIDE_STEPS / 2);
+        tuner.recommend(&repo, id).unwrap();
+        add_random(&mut repo, id, &mut rng, MAX_SLIDE_STEPS / 2 + 1);
+        tuner.recommend(&repo, id).unwrap();
+        assert_eq!(
+            tuner.stats(),
+            BoStats {
+                full_fits: 3,
+                incremental_extends: (MAX_SLIDE_STEPS / 2) as u64
+            }
+        );
+    }
+
+    #[test]
+    fn snapshot_after_slides_resumes_bit_identically() {
+        use autodbaas_snapshot::{decode_from_slice, encode_to_vec};
+        let (mut repo, id) = seeded_repo(38, SampleQuality::High);
+        let cfg = BoConfig {
+            max_train_samples: 40,
+            ..BoConfig::default()
+        };
+        let mut live = BoTuner::new(cfg, 29);
+        // Close the loop as the benchmark does: every recommendation is
+        // evaluated and fed back, so the window slides each round.
+        for _ in 0..12 {
+            let rec = live.recommend(&repo, id).unwrap();
+            repo.add_sample(id, sample_at(rec.config));
+        }
+        assert_eq!(live.stats().full_fits, 1);
+        assert_eq!(live.stats().incremental_extends, 11);
+        let bytes = encode_to_vec(&live);
+        let mut restored: BoTuner = decode_from_slice(&bytes).expect("decodes");
+        assert_eq!(encode_to_vec(&restored), bytes, "re-encoding is stable");
+        for round in 0..20 {
+            let a = live.recommend(&repo, id).unwrap();
+            let b = restored.recommend(&repo, id).unwrap();
+            assert_eq!(a.config, b.config, "round {round}");
+            assert_eq!(
+                a.expected_objective.to_bits(),
+                b.expected_objective.to_bits(),
+                "round {round}"
+            );
+            repo.add_sample(id, sample_at(a.config));
+        }
+        assert_eq!(live.stats(), restored.stats());
     }
 }

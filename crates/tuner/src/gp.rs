@@ -8,18 +8,24 @@
 //!
 //! Training from scratch is O(n³) in the sample count, which is precisely
 //! the scalability pain §1 describes ("a GPR training takes 100 to 120
-//! seconds"). Two things keep the steady-state tuner off that curve:
+//! seconds"). Three things keep the steady-state tuner off that curve:
 //!
 //! * [`GaussianProcess::extend`] appends one training sample in O(n²) by
 //!   growing the cached Cholesky factor with a rank-1 border update instead
 //!   of refactoring — the kernel matrix does not depend on the targets, so
 //!   re-standardising `y` only costs two triangular solves.
+//! * `GaussianProcess::slide` moves a capped "most recent n" window on in
+//!   O(n²) per sample: the oldest rows leave the factor through
+//!   [`Matrix::cholesky_delete_first`] (a rank-1 *update*, so it cannot
+//!   fail and does not drift), the new ones are appended, and the targets
+//!   are re-standardised once per call.
 //! * [`GaussianProcess::predict_batch_into`] scores a whole candidate batch
 //!   against shared kernel-row buffers (one matrix product + one batched
 //!   triangular solve), instead of per-candidate allocation and solves.
 //!
-//! The benchmark times both at n = 300: `tuner.gp_fit_ms_n300` is the
-//! full fit, `tuner.gp_extend_ms_n300` the extend path.
+//! The benchmark times the first at n = 300 against the fit it replaces:
+//! `tuner.gp_fit_ms_n300` is the full fit, `tuner.gp_extend_ms_n300` the
+//! extend path.
 
 use crate::linalg::{dot, Matrix};
 
@@ -47,8 +53,8 @@ impl Default for GpParams {
 /// A fitted Gaussian process.
 ///
 /// Keeps the Cholesky factor of the (jittered) kernel matrix and the raw
-/// targets alive so the model can be *extended* with new samples in O(n²)
-/// — see [`GaussianProcess::extend`].
+/// targets alive so the model can be *extended* with new samples, or slid
+/// along a capped window, in O(n²) — see [`GaussianProcess::extend`].
 #[derive(Debug, Clone)]
 pub struct GaussianProcess {
     params: GpParams,
@@ -56,7 +62,8 @@ pub struct GaussianProcess {
     x: Matrix,
     /// Cached squared norms of the training rows (for batched kernels).
     x_sq_norms: Vec<f64>,
-    /// Raw (unstandardised) targets; kept so `extend` can re-standardise.
+    /// Raw (unstandardised) targets; kept so `extend`/`slide` can
+    /// re-standardise.
     y_raw: Vec<f64>,
     alpha: Vec<f64>,
     chol: Matrix,
@@ -148,6 +155,39 @@ impl GaussianProcess {
     ///
     /// [`fit`]: GaussianProcess::fit
     pub fn extend(&mut self, x_new: &[f64], y_new: f64) -> bool {
+        let ok = self.append_sample(x_new, y_new);
+        if ok {
+            self.solve_alpha();
+        }
+        ok
+    }
+
+    /// Slide the training window in O(n²) per sample: forget the `evict`
+    /// oldest samples ([`Matrix::cholesky_delete_first`] each), append
+    /// `(xs, ys)`, then re-standardise and re-solve `α` once for the whole
+    /// call. Matches a from-scratch fit of the slid window (same jitter) to
+    /// ~1e-9 — pinned by `slide_matches_full_refit`.
+    ///
+    /// Returns `false` when an append is not numerically positive definite;
+    /// the model is then half-slid and must be discarded for a full refit.
+    pub(crate) fn slide(&mut self, evict: usize, xs: &[Vec<f64>], ys: &[f64]) -> bool {
+        assert!(evict < self.len(), "a slide keeps at least one sample");
+        for _ in 0..evict {
+            self.chol.cholesky_delete_first();
+        }
+        self.x.remove_first_rows(evict);
+        self.x_sq_norms.drain(..evict);
+        self.y_raw.drain(..evict);
+        let ok = xs.iter().zip(ys).all(|(x, &y)| self.append_sample(x, y));
+        if ok {
+            self.solve_alpha();
+        }
+        ok
+    }
+
+    /// Grow the factor, inputs and raw targets by one sample; `α` is stale
+    /// until [`Self::solve_alpha`]. `false` leaves everything untouched.
+    fn append_sample(&mut self, x_new: &[f64], y_new: f64) -> bool {
         assert_eq!(x_new.len(), self.x.cols(), "input dimension mismatch");
         let n = self.x.rows();
         let mut border = vec![0.0; n];
@@ -163,9 +203,12 @@ impl GaussianProcess {
         self.x.push_row(x_new);
         self.x_sq_norms.push(q_norm);
         self.y_raw.push(y_new);
+        true
+    }
 
-        // Re-standardise and recompute α against the grown factor: two
-        // O(n²) triangular solves.
+    /// Re-standardise the targets and recompute `α` against the current
+    /// factor: two O(n²) triangular solves.
+    fn solve_alpha(&mut self) {
         let (y_mean, y_scale) = standardisation(&self.y_raw);
         self.y_mean = y_mean;
         self.y_scale = y_scale;
@@ -174,7 +217,6 @@ impl GaussianProcess {
             .extend(self.y_raw.iter().map(|v| (v - y_mean) / y_scale));
         self.chol.solve_lower_in_place(&mut self.alpha);
         self.chol.solve_lower_transpose_in_place(&mut self.alpha);
-        true
     }
 
     /// Number of training points.
@@ -406,8 +448,9 @@ snap_struct!(GpParams {
     noise
 });
 
-// The Cholesky factor is persisted, not refit: `extend` appends rank-1
-// rows, and a from-scratch refactorisation would not be bit-identical.
+// The Cholesky factor is persisted, not refit: `extend` and `slide` modify
+// it row by row, and a from-scratch refactorisation would not be
+// bit-identical.
 snap_struct!(GaussianProcess {
     params,
     x,
@@ -653,6 +696,103 @@ mod tests {
         let (mi, _) = inc.predict(&[0.5, 0.5]);
         let (mf, _) = full.predict(&[0.5, 0.5]);
         assert!((mi - mf).abs() < 1e-9, "{mi} vs {mf}");
+    }
+
+    /// Largest disagreement between two models over `probes` random
+    /// queries: (mean, variance, lml) — the last two relative to 1 + their
+    /// magnitude, since they scale with y_scale² and the sample count.
+    fn disagreement(a: &GaussianProcess, b: &GaussianProcess, probes: usize) -> (f64, f64, f64) {
+        assert_eq!(a.len(), b.len());
+        let d = a.x.cols();
+        let mut rng = StdRng::seed_from_u64(7);
+        let (mut dm, mut dv) = (0.0f64, 0.0f64);
+        for _ in 0..probes {
+            let q: Vec<f64> = (0..d).map(|_| rng.gen::<f64>()).collect();
+            let (ma, va) = a.predict(&q);
+            let (mb, vb) = b.predict(&q);
+            dm = dm.max((ma - mb).abs());
+            dv = dv.max((va - vb).abs() / (1.0 + vb));
+        }
+        let (la, lb) = (a.log_marginal_likelihood(), b.log_marginal_likelihood());
+        (dm, dv, (la - lb).abs() / (1.0 + lb.abs()))
+    }
+
+    #[test]
+    fn slide_matches_full_refit() {
+        // 3·n slides of an n-sample window — one or two samples at a time,
+        // exact duplicates of samples still in the window among them, and
+        // targets whose mean and scale jump mid-stream — must track a
+        // from-scratch fit of the same window at every step.
+        let n = 40;
+        let (mut x, _) = random_data(n + 3 * n + 2, 4, 42);
+        for i in (n..x.len()).step_by(7) {
+            x[i] = x[i - 5].clone();
+        }
+        let y: Vec<f64> = (0..x.len())
+            .map(|i| {
+                if i < 2 * n {
+                    1.0 + i as f64 * 0.01
+                } else {
+                    100.0 + i as f64
+                }
+            })
+            .collect();
+        let mut slid = GaussianProcess::fit(&x[..n], &y[..n], GpParams::default()).unwrap();
+        let mut lo = 0;
+        while lo < 3 * n {
+            let step = 1 + lo % 2;
+            let hi = lo + n;
+            assert!(slid.slide(step, &x[hi..hi + step], &y[hi..hi + step]));
+            lo += step;
+            let full =
+                GaussianProcess::fit(&x[lo..lo + n], &y[lo..lo + n], GpParams::default()).unwrap();
+            let (dm, dv, dl) = disagreement(&slid, &full, 20);
+            assert!(dm < 1e-9, "mean off by {dm:e} after {lo} slides");
+            assert!(dv < 1e-9, "variance off by {dv:e} after {lo} slides");
+            assert!(dl < 1e-9, "lml off by {dl:e} after {lo} slides");
+        }
+    }
+
+    /// 3,000 slides at the benchmark's size (n = 300, d = 15, every ninth
+    /// sample an exact duplicate): the Givens delete is backward stable, so
+    /// the distance to a fresh fit must not grow with the slide count —
+    /// which is why the tuner keeps no periodic refit. Release-only: a
+    /// debug build needs minutes for it (`cargo test --release -p
+    /// autodbaas-tuner slides_do_not_drift`).
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "minutes in a debug build; run with --release"
+    )]
+    fn slides_do_not_drift() {
+        let (n, d, slides) = (300, 15, 3_000);
+        let (mut x, y) = random_data(n + slides, d, 11);
+        for i in (n..x.len()).step_by(9) {
+            x[i] = x[i - 100].clone();
+        }
+        let mut slid = GaussianProcess::fit(&x[..n], &y[..n], GpParams::default()).unwrap();
+        let mut worst_early = 0.0f64;
+        for lo in 1..=slides {
+            let hi = lo + n - 1;
+            assert!(slid.slide(1, &x[hi..=hi], &y[hi..=hi]));
+            if lo % 500 == 0 {
+                let full =
+                    GaussianProcess::fit(&x[lo..lo + n], &y[lo..lo + n], GpParams::default())
+                        .unwrap();
+                let (dm, dv, dl) = disagreement(&slid, &full, 50);
+                let worst = dm.max(dv).max(dl);
+                eprintln!("after {lo} slides: mean {dm:e} var {dv:e} lml {dl:e}");
+                assert!(worst < 1e-9, "off by {worst:e} after {lo} slides");
+                if lo <= 1_000 {
+                    worst_early = worst_early.max(worst);
+                } else {
+                    assert!(
+                        worst <= 4.0 * worst_early + 1e-12,
+                        "error grew: {worst:e} after {lo} slides vs {worst_early:e} early"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,22 +1,37 @@
 //! Minimal dense linear algebra for the Gaussian-process tuner.
 //!
 //! Just what GP regression needs: a row-major matrix, multiplication,
-//! Cholesky factorisation (blocked, plus an O(n²) rank-1 *append* update for
-//! incremental GP training) and triangular solves with in-place variants
-//! that reuse caller buffers. Kernel matrices here are a few hundred rows,
-//! but the tuner refits on every recommendation, so the hot paths are
-//! written for cache locality and zero per-call allocation.
+//! Cholesky factorisation (blocked, plus the two O(n²) modifications that
+//! keep a sliding training window incremental: *append* a border row and
+//! *delete* the first row/column, both in place) and triangular solves with
+//! in-place variants that reuse caller buffers. Kernel matrices here are a
+//! few hundred rows and the tuner touches its factor on every
+//! recommendation, so the hot paths are written for cache locality and no
+//! per-call allocation beyond O(n).
 
 /// Block edge for the blocked Cholesky factorisation. 32×32 f64 tiles
 /// (8 KiB) keep the three active tiles resident in L1.
 const CHOL_BLOCK: usize = 32;
 
 /// Row-major dense matrix.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
+    /// Distance between row starts in `data` (≥ `cols`). Equal to `cols`
+    /// except for a Cholesky factor that [`Matrix::cholesky_update_append`]
+    /// has grown: it keeps spare columns so the next append re-pitches
+    /// nothing. The spare is storage only — never compared or persisted.
+    stride: usize,
     data: Vec<f64>,
+}
+
+impl PartialEq for Matrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+            && self.cols == other.cols
+            && (0..self.rows).all(|i| self.row(i) == other.row(i))
+    }
 }
 
 impl Matrix {
@@ -25,6 +40,7 @@ impl Matrix {
         Self {
             rows,
             cols,
+            stride: cols,
             data: vec![0.0; rows * cols],
         }
     }
@@ -63,13 +79,13 @@ impl Matrix {
     /// Row `i` as a contiguous slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * self.cols..(i + 1) * self.cols]
+        &self.data[i * self.stride..][..self.cols]
     }
 
     /// Mutable row `i`.
     #[inline]
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
+        &mut self.data[i * self.stride..][..self.cols]
     }
 
     /// Matrix product `self * other`. Straight fused inner loop over
@@ -94,12 +110,12 @@ impl Matrix {
         let m = other.cols;
         for i in 0..self.rows {
             let a_row = self.row(i);
-            let out_row = &mut out.data[i * m..(i + 1) * m];
+            let out_row = &mut out.data[i * out.stride..][..m];
             // Zero the row here, while it is about to be written anyway —
             // callers can hand over stale scratch (`reset_stale`) without a
             // separate cache-evicting zeroing pass over the whole buffer.
             out_row.fill(0.0);
-            axpy4(1.0, a_row, &other.data, 0, m, out_row);
+            axpy4(1.0, a_row, &other.data, 0, other.stride, out_row);
         }
     }
 
@@ -117,7 +133,7 @@ impl Matrix {
         assert_eq!(out.cols, other.rows, "bad output cols");
         for i in 0..self.rows {
             let a_row = self.row(i);
-            let out_row = &mut out.data[i * other.rows..(i + 1) * other.rows];
+            let out_row = &mut out.data[i * out.stride..][..other.rows];
             for (j, o) in out_row.iter_mut().enumerate() {
                 *o = dot(a_row, other.row(j));
             }
@@ -136,10 +152,18 @@ impl Matrix {
     pub fn push_row(&mut self, row: &[f64]) {
         if self.rows == 0 {
             self.cols = row.len();
+            self.stride = row.len();
         }
         assert_eq!(row.len(), self.cols, "row length mismatch");
         self.data.extend_from_slice(row);
         self.rows += 1;
+        self.data.resize(self.rows * self.stride, 0.0);
+    }
+
+    /// Drop the first `k` rows (one `memmove` of the rest).
+    pub(crate) fn remove_first_rows(&mut self, k: usize) {
+        self.data.drain(..k * self.stride);
+        self.rows -= k;
     }
 
     /// Reshape to `rows × cols`, zero-filled, reusing the existing
@@ -148,6 +172,7 @@ impl Matrix {
     pub fn reset(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
+        self.stride = cols;
         self.data.clear();
         self.data.resize(rows * cols, 0.0);
     }
@@ -159,6 +184,7 @@ impl Matrix {
     pub fn reset_stale(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
+        self.stride = cols;
         self.data.resize(rows * cols, 0.0);
     }
 
@@ -222,7 +248,7 @@ impl Matrix {
     pub fn cholesky_in_place(&mut self) -> bool {
         assert_eq!(self.rows, self.cols, "cholesky needs a square matrix");
         let n = self.rows;
-        let c = self.cols;
+        let c = self.stride;
         let mut k = 0;
         while k < n {
             let kb = (k + CHOL_BLOCK).min(n);
@@ -265,7 +291,7 @@ impl Matrix {
         }
         // Zero the strict upper triangle (the input's upper half is stale).
         for i in 0..n {
-            for v in &mut self.data[i * c + i + 1..(i + 1) * c] {
+            for v in &mut self.data[i * c + i + 1..i * c + n] {
                 *v = 0.0;
             }
         }
@@ -277,6 +303,10 @@ impl Matrix {
     /// `[[K, k_new], [k_newᵀ, diag]]`. This is what makes appending one GP
     /// training sample cost O(n²) instead of a fresh O(n³) factorisation.
     ///
+    /// In place: the new row is solved where it will live, and the rows keep
+    /// a pitch with spare columns (grown by half when it runs out), so an
+    /// append moves O(n) memory, not the whole factor.
+    ///
     /// Returns `false` (leaving `self` untouched) when the bordered matrix
     /// is not numerically positive definite — the caller falls back to a
     /// full refit with escalated jitter.
@@ -284,25 +314,79 @@ impl Matrix {
         assert_eq!(self.rows, self.cols, "factor must be square");
         assert_eq!(k_new.len(), self.rows, "border length mismatch");
         let n = self.rows;
-        // Solve L b = k_new (forward substitution).
-        let mut b = k_new.to_vec();
-        self.solve_lower_in_place(&mut b);
-        let d2 = diag - b.iter().map(|x| x * x).sum::<f64>();
+        if n == self.stride {
+            self.repitch(n + n / 2 + 1);
+        }
+        let s = self.stride;
+        self.data.resize((n + 1) * s, 0.0);
+        let (l, b) = self.data.split_at_mut(n * s);
+        // Solve L b = k_new (forward substitution) in the new row's slot.
+        b[..n].copy_from_slice(k_new);
+        forward_substitute(l, s, &mut b[..n]);
+        let d2 = diag - b[..n].iter().map(|x| x * x).sum::<f64>();
         if d2 <= 0.0 {
+            self.data.truncate(n * s);
             return false;
         }
-        // Re-stride the data into the (n+1)² layout and add the new row.
-        let m = n + 1;
-        let mut data = vec![0.0; m * m];
+        b[n] = d2.sqrt();
         for i in 0..n {
-            data[i * m..i * m + n].copy_from_slice(&self.data[i * n..i * n + n]);
+            l[i * s + n] = 0.0;
         }
-        data[n * m..n * m + n].copy_from_slice(&b);
-        data[n * m + n] = d2.sqrt();
+        self.rows = n + 1;
+        self.cols = n + 1;
+        true
+    }
+
+    /// Shrink a Cholesky factor by its *first* row/column in O(n²): given
+    /// `self = L = [[l₁₁, 0], [l₂₁, L₂₂]]` with `L Lᵀ = K`, make it the
+    /// factor of the trailing principal submatrix `K[1.., 1..] =
+    /// L₂₂L₂₂ᵀ + l₂₁l₂₁ᵀ`. That is a rank-1 *update* — the sum of a
+    /// positive-definite matrix and a positive-semidefinite one — so unlike
+    /// a downdate it cannot fail, and it is carried out as Givens rotations
+    /// of `[L₂₂ | l₂₁]` that zero the `l₂₁` column, which is backward
+    /// stable: evicting the oldest GP sample thousands of times in a row
+    /// does not drift (pinned by `slides_do_not_drift` in `gp.rs`).
+    ///
+    /// In place: row `i+1` is rotated into row `i`'s storage, one column to
+    /// the left, as it is read.
+    pub fn cholesky_delete_first(&mut self) {
+        assert_eq!(self.rows, self.cols, "factor must be square");
+        assert!(self.rows > 0, "no row to delete");
+        let m = self.rows - 1;
+        let s = self.stride;
+        // Rotation `k` = (cos, sin) that folded `x[k]` into diagonal `k`.
+        let mut rot = vec![(0.0, 0.0); m];
+        for i in 0..m {
+            let (above, below) = self.data.split_at_mut((i + 1) * s);
+            let (new, old) = (&mut above[i * s..i * s + i + 1], &below[..i + 2]);
+            // `x` is this row's entry of the l₂₁ column, rotated through
+            // every earlier diagonal on its way to this row's own.
+            let mut x = old[0];
+            for ((d, &l), &(c, sn)) in new.iter_mut().zip(&old[1..=i]).zip(&rot) {
+                *d = c * l + sn * x;
+                x = c * x - sn * l;
+            }
+            let l = old[i + 1];
+            let r = (l * l + x * x).sqrt();
+            rot[i] = (l / r, x / r);
+            new[i] = r;
+        }
         self.rows = m;
         self.cols = m;
+        self.data.truncate(m * s);
+    }
+
+    /// Re-pitch the rows `stride` apart in a fresh buffer with room for
+    /// `stride` rows (a square factor never outgrows it before its columns
+    /// do). Only reserved, not touched: resident memory follows the rows.
+    fn repitch(&mut self, stride: usize) {
+        let mut data = Vec::with_capacity(stride * stride);
+        for i in 0..self.rows {
+            data.extend_from_slice(self.row(i));
+            data.resize((i + 1) * stride, 0.0);
+        }
+        self.stride = stride;
         self.data = data;
-        true
     }
 
     /// Solve `L y = b` for lower-triangular `L` (forward substitution).
@@ -317,12 +401,7 @@ impl Matrix {
     pub fn solve_lower_in_place(&self, x: &mut [f64]) {
         assert_eq!(self.rows, self.cols);
         assert_eq!(x.len(), self.rows);
-        let n = self.rows;
-        for i in 0..n {
-            let row = self.row(i);
-            let sum = x[i] - dot(&row[..i], &x[..i]);
-            x[i] = sum / row[i];
-        }
+        forward_substitute(&self.data, self.stride, x);
     }
 
     /// Solve `Lᵀ x = b` for lower-triangular `L` (backward substitution).
@@ -361,6 +440,7 @@ impl Matrix {
         assert_eq!(rhs.rows, self.rows, "RHS row count mismatch");
         let n = self.rows;
         let m = rhs.cols;
+        let p = rhs.stride;
         // Tiled forward substitution. The naive row-at-a-time loop
         // re-streams every already-solved row for every new row (O(n²) row
         // reads — the dominant cost at GP sweep sizes). Two levels of
@@ -377,7 +457,7 @@ impl Matrix {
             let mut i0 = 0;
             while i0 < n {
                 let ib = PANEL.min(n - i0);
-                let (head, tail) = rhs.data.split_at_mut(i0 * m);
+                let (head, tail) = rhs.data.split_at_mut(i0 * p);
                 // GEMM part: panel row di -= Σ_{t<i0} L[i0+di][t] · head
                 // row t, eight head-row segments at a time (the segment
                 // chunk stays cache-hot across all `ib` panel rows).
@@ -386,17 +466,17 @@ impl Matrix {
                     let tb = 8.min(i0 - t0);
                     for di in 0..ib {
                         let l_row = self.row(i0 + di);
-                        let out_seg = &mut tail[di * m + j0..di * m + j0 + jb];
-                        axpy4(-1.0, &l_row[t0..t0 + tb], head, t0 * m + j0, m, out_seg);
+                        let out_seg = &mut tail[di * p + j0..di * p + j0 + jb];
+                        axpy4(-1.0, &l_row[t0..t0 + tb], head, t0 * p + j0, p, out_seg);
                     }
                     t0 += tb;
                 }
                 // Triangular part within the panel.
                 for di in 0..ib {
                     let l_row = self.row(i0 + di);
-                    let (ph, pt) = tail.split_at_mut(di * m);
+                    let (ph, pt) = tail.split_at_mut(di * p);
                     let out_seg = &mut pt[j0..j0 + jb];
-                    axpy4(-1.0, &l_row[i0..i0 + di], ph, j0, m, out_seg);
+                    axpy4(-1.0, &l_row[i0..i0 + di], ph, j0, p, out_seg);
                     let inv = 1.0 / l_row[i0 + di];
                     for o in out_seg.iter_mut() {
                         *o *= inv;
@@ -406,6 +486,16 @@ impl Matrix {
             }
             j0 += jb;
         }
+    }
+}
+
+/// Forward substitution `L x' = x` in place against the leading
+/// `x.len()`-square block of a row-major lower-triangular buffer.
+fn forward_substitute(l: &[f64], stride: usize, x: &mut [f64]) {
+    for i in 0..x.len() {
+        let row = &l[i * stride..i * stride + i + 1];
+        let sum = x[i] - dot(&row[..i], &x[..i]);
+        x[i] = sum / row[i];
     }
 }
 
@@ -488,14 +578,14 @@ impl std::ops::Index<(usize, usize)> for Matrix {
     type Output = f64;
     fn index(&self, (i, j): (usize, usize)) -> &f64 {
         debug_assert!(i < self.rows && j < self.cols);
-        &self.data[i * self.cols + j]
+        &self.data[i * self.stride + j]
     }
 }
 
 impl std::ops::IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
         debug_assert!(i < self.rows && j < self.cols);
-        &mut self.data[i * self.cols + j]
+        &mut self.data[i * self.stride + j]
     }
 }
 
@@ -521,9 +611,13 @@ use autodbaas_snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 
 impl Snap for Matrix {
     fn encode(&self, w: &mut SnapWriter) {
+        // Dense, whatever the pitch: a restored factor re-grows its spare.
         self.rows.encode(w);
         self.cols.encode(w);
-        self.data.encode(w);
+        (self.rows * self.cols).encode(w);
+        (0..self.rows)
+            .flat_map(|i| self.row(i))
+            .for_each(|v| v.encode(w));
     }
     fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
         let rows = usize::decode(r)?;
@@ -532,7 +626,12 @@ impl Snap for Matrix {
         if data.len() != rows.saturating_mul(cols) {
             return Err(SnapError::Malformed("matrix shape"));
         }
-        Ok(Self { rows, cols, data })
+        Ok(Self {
+            rows,
+            cols,
+            stride: cols,
+            data,
+        })
     }
 }
 
@@ -698,6 +797,40 @@ mod tests {
         let border = vec![100.0; 6];
         assert!(!l.cholesky_update_append(&border, 1e-6));
         assert_eq!(l, before, "failed append must leave the factor untouched");
+    }
+
+    #[test]
+    fn spare_capacity_of_a_grown_factor_is_invisible() {
+        // An append leaves the rows a spare pitch apart. Nothing may see
+        // it: not equality, not the snapshot, not a solve or a product.
+        let mut grown = random_spd(12, 21).cholesky().unwrap();
+        assert!(grown.cholesky_update_append(&[0.25; 12], 40.0));
+        assert!(grown.stride > grown.cols);
+        let bytes = autodbaas_snapshot::encode_to_vec(&grown);
+        let dense: Matrix = autodbaas_snapshot::decode_from_slice(&bytes).unwrap();
+        assert_eq!(dense.stride, dense.cols);
+        assert_eq!(dense, grown);
+        assert_eq!(autodbaas_snapshot::encode_to_vec(&dense), bytes);
+        let b: Vec<f64> = (0..13).map(|i| (i as f64).cos()).collect();
+        assert_eq!(grown.solve_lower(&b), dense.solve_lower(&b));
+        assert_eq!(
+            grown.solve_lower_transpose(&b),
+            dense.solve_lower_transpose(&b)
+        );
+        assert_eq!(grown.matmul(&grown), dense.matmul(&dense));
+        assert_eq!(
+            grown.matmul_transpose(&grown),
+            dense.matmul_transpose(&dense)
+        );
+        let (mut via_grown, mut via_dense) = (grown.clone(), dense.clone());
+        dense.solve_lower_batch_in_place(&mut via_grown);
+        dense.solve_lower_batch_in_place(&mut via_dense);
+        assert_eq!(via_grown, via_dense);
+        // And a delete brings both to the same factor, bit for bit.
+        let mut shrunk = dense.clone();
+        shrunk.cholesky_delete_first();
+        grown.cholesky_delete_first();
+        assert_eq!(grown, shrunk);
     }
 
     #[test]
