@@ -14,7 +14,7 @@
 
 use autodbaas_bench::{header, seed_offline, Rig};
 use autodbaas_core::{LearnedDetector, Tde, TdeConfig};
-use autodbaas_simdb::{DbFlavor, InstanceType, MetricId, SimDatabase};
+use autodbaas_simdb::{Backend, DbFlavor, InstanceType, MetricId, SimDatabase};
 use autodbaas_telemetry::outln;
 use autodbaas_tuner::{
     normalize_config, BoConfig, BoTuner, Sample, SampleQuality, WorkloadRepository,

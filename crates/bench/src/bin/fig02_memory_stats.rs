@@ -8,7 +8,7 @@
 //! at the 4 MB default `work_mem`.
 
 use autodbaas_bench::{header, Rig};
-use autodbaas_simdb::{DbFlavor, InstanceType, MetricId};
+use autodbaas_simdb::{Backend, DbFlavor, InstanceType, MetricId};
 use autodbaas_telemetry::outln;
 use autodbaas_workload::{by_name, AdulteratedWorkload, QuerySource};
 

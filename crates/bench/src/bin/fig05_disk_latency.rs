@@ -9,7 +9,7 @@
 //! hardware; ours differs in absolute value but the ratio holds).
 
 use autodbaas_bench::{header, sparkline, Rig};
-use autodbaas_simdb::{DbFlavor, InstanceType};
+use autodbaas_simdb::{Backend, DbFlavor, InstanceType};
 use autodbaas_telemetry::outln;
 use autodbaas_telemetry::PeakDetector;
 use autodbaas_workload::tpcc;

@@ -9,7 +9,7 @@
 
 use autodbaas_bench::{header, sparkline, Rig};
 use autodbaas_core::{MdpConfig, MdpEngine};
-use autodbaas_simdb::{DbFlavor, InstanceType, QueryProfile};
+use autodbaas_simdb::{Backend, DbFlavor, InstanceType, QueryProfile};
 use autodbaas_telemetry::outln;
 use autodbaas_workload::production;
 use rand::rngs::StdRng;

@@ -9,7 +9,7 @@
 //! dent the curve.
 
 use autodbaas_bench::{header, sparkline, Rig};
-use autodbaas_simdb::{ApplyMode, DbFlavor, InstanceType, MetricId};
+use autodbaas_simdb::{ApplyMode, Backend, DbFlavor, InstanceType, MetricId};
 use autodbaas_telemetry::outln;
 use autodbaas_workload::tpcc;
 

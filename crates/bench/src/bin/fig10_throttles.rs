@@ -13,7 +13,7 @@
 
 use autodbaas_bench::{arg_value, header, seed_offline, Rig};
 use autodbaas_core::{Tde, TdeConfig};
-use autodbaas_simdb::{DbFlavor, InstanceType, KnobClass};
+use autodbaas_simdb::{Backend, DbFlavor, InstanceType, KnobClass};
 use autodbaas_telemetry::outln;
 use autodbaas_telemetry::MILLIS_PER_MIN;
 use autodbaas_tuner::WorkloadRepository;

@@ -18,7 +18,7 @@ use autodbaas_bench::{arg_value, header, sparkline, NodeSpec};
 use autodbaas_cloudsim::{FleetConfig, FleetSim};
 use autodbaas_core::{TdeConfig, TuningPolicy};
 use autodbaas_ctrlplane::TunerKind;
-use autodbaas_simdb::{DbFlavor, InstanceType, MetricId};
+use autodbaas_simdb::{Backend, DbFlavor, InstanceType, MetricId};
 use autodbaas_telemetry::outln;
 use autodbaas_telemetry::{MILLIS_PER_HOUR, MILLIS_PER_MIN};
 use autodbaas_tuner::WorkloadId;

@@ -11,7 +11,7 @@
 
 use autodbaas_bench::{header, seed_offline, Rig};
 use autodbaas_core::{Tde, TdeConfig};
-use autodbaas_simdb::{Catalog, DbFlavor, InstanceType, KnobClass};
+use autodbaas_simdb::{Backend, Catalog, DbFlavor, InstanceType, KnobClass};
 use autodbaas_telemetry::outln;
 use autodbaas_tuner::WorkloadRepository;
 use autodbaas_workload::{by_name, MixWorkload};

@@ -6,9 +6,10 @@
 //! that rejects half-applied recommendations back to the persisted config,
 //! and services that keep serving through VM loss. This harness turns
 //! those claims into numbers. A fleet (half the services HA with two
-//! slaves, half single-node) runs under [`FaultPlan::standard`] — VM
-//! crashes, mid-apply crashes, tuner outages, telemetry blackouts, disk
-//! stalls, replica-lag spikes, lost responses — and must come out the
+//! slaves, half single-node) runs under
+//! [`InteractionPlan::standard_faults`] — VM crashes, mid-apply crashes,
+//! tuner outages, telemetry blackouts, disk stalls, replica-lag spikes,
+//! lost responses — and must come out the
 //! other side with every service serving, zero drift, and zero wedged
 //! control loops. The run is executed twice with the same seed and the
 //! telemetry event-log fingerprints must match bit-for-bit: chaos here is
@@ -22,7 +23,7 @@
 //! match the uninterrupted replay bit-for-bit.
 
 use autodbaas_bench::{arg_value, backend_arg, checkpoint_roundtrip, header, resume_arg, NodeSpec};
-use autodbaas_cloudsim::{FaultPlan, FleetConfig, FleetSim, RollbackPolicy};
+use autodbaas_cloudsim::{FleetConfig, FleetSim, InteractionPlan, RollbackPolicy};
 use autodbaas_core::{TdeConfig, TuningPolicy};
 use autodbaas_ctrlplane::TunerKind;
 use autodbaas_simdb::{DbFlavor, InstanceType};
@@ -55,7 +56,7 @@ fn run_once(
     minutes: u64,
     seed: u64,
     flavor: DbFlavor,
-    plan: FaultPlan,
+    plan: InteractionPlan,
     checkpoint: Option<&std::path::Path>,
 ) -> ChaosSummary {
     let mut sim = FleetSim::new(
@@ -104,7 +105,7 @@ fn run_once(
         }
         sim.add_node(node, &format!("db-{i}"));
     }
-    sim.enable_chaos(plan);
+    sim.enable_plan(plan);
     // With --resume, cross a serialize/deserialize boundary mid-chaos;
     // the caller's fingerprint comparison against an uninterrupted run
     // then proves the snapshot carried the complete fleet state.
@@ -164,7 +165,7 @@ fn main() {
     if let Some(path) = &resume {
         outln!("checkpointing run A through {}", path.display());
     }
-    let standard = FaultPlan::standard(n_dbs, minutes * MILLIS_PER_MIN);
+    let standard = InteractionPlan::standard_faults(n_dbs, minutes * MILLIS_PER_MIN);
     let a = run_once(
         n_dbs,
         minutes,
@@ -234,7 +235,7 @@ fn main() {
         minutes,
         seed,
         flavor,
-        FaultPlan::generate(seed ^ 1, n_dbs, minutes * MILLIS_PER_MIN, 16),
+        InteractionPlan::random_faults(seed ^ 1, n_dbs, minutes * MILLIS_PER_MIN, 16),
         None,
     );
     assert_ne!(

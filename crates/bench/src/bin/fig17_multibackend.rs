@@ -26,7 +26,7 @@ use autodbaas_bench::{arg_value, checkpoint_roundtrip, header, resume_arg, spark
 use autodbaas_cloudsim::{FleetConfig, FleetSim};
 use autodbaas_core::{TdeConfig, TuningPolicy};
 use autodbaas_ctrlplane::{ServiceId, TunerKind};
-use autodbaas_simdb::{BackendKind, DbFlavor, InstanceType, MetricId};
+use autodbaas_simdb::{Backend, BackendKind, DbFlavor, InstanceType, MetricId};
 use autodbaas_telemetry::outln;
 use autodbaas_telemetry::{MILLIS_PER_HOUR, MILLIS_PER_MIN};
 use autodbaas_workload::{tpcc, AdulteratedWorkload, ArrivalProcess};

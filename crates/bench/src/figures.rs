@@ -2,7 +2,7 @@
 
 use autodbaas_cloudsim::{FleetConfig, FleetSim};
 use autodbaas_core::{TdeConfig, TuningPolicy};
-use autodbaas_simdb::{AnyBackend, Catalog, DbFlavor, DiskKind, InstanceType, MetricId};
+use autodbaas_simdb::{AnyBackend, Backend, Catalog, DbFlavor, DiskKind, InstanceType, MetricId};
 use autodbaas_telemetry::outln;
 use autodbaas_tuner::{normalize_config, Sample, SampleQuality, WorkloadId, WorkloadRepository};
 use autodbaas_workload::{tpcc, ArrivalProcess, MixWorkload, QuerySource};

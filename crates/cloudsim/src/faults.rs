@@ -1,16 +1,15 @@
-//! Deterministic, seeded fault injection for the fleet simulator.
+//! The fault vocabulary of the fleet simulator.
 //!
-//! A [`FaultPlan`] is an immutable, time-sorted schedule of [`FaultEvent`]s
-//! decided *before* the run — either the canonical [`FaultPlan::standard`]
-//! mix or a seeded random [`FaultPlan::generate`]. The [`FaultEngine`]
-//! hands events to [`crate::FleetSim`] as simulation time passes them.
-//! Nothing here draws randomness at injection time, so the same plan against
+//! A [`FaultKind`] names one injected failure and carries its parameters.
+//! Faults are scheduled as [`PlanAction::Fault`](crate::PlanAction::Fault)
+//! events of an [`InteractionPlan`](crate::InteractionPlan) — the canonical
+//! mix is [`InteractionPlan::standard_faults`](crate::InteractionPlan::standard_faults)
+//! — and injected by [`crate::FleetSim`] as simulation time passes them.
+//! Nothing draws randomness at injection time, so the same plan against
 //! the same fleet seed produces a bit-for-bit identical run (pinned by the
 //! chaos tests via the telemetry event-log fingerprint).
 
-use autodbaas_telemetry::SimTime;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use autodbaas_snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// One kind of injected failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,25 +77,8 @@ impl FaultKind {
     }
 }
 
-/// A scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultEvent {
-    /// When to inject.
-    pub at: SimTime,
-    /// Which fleet node (index into `FleetSim::nodes`).
-    pub node: usize,
-    /// What happens.
-    pub kind: FaultKind,
-}
-
-/// A time-sorted fault schedule.
-#[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
-    events: Vec<FaultEvent>,
-}
-
-/// The rotation [`FaultPlan::standard`] deals faults from.
-const STANDARD_ROTATION: [FaultKind; 8] = [
+/// One of each kind: the rotation the plan generators deal faults from.
+pub(crate) const STANDARD_ROTATION: [FaultKind; 8] = [
     FaultKind::VmCrash,
     FaultKind::DiskStall {
         duration_ms: 30_000,
@@ -113,114 +95,6 @@ const STANDARD_ROTATION: [FaultKind; 8] = [
         duration_ms: 120_000,
     },
 ];
-
-impl FaultPlan {
-    /// A plan from explicit events; sorted by `(at, node, kind)` so
-    /// injection order never depends on construction order — even for
-    /// events landing on the same node at the same tick, which matters when
-    /// the shrinker removes events and re-sorts the remainder.
-    pub fn new(mut events: Vec<FaultEvent>) -> Self {
-        events.sort_by_key(|e| (e.at, e.node, e.kind.sort_key()));
-        Self { events }
-    }
-
-    /// The canonical chaos mix used by fig16 and the smoke tests: two
-    /// rotations of the eight fault kinds dealt round-robin across the
-    /// fleet, evenly spaced over the first 75% of the run so the tail is
-    /// quiet enough for every recovery and reconciliation to land. Fully
-    /// deterministic — no RNG.
-    pub fn standard(n_nodes: usize, duration_ms: u64) -> Self {
-        assert!(n_nodes > 0);
-        let n_events = STANDARD_ROTATION.len() * 2;
-        let window = duration_ms * 3 / 4;
-        let events = (0..n_events)
-            .map(|i| FaultEvent {
-                at: window * (i as u64 + 1) / (n_events as u64 + 1),
-                node: i % n_nodes,
-                kind: STANDARD_ROTATION[i % STANDARD_ROTATION.len()],
-            })
-            .collect();
-        Self::new(events)
-    }
-
-    /// A seeded random plan: `n_events` faults at uniform times in the
-    /// first 75% of the run, uniform nodes, kinds drawn from the standard
-    /// rotation. Same `(seed, n_nodes, duration_ms, n_events)` ⇒ same plan.
-    pub fn generate(seed: u64, n_nodes: usize, duration_ms: u64, n_events: usize) -> Self {
-        assert!(n_nodes > 0);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xfa017);
-        let window = (duration_ms * 3 / 4).max(1);
-        let events = (0..n_events)
-            .map(|_| FaultEvent {
-                at: rng.gen_range(0..window),
-                node: rng.gen_range(0..n_nodes),
-                kind: STANDARD_ROTATION[rng.gen_range(0..STANDARD_ROTATION.len())],
-            })
-            .collect();
-        Self::new(events)
-    }
-
-    /// The schedule, time-sorted.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Time of the last scheduled fault (0 for an empty plan).
-    pub fn last_at(&self) -> SimTime {
-        self.events.last().map_or(0, |e| e.at)
-    }
-}
-
-/// Cursor over a [`FaultPlan`] during a run.
-#[derive(Debug, Clone)]
-pub struct FaultEngine {
-    plan: FaultPlan,
-    cursor: usize,
-}
-
-impl FaultEngine {
-    /// Engine over `plan`.
-    pub fn new(plan: FaultPlan) -> Self {
-        Self { plan, cursor: 0 }
-    }
-
-    /// Drain the events that have come due by `now`, in schedule order, into
-    /// a caller-owned scratch buffer. Each event is handed out exactly once.
-    /// `out` is cleared first; the per-tick callers reuse one buffer so the
-    /// hot path never allocates after warm-up, and because nothing borrows
-    /// from `self` at return the caller is free to inject against the same
-    /// struct that owns this engine.
-    pub fn take_due_into(&mut self, now: SimTime, out: &mut Vec<FaultEvent>) {
-        out.clear();
-        let start = self.cursor;
-        while self.cursor < self.plan.events.len() && self.plan.events[self.cursor].at <= now {
-            self.cursor += 1;
-        }
-        out.extend_from_slice(&self.plan.events[start..self.cursor]);
-    }
-
-    /// Faults not yet injected.
-    pub fn remaining(&self) -> usize {
-        self.plan.events.len() - self.cursor
-    }
-
-    /// The full plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-}
-
-use autodbaas_snapshot::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
 impl Snap for FaultKind {
     fn encode(&self, w: &mut SnapWriter) {
@@ -277,133 +151,5 @@ impl Snap for FaultKind {
                 })
             }
         })
-    }
-}
-
-snap_struct!(FaultEvent { at, node, kind });
-snap_struct!(FaultPlan { events });
-snap_struct!(FaultEngine { plan, cursor });
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn plans_are_time_sorted() {
-        let plan = FaultPlan::new(vec![
-            FaultEvent {
-                at: 500,
-                node: 1,
-                kind: FaultKind::VmCrash,
-            },
-            FaultEvent {
-                at: 100,
-                node: 0,
-                kind: FaultKind::RequestLoss,
-            },
-        ]);
-        assert_eq!(plan.events()[0].at, 100);
-        assert_eq!(plan.last_at(), 500);
-    }
-
-    #[test]
-    fn standard_plan_is_deterministic_and_covers_all_kinds() {
-        let a = FaultPlan::standard(4, 1_000_000);
-        let b = FaultPlan::standard(4, 1_000_000);
-        assert_eq!(a.events(), b.events());
-        assert_eq!(a.len(), 16);
-        for kind in STANDARD_ROTATION {
-            assert!(a.events().iter().any(|e| e.kind == kind));
-        }
-        // A quiet tail: nothing in the last quarter of the run.
-        assert!(a.last_at() <= 750_000);
-        // Every node gets hit.
-        for n in 0..4 {
-            assert!(a.events().iter().any(|e| e.node == n));
-        }
-    }
-
-    #[test]
-    fn generated_plans_reproduce_under_the_same_seed() {
-        let a = FaultPlan::generate(7, 3, 600_000, 20);
-        let b = FaultPlan::generate(7, 3, 600_000, 20);
-        let c = FaultPlan::generate(8, 3, 600_000, 20);
-        assert_eq!(a.events(), b.events());
-        assert_ne!(a.events(), c.events());
-        assert!(a.events().iter().all(|e| e.node < 3 && e.at < 450_000));
-    }
-
-    #[test]
-    fn engine_hands_out_each_event_once_in_order() {
-        let plan = FaultPlan::standard(2, 100_000);
-        let total = plan.len();
-        let mut engine = FaultEngine::new(plan);
-        let mut first = vec![FaultEvent {
-            at: 0,
-            node: 9,
-            kind: FaultKind::VmCrash,
-        }];
-        engine.take_due_into(40_000, &mut first);
-        assert!(!first.is_empty(), "stale contents must be cleared first");
-        assert!(first.iter().all(|e| e.node < 2));
-        assert!(first.windows(2).all(|w| w[0].at <= w[1].at));
-        let mut again = Vec::new();
-        engine.take_due_into(40_000, &mut again);
-        assert!(again.is_empty(), "events must not repeat");
-        let mut rest = Vec::new();
-        engine.take_due_into(u64::MAX, &mut rest);
-        assert_eq!(first.len() + rest.len(), total);
-        assert_eq!(engine.remaining(), 0);
-    }
-
-    #[test]
-    fn equal_timestamp_events_sort_by_node_then_kind() {
-        // Three events at the same tick, same node, inserted in three
-        // different orders — the plan must come out identical every time,
-        // so shrink steps that rebuild plans stay reproducible.
-        let e = |kind| FaultEvent {
-            at: 500,
-            node: 1,
-            kind,
-        };
-        let kinds = [
-            FaultKind::RequestLoss,
-            FaultKind::VmCrash,
-            FaultKind::DiskStall {
-                duration_ms: 30_000,
-                factor: 4.0,
-            },
-        ];
-        let a = FaultPlan::new(vec![e(kinds[0]), e(kinds[1]), e(kinds[2])]);
-        let b = FaultPlan::new(vec![e(kinds[2]), e(kinds[0]), e(kinds[1])]);
-        let c = FaultPlan::new(vec![e(kinds[1]), e(kinds[2]), e(kinds[0])]);
-        assert_eq!(a.events(), b.events());
-        assert_eq!(b.events(), c.events());
-        // Rank order: VmCrash < DiskStall < RequestLoss.
-        assert_eq!(a.events()[0].kind, FaultKind::VmCrash);
-        assert_eq!(a.events()[2].kind, FaultKind::RequestLoss);
-        // Same kind, different parameters: sorted by parameter bits.
-        let stall = |factor| FaultKind::DiskStall {
-            duration_ms: 10_000,
-            factor,
-        };
-        let p = FaultPlan::new(vec![e(stall(8.0)), e(stall(2.0))]);
-        let q = FaultPlan::new(vec![e(stall(2.0)), e(stall(8.0))]);
-        assert_eq!(p.events(), q.events());
-        assert_eq!(p.events()[0].kind, stall(2.0));
-        // Node is a stronger tiebreak than kind.
-        let n = FaultPlan::new(vec![
-            FaultEvent {
-                at: 500,
-                node: 2,
-                kind: FaultKind::VmCrash,
-            },
-            FaultEvent {
-                at: 500,
-                node: 0,
-                kind: FaultKind::RequestLoss,
-            },
-        ]);
-        assert_eq!(n.events()[0].node, 0);
     }
 }

@@ -13,24 +13,21 @@
 //! * [`shard`] — the persistent sharded tick engine every fleet steps on:
 //!   long-lived worker shards behind a generation barrier, bit-identical
 //!   to the one-shard drive (the plain loop) for any shard count;
-//! * [`faults`] — the deterministic seeded chaos engine driving the
-//!   robustness experiments (Fig. 16);
-//! * [`plan`] — interaction plans: the scenario simulator's superset of
-//!   fault plans (bursts, knob pushes, maintenance, replica churn);
-//! * [`runner`] — single-database drive helpers for the figure harnesses.
+//! * [`faults`] — the fault vocabulary of the robustness experiments
+//!   (Fig. 16);
+//! * [`plan`] — interaction plans, the fleet's one adversarial schedule:
+//!   faults, bursts, knob pushes, maintenance, replica churn.
 
 pub mod faults;
 pub mod node;
 pub mod plan;
-pub mod runner;
 pub mod safety;
 pub mod shard;
 pub mod sim;
 
-pub use faults::{FaultEngine, FaultEvent, FaultKind, FaultPlan};
+pub use faults::FaultKind;
 pub use node::{DeferredApply, DriveTick, InFlightRequest, ManagedDatabase, RollbackGuard};
 pub use plan::{InteractionPlan, PlanAction, PlanEngine, PlanEvent};
-pub use runner::{drive_workload, drive_workload_with_faults, ChaosDriveResult, DriveResult};
 pub use safety::{RegretLedger, SafeRegion, SafetyConfig, SafetyGovernor, WindowVerdict};
 pub use shard::{derived_shard_seed, DriveStats, HotState, ShardPool};
 pub use sim::{FleetConfig, FleetSim, RollbackPolicy, FRAME_FLEET};

@@ -4,7 +4,8 @@
 use autodbaas_core::{Tde, TdeConfig, TdeReport, TuningPolicy};
 use autodbaas_ctrlplane::ReplicaSet;
 use autodbaas_simdb::{
-    AnyBackend, Catalog, DbFlavor, DiskKind, InstanceType, KnobSet, MetricsSnapshot, SubmitResult,
+    AnyBackend, Backend, Catalog, DbFlavor, DiskKind, InstanceType, KnobSet, MetricsSnapshot,
+    SubmitResult,
 };
 use autodbaas_telemetry::SimTime;
 use autodbaas_tuner::WorkloadId;

@@ -1,22 +1,25 @@
-//! Interaction plans: the scenario simulator's superset of fault plans.
+//! Interaction plans: the fleet's one adversarial schedule.
 //!
-//! A [`FaultPlan`](crate::FaultPlan) schedules *failures*; an
-//! [`InteractionPlan`] schedules everything that can happen to a managed
-//! fleet — workload bursts, operator knob pushes, maintenance windows,
-//! replica churn, *and* every [`FaultKind`] — as one time-sorted script.
-//! The scenario crate generates these from weighted profiles, drives them
-//! through [`FleetSim`](crate::FleetSim) via
-//! [`FleetSim::enable_plan`](crate::FleetSim::enable_plan), and shrinks the
-//! failing ones; everything here is deterministic and RNG-free so a shrunk
-//! plan replays bit-for-bit.
+//! An [`InteractionPlan`] schedules everything that can happen to a managed
+//! fleet — every [`FaultKind`], workload bursts, operator knob pushes,
+//! maintenance windows, replica churn — as one immutable, time-sorted
+//! script decided *before* the run. [`FleetSim`](crate::FleetSim) delivers
+//! it through [`FleetSim::enable_plan`](crate::FleetSim::enable_plan). The
+//! chaos figure and tests use the fault-only generators
+//! ([`InteractionPlan::standard_faults`], [`InteractionPlan::random_faults`]);
+//! the scenario crate generates mixed plans from weighted profiles and
+//! shrinks the failing ones. Nothing draws randomness at delivery time, so
+//! a plan replays bit-for-bit.
 
-use crate::faults::FaultKind;
+use crate::faults::{FaultKind, STANDARD_ROTATION};
 use autodbaas_telemetry::{Fingerprint, SimTime};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// One thing that can happen to a fleet node at a scheduled time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlanAction {
-    /// Inject one chaos-engine fault (the [`FaultKind`] vocabulary).
+    /// Inject one fault (the [`FaultKind`] vocabulary).
     Fault(FaultKind),
     /// The tenant's traffic jumps to `rate_qps` for `duration_ms`, then
     /// reverts to whatever arrival process was running before the burst.
@@ -43,7 +46,7 @@ pub enum PlanAction {
 }
 
 impl PlanAction {
-    /// Total order for stable plan sorting, mirroring
+    /// Total order for stable plan sorting, extending
     /// [`FaultKind::sort_key`]: discriminant rank plus parameter bits
     /// (`f64` via `to_bits`; no generator produces NaN or negatives).
     fn sort_key(&self) -> (u8, u64, u64, u64) {
@@ -96,6 +99,17 @@ pub struct PlanEvent {
     pub action: PlanAction,
 }
 
+impl PlanEvent {
+    /// `kind` injected into `node` at `at`.
+    pub fn fault(at: SimTime, node: usize, kind: FaultKind) -> Self {
+        Self {
+            at,
+            node,
+            action: PlanAction::Fault(kind),
+        }
+    }
+}
+
 /// A time-sorted interaction schedule.
 ///
 /// # Examples
@@ -105,7 +119,7 @@ pub struct PlanEvent {
 ///
 /// let plan = InteractionPlan::new(vec![
 ///     PlanEvent { at: 60_000, node: 0, action: PlanAction::Maintenance },
-///     PlanEvent { at: 30_000, node: 1, action: PlanAction::Fault(FaultKind::VmCrash) },
+///     PlanEvent::fault(30_000, 1, FaultKind::VmCrash),
 /// ]);
 /// assert_eq!(plan.events()[0].at, 30_000);
 /// assert_eq!(plan.fingerprint(), plan.clone().fingerprint());
@@ -116,12 +130,53 @@ pub struct InteractionPlan {
 }
 
 impl InteractionPlan {
-    /// A plan from explicit events; sorted by `(at, node, action)` with the
-    /// same stable tiebreak as [`crate::FaultPlan::new`], so plans rebuilt
-    /// by the shrinker sort identically on every run.
+    /// A plan from explicit events; sorted by `(at, node, action)` so
+    /// delivery order never depends on construction order — even for
+    /// events landing on the same node at the same tick, which matters when
+    /// the shrinker removes events and re-sorts the remainder.
     pub fn new(mut events: Vec<PlanEvent>) -> Self {
         events.sort_by_key(|e| (e.at, e.node, e.action.sort_key()));
         Self { events }
+    }
+
+    /// The canonical chaos mix used by fig16 and the smoke tests: two
+    /// rotations of the eight fault kinds dealt round-robin across the
+    /// fleet, evenly spaced over the first 75% of the run so the tail is
+    /// quiet enough for every recovery and reconciliation to land. Fully
+    /// deterministic — no RNG.
+    pub fn standard_faults(n_nodes: usize, duration_ms: u64) -> Self {
+        assert!(n_nodes > 0);
+        let n_events = STANDARD_ROTATION.len() * 2;
+        let window = duration_ms * 3 / 4;
+        let events = (0..n_events)
+            .map(|i| {
+                PlanEvent::fault(
+                    window * (i as u64 + 1) / (n_events as u64 + 1),
+                    i % n_nodes,
+                    STANDARD_ROTATION[i % STANDARD_ROTATION.len()],
+                )
+            })
+            .collect();
+        Self::new(events)
+    }
+
+    /// A seeded random fault schedule: `n_events` faults at uniform times
+    /// in the first 75% of the run, uniform nodes, kinds drawn from the
+    /// standard rotation. Same `(seed, n_nodes, duration_ms, n_events)` ⇒
+    /// same plan.
+    pub fn random_faults(seed: u64, n_nodes: usize, duration_ms: u64, n_events: usize) -> Self {
+        assert!(n_nodes > 0);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xfa017);
+        let window = (duration_ms * 3 / 4).max(1);
+        let events = (0..n_events)
+            .map(|_| {
+                let at = rng.gen_range(0..window);
+                let node = rng.gen_range(0..n_nodes);
+                let kind = STANDARD_ROTATION[rng.gen_range(0..STANDARD_ROTATION.len())];
+                PlanEvent::fault(at, node, kind)
+            })
+            .collect();
+        Self::new(events)
     }
 
     /// The schedule, time-sorted.
@@ -163,8 +218,7 @@ impl InteractionPlan {
     }
 }
 
-/// Cursor over an [`InteractionPlan`] during a run; same contract as
-/// [`crate::FaultEngine`].
+/// Cursor over an [`InteractionPlan`] during a run.
 #[derive(Debug, Clone)]
 pub struct PlanEngine {
     plan: InteractionPlan,
@@ -177,8 +231,12 @@ impl PlanEngine {
         Self { plan, cursor: 0 }
     }
 
-    /// Drain the events due by `now`, in schedule order, into a caller-owned
-    /// scratch buffer (cleared first). Each event is handed out exactly once.
+    /// Drain the events that have come due by `now`, in schedule order, into
+    /// a caller-owned scratch buffer. Each event is handed out exactly once.
+    /// `out` is cleared first; the per-tick caller reuses one buffer so the
+    /// hot path never allocates after warm-up, and because nothing borrows
+    /// from `self` at return the caller is free to deliver against the same
+    /// struct that owns this engine.
     pub fn take_due_into(&mut self, now: SimTime, out: &mut Vec<PlanEvent>) {
         out.clear();
         let start = self.cursor;
@@ -286,6 +344,105 @@ mod tests {
         assert_eq!(c.events()[0].node, 1);
         assert_eq!(c.events()[2].at, 600);
         assert_eq!(c.last_at(), 600);
+        // Fault kinds rank VmCrash < DiskStall < RequestLoss; the same kind
+        // with different parameters sorts by parameter bits.
+        let stall = |factor| FaultKind::DiskStall {
+            duration_ms: 10_000,
+            factor,
+        };
+        let kinds = [
+            FaultKind::RequestLoss,
+            stall(8.0),
+            FaultKind::VmCrash,
+            stall(2.0),
+        ];
+        let d = InteractionPlan::new(kinds.iter().map(|&k| PlanEvent::fault(500, 1, k)).collect());
+        let e = InteractionPlan::new(
+            kinds
+                .iter()
+                .rev()
+                .map(|&k| PlanEvent::fault(500, 1, k))
+                .collect(),
+        );
+        assert_eq!(d.events(), e.events());
+        let sorted: Vec<_> = d.events().iter().map(|e| e.action).collect();
+        let expect = [
+            FaultKind::VmCrash,
+            stall(2.0),
+            stall(8.0),
+            FaultKind::RequestLoss,
+        ];
+        assert_eq!(sorted, expect.map(PlanAction::Fault));
+        // Node is a stronger tiebreak than kind.
+        let n = InteractionPlan::new(vec![
+            PlanEvent::fault(500, 2, FaultKind::VmCrash),
+            PlanEvent::fault(500, 0, FaultKind::RequestLoss),
+        ]);
+        assert_eq!(n.events()[0].node, 0);
+    }
+
+    fn kinds(plan: &InteractionPlan) -> Vec<FaultKind> {
+        plan.events()
+            .iter()
+            .map(|e| match e.action {
+                PlanAction::Fault(kind) => kind,
+                other => panic!("fault generators emit only faults, got {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn standard_plan_is_deterministic_and_covers_all_kinds() {
+        let a = InteractionPlan::standard_faults(4, 1_000_000);
+        let b = InteractionPlan::standard_faults(4, 1_000_000);
+        assert_eq!(a.events(), b.events());
+        assert_eq!(a.len(), 16);
+        let dealt = kinds(&a);
+        assert!(STANDARD_ROTATION.iter().all(|kind| dealt.contains(kind)));
+        // A quiet tail: nothing in the last quarter of the run.
+        assert!(a.last_at() <= 750_000);
+        // Every node gets hit.
+        for n in 0..4 {
+            assert!(a.events().iter().any(|e| e.node == n));
+        }
+    }
+
+    #[test]
+    fn generated_plans_reproduce_under_the_same_seed() {
+        let a = InteractionPlan::random_faults(7, 3, 600_000, 20);
+        let b = InteractionPlan::random_faults(7, 3, 600_000, 20);
+        let c = InteractionPlan::random_faults(8, 3, 600_000, 20);
+        assert_eq!(a.events(), b.events());
+        assert_ne!(a.events(), c.events());
+        assert_eq!(kinds(&a).len(), 20);
+        assert!(a.events().iter().all(|e| e.node < 3 && e.at < 450_000));
+    }
+
+    /// The generators' arithmetic, the `seed ^ 0xfa017` stream and the draw
+    /// order (`at`, `node`, kind) are part of every pinned chaos
+    /// fingerprint (fig16, EXPERIMENTS.md), so the schedules are goldens.
+    #[test]
+    fn fault_generators_match_their_goldens() {
+        const MIN: u64 = 60_000;
+        let standard = InteractionPlan::standard_faults(5, 45 * MIN);
+        assert_eq!(standard.len(), 16);
+        for (got, want) in [
+            (standard, 0x322add7bbef5b3e1u64),
+            (
+                InteractionPlan::random_faults(43, 5, 45 * MIN, 16),
+                0x754056d60dd2d1ee,
+            ),
+            (
+                InteractionPlan::standard_faults(2, 8 * MIN),
+                0x4f7cc9a343596298,
+            ),
+            (
+                InteractionPlan::random_faults(99, 2, 8 * MIN, 12),
+                0x4e6c4c58ce45ca14,
+            ),
+        ] {
+            assert_eq!(got.fingerprint(), want, "{:016x}", got.fingerprint());
+        }
     }
 
     #[test]

@@ -405,7 +405,7 @@ snap_struct!(HotState {
 mod tests {
     use super::*;
     use autodbaas_core::{TdeConfig, TuningPolicy};
-    use autodbaas_simdb::{DbFlavor, DiskKind, InstanceType, MetricId};
+    use autodbaas_simdb::{Backend, DbFlavor, DiskKind, InstanceType, MetricId};
     use autodbaas_tuner::WorkloadId;
     use autodbaas_workload::{tpcc, ArrivalProcess};
 

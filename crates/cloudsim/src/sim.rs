@@ -6,7 +6,7 @@
 //! scalability run (Fig. 9), the throttle censuses (Figs. 10/11/14), and
 //! the throughput-with/without-TDE comparisons (Figs. 12/13).
 
-use crate::faults::{FaultEngine, FaultEvent, FaultKind, FaultPlan};
+use crate::faults::FaultKind;
 use crate::node::{DeferredApply, InFlightRequest, ManagedDatabase, RollbackGuard};
 use crate::plan::{InteractionPlan, PlanAction, PlanEngine, PlanEvent};
 use crate::safety::{SafetyConfig, SafetyGovernor};
@@ -16,7 +16,7 @@ use autodbaas_ctrlplane::{
     ApplyError, ConfigDirector, RecommendationMeter, ReconcileOutcome, Reconciler, ServiceId,
     ServiceOrchestrator, TunerKind, WindowStat,
 };
-use autodbaas_simdb::{AnyBackend, ApplyMode, ConfigChange, MetricId};
+use autodbaas_simdb::{AnyBackend, ApplyMode, Backend, ConfigChange, MetricId};
 use autodbaas_telemetry::{EventLog, SimTime};
 use autodbaas_tuner::{
     assess_quality, denormalize_config, normalize_config, BoConfig, BoTuner, RlConfig, RlTuner,
@@ -189,9 +189,7 @@ pub struct FleetSim {
     backend: TunerBackend,
     /// One §4 reconciler per node, watching live config against [`Self::orch`].
     reconcilers: Vec<Reconciler>,
-    /// Scheduled fault injection, when armed via [`FleetSim::enable_chaos`].
-    chaos: Option<FaultEngine>,
-    /// Scheduled interaction plan, when armed via [`FleetSim::enable_plan`].
+    /// The adversarial schedule, when armed via [`FleetSim::enable_plan`].
     plan: Option<PlanEngine>,
     /// Arrival processes to restore when running bursts end:
     /// `(revert_at, node, saved_arrival)`.
@@ -210,8 +208,6 @@ pub struct FleetSim {
     hot: HotState,
     /// Fleet drive totals merged from the shard outputs.
     drive_stats: DriveStats,
-    /// Reusable scratch for the per-tick chaos drain.
-    fault_scratch: Vec<FaultEvent>,
     /// Reusable scratch for the per-tick plan drain.
     plan_scratch: Vec<PlanEvent>,
     /// Reusable scratch for the per-round batched window ingestion.
@@ -251,7 +247,6 @@ impl FleetSim {
             events: EventLog::default(),
             backend,
             reconcilers: Vec::new(),
-            chaos: None,
             plan: None,
             burst_revert: Vec::new(),
             tuner_outage_until: 0,
@@ -260,7 +255,6 @@ impl FleetSim {
             pool: None,
             hot: HotState::new(),
             drive_stats: DriveStats::default(),
-            fault_scratch: Vec::new(),
             plan_scratch: Vec::new(),
             window_scratch: Vec::new(),
             now: 0,
@@ -269,22 +263,9 @@ impl FleetSim {
         }
     }
 
-    /// Arm the chaos engine: `plan`'s faults inject themselves as simulated
-    /// time passes them, and the reconcilers switch to continuous watching.
-    pub fn enable_chaos(&mut self, plan: FaultPlan) {
-        self.chaos = Some(FaultEngine::new(plan));
-    }
-
-    /// Scheduled faults not yet injected (0 when chaos is off).
-    pub fn faults_remaining(&self) -> usize {
-        self.chaos.as_ref().map_or(0, |e| e.remaining())
-    }
-
-    /// Arm an interaction plan (the scenario simulator's chaos superset):
-    /// bursts, knob pushes, maintenance windows, replica churn and faults
-    /// inject themselves as simulated time passes them, and the reconcilers
-    /// switch to continuous watching, exactly as under
-    /// [`FleetSim::enable_chaos`].
+    /// Arm an interaction plan: faults, bursts, knob pushes, maintenance
+    /// windows and replica churn inject themselves as simulated time passes
+    /// them, and the reconcilers switch to continuous watching.
     pub fn enable_plan(&mut self, plan: InteractionPlan) {
         self.plan = Some(PlanEngine::new(plan));
     }
@@ -509,22 +490,7 @@ impl FleetSim {
     pub fn step(&mut self) {
         self.now += self.cfg.tick_ms;
 
-        // 0. Chaos: inject every scheduled fault that came due this tick,
-        // drained through a reusable scratch buffer (the per-tick `to_vec`
-        // this replaces allocated on every tick of every chaos run).
-        if self.chaos.is_some() {
-            let mut due = std::mem::take(&mut self.fault_scratch);
-            self.chaos
-                .as_mut()
-                .expect("checked above")
-                .take_due_into(self.now, &mut due);
-            for &ev in &due {
-                self.inject(ev);
-            }
-            self.fault_scratch = due;
-        }
-
-        // 0b. Interaction plan: revert ended bursts, then deliver every
+        // 0. Interaction plan: revert ended bursts, then deliver every
         // scheduled interaction that came due this tick. Both run before
         // the traffic phase, so every shard count sees identical node
         // state at every tick.
@@ -561,10 +527,10 @@ impl FleetSim {
             }
         }
 
-        // 5. Reconcilers watch continuously while chaos or a plan is
-        // active (faults create drift at arbitrary times); in quiet runs a
-        // per-window check after the TDE round is equivalent and cheaper.
-        let adversarial = self.chaos.is_some() || self.plan.is_some();
+        // 5. Reconcilers watch continuously while a plan is armed (faults
+        // create drift at arbitrary times); in quiet runs a per-window
+        // check after the TDE round is equivalent and cheaper.
+        let adversarial = self.plan.is_some();
         if adversarial {
             self.reconcile_all();
         }
@@ -599,14 +565,10 @@ impl FleetSim {
         self.hot.set_control_due(idx, due);
     }
 
-    /// Inject one scheduled fault.
-    fn inject(&mut self, ev: FaultEvent) {
-        if ev.node >= self.nodes.len() {
-            return; // plan generated for a bigger fleet: ignore
-        }
-        let idx = ev.node;
+    /// Inject one fault into node `idx` (bounds-checked by the caller).
+    fn inject(&mut self, idx: usize, kind: FaultKind) {
         let target = idx as u64;
-        match ev.kind {
+        match kind {
             FaultKind::VmCrash => {
                 self.events.emit(self.now, "fault.vm_crash", target);
                 self.handle_master_crash(idx);
@@ -701,11 +663,7 @@ impl FleetSim {
         let idx = ev.node;
         let target = idx as u64;
         match ev.action {
-            PlanAction::Fault(kind) => self.inject(FaultEvent {
-                at: ev.at,
-                node: idx,
-                kind,
-            }),
+            PlanAction::Fault(kind) => self.inject(idx, kind),
             PlanAction::Burst {
                 rate_qps,
                 duration_ms,
@@ -1341,7 +1299,6 @@ impl Snap for FleetSim {
         self.events.encode(w);
         self.backend.encode(w);
         self.reconcilers.encode(w);
-        self.chaos.encode(w);
         self.plan.encode(w);
         self.burst_revert.encode(w);
         self.tuner_outage_until.encode(w);
@@ -1369,7 +1326,6 @@ impl Snap for FleetSim {
         let events = EventLog::decode(r)?;
         let backend = TunerBackend::decode(r)?;
         let reconcilers = Vec::<Reconciler>::decode(r)?;
-        let chaos = Option::<FaultEngine>::decode(r)?;
         let plan = Option::<PlanEngine>::decode(r)?;
         let burst_revert = Vec::<(SimTime, usize, ArrivalProcess)>::decode(r)?;
         let tuner_outage_until = SimTime::decode(r)?;
@@ -1398,7 +1354,6 @@ impl Snap for FleetSim {
             events,
             backend,
             reconcilers,
-            chaos,
             plan,
             burst_revert,
             tuner_outage_until,
@@ -1407,7 +1362,6 @@ impl Snap for FleetSim {
             pool: None,
             hot,
             drive_stats,
-            fault_scratch: Vec::new(),
             plan_scratch: Vec::new(),
             window_scratch: Vec::new(),
             now,
@@ -1638,7 +1592,7 @@ mod tests {
     #[test]
     fn naive_and_gated_engines_are_bit_identical() {
         use crate::plan::{InteractionPlan, PlanAction, PlanEvent};
-        let fault = |at, node, kind| FaultEvent { at, node, kind };
+        let fault = PlanEvent::fault;
         let act = |at, node, action| PlanEvent { at, node, action };
         let build = |shards: usize| {
             let mut sim = FleetSim::new(
@@ -1678,7 +1632,7 @@ mod tests {
                 sim.add_node(node, &format!("db-{i}"));
             }
             // Every node requests at t = 120 s and is answered at 121 s.
-            sim.enable_chaos(FaultPlan::new(vec![
+            sim.enable_plan(InteractionPlan::new(vec![
                 fault(30_000, 1, FaultKind::VmCrash), // HA: failover + rejoin
                 fault(30_000, 3, FaultKind::VmCrash), // solo: restart
                 fault(110_000, 0, FaultKind::ReplicaLagSpike { pause_ms: 60_000 }),
@@ -1692,8 +1646,6 @@ mod tests {
                         duration_ms: 60_000,
                     },
                 ),
-            ]));
-            sim.enable_plan(InteractionPlan::new(vec![
                 act(
                     40_000,
                     6,
@@ -1869,6 +1821,62 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert_eq!(serial.events.fingerprint(), sharded.events.fingerprint());
+    }
+
+    /// Within a tick, burst reverts run before plan delivery: a fault due
+    /// on the tick a burst ends on the same node lands after the revert.
+    #[test]
+    fn burst_end_precedes_a_fault_due_on_the_same_tick() {
+        let labels = |shards: usize| -> Vec<(SimTime, &'static str, u64)> {
+            let mut sim = FleetSim::new(
+                FleetConfig {
+                    shards,
+                    ..FleetConfig::default()
+                },
+                1,
+            );
+            for i in 0..3 {
+                sim.add_node(
+                    make_node(TuningPolicy::TdeDriven, 40 + i),
+                    &format!("db-{i}"),
+                );
+            }
+            sim.enable_plan(InteractionPlan::new(vec![
+                PlanEvent {
+                    at: 10_000,
+                    node: 1,
+                    action: PlanAction::Burst {
+                        rate_qps: 900.0,
+                        duration_ms: 20_000,
+                    },
+                },
+                PlanEvent::fault(
+                    30_000,
+                    1,
+                    FaultKind::DiskStall {
+                        duration_ms: 5_000,
+                        factor: 4.0,
+                    },
+                ),
+            ]));
+            sim.run_for(40_000);
+            assert_eq!(sim.shard_count(), shards);
+            sim.events
+                .events()
+                .iter()
+                .map(|e| (e.at, e.kind, e.target))
+                .collect()
+        };
+        let one = labels(1);
+        assert_eq!(
+            one,
+            [
+                (10_000, "plan.burst", 1),
+                (30_000, "plan.burst_end", 1),
+                (30_000, "fault.disk_stall", 1),
+            ]
+        );
+        assert_eq!(one, labels(3));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! implements the slave-first protocol with fault injection for tests.
 
 use autodbaas_simdb::{
-    AnyBackend, ApplyMode, ApplyReport, Catalog, ConfigChange, DbFlavor, DiskKind, InstanceType,
-    ReplicationSlot,
+    AnyBackend, ApplyMode, ApplyReport, Backend, Catalog, ConfigChange, DbFlavor, DiskKind,
+    InstanceType, ReplicationSlot,
 };
 
 /// Why an apply was rejected.

@@ -13,7 +13,7 @@
 
 use crate::apply::{ApplyError, ReplicaSet};
 use crate::orchestrator::{Credentials, ServiceId, ServiceOrchestrator};
-use autodbaas_simdb::{ApplyMode, ApplyReport, ConfigChange, DbFlavor, KnobProfile};
+use autodbaas_simdb::{ApplyMode, ApplyReport, Backend, ConfigChange, DbFlavor, KnobProfile};
 use autodbaas_tuner::denormalize_config;
 
 /// Errors surfaced by the DFA.

@@ -8,7 +8,7 @@
 
 use crate::apply::ReplicaSet;
 use autodbaas_simdb::{
-    ApplyMode, Catalog, ConfigChange, DbFlavor, DiskKind, InstanceType, KnobSet,
+    ApplyMode, Backend, Catalog, ConfigChange, DbFlavor, DiskKind, InstanceType, KnobSet,
 };
 use std::collections::HashMap;
 

@@ -11,7 +11,7 @@
 
 use crate::apply::ReplicaSet;
 use crate::orchestrator::{ServiceId, ServiceOrchestrator};
-use autodbaas_simdb::{ApplyMode, ConfigChange};
+use autodbaas_simdb::{ApplyMode, Backend, ConfigChange};
 use autodbaas_telemetry::SimTime;
 
 /// What a reconciler check concluded.

@@ -8,9 +8,8 @@
 //! unseeded RNG, or hash-iteration-order dependence into a sim path. This
 //! crate is that gate. It carries its own Rust lexer ([`lexer`]) so it has
 //! zero external dependencies, a rule registry ([`rules`]) with per-crate
-//! scoping, a `// detlint-allow: <RULE> <reason>` suppression syntax that
-//! requires a reason, and a committed baseline ([`baseline`]) so the gate
-//! runs strict from day one.
+//! scoping, and one suppression syntax, `// detlint-allow: <RULE> <reason>`,
+//! that requires a reason.
 //!
 //! v2 adds structural analysis on top of the same lexer: a
 //! recursive-descent parser ([`parse`] → [`ast`]) producing a coarse
@@ -24,20 +23,18 @@
 //!
 //! Three entry points:
 //! - `cargo run -p autodbaas-lint` — human output, exit 1 on findings;
-//! - `tests/lint_clean.rs` (tier-1) — fails the build on any
-//!   non-baselined finding via [`run_workspace`];
+//! - `tests/lint_clean.rs` (tier-1) — fails the build on any active
+//!   finding via [`run_workspace`];
 //! - `cargo run -p autodbaas-lint -- --json` — machine-readable output
-//!   (schema v2; v1 consumers fail loudly on the missing `active` field).
+//!   (schema v3; v1 consumers fail loudly on the missing `active` field).
 
 pub mod ast;
-pub mod baseline;
 pub mod callgraph;
 pub mod flow;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
 
-use baseline::{Baseline, BaselineError};
 use callgraph::GraphStats;
 use rules::{all_rules, FileCtx, Finding, Rule};
 use std::path::{Path, PathBuf};
@@ -49,8 +46,6 @@ pub enum Disposition {
     Active,
     /// Silenced by a reasoned `detlint-allow` comment.
     Suppressed,
-    /// Grandfathered by a baseline entry.
-    Baselined,
 }
 
 /// One finding plus its disposition.
@@ -73,7 +68,7 @@ pub struct SourceFile {
     pub src: String,
 }
 
-/// The result of linting a set of sources (no baseline applied yet).
+/// The result of linting a set of sources.
 #[derive(Debug)]
 pub struct LintRun {
     /// Every finding with allow-suppression already applied.
@@ -89,10 +84,6 @@ pub struct Report {
     pub diagnostics: Vec<Diagnosed>,
     /// Files analyzed.
     pub files_scanned: usize,
-    /// Baseline entries that matched nothing (candidates for deletion).
-    pub stale_baseline: Vec<baseline::BaselineEntry>,
-    /// Root-relative path of the baseline file (for stale-entry output).
-    pub baseline_file: String,
     /// Call-graph resolution accounting.
     pub graph: GraphStats,
 }
@@ -403,42 +394,8 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Errors from a workspace run.
-#[derive(Debug)]
-pub enum RunError {
-    /// I/O failure reading sources.
-    Io(std::io::Error),
-    /// The baseline file is unusable.
-    Baseline(BaselineError),
-}
-
-impl std::fmt::Display for RunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunError::Io(e) => write!(f, "io error: {e}"),
-            RunError::Baseline(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl From<std::io::Error> for RunError {
-    fn from(e: std::io::Error) -> Self {
-        RunError::Io(e)
-    }
-}
-
-/// Lint the whole workspace rooted at `root`, applying the baseline at
-/// `root/lint_baseline.toml` when present (or `baseline_path` when given).
-pub fn run_workspace(root: &Path, baseline_path: Option<&Path>) -> Result<Report, RunError> {
-    let bl_path = baseline_path
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| root.join("lint_baseline.toml"));
-    let baseline = if bl_path.is_file() {
-        Baseline::parse(&std::fs::read_to_string(&bl_path)?).map_err(RunError::Baseline)?
-    } else {
-        Baseline::default()
-    };
-
+/// Lint the whole workspace rooted at `root`.
+pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     let paths = workspace_files(root)?;
     let mut sources = Vec::with_capacity(paths.len());
     for file in &paths {
@@ -457,32 +414,10 @@ pub fn run_workspace(root: &Path, baseline_path: Option<&Path>) -> Result<Report
     let run = lint_sources(&sources);
 
     let mut report = Report {
+        diagnostics: run.diagnostics,
         files_scanned: sources.len(),
         graph: run.graph,
-        baseline_file: bl_path
-            .strip_prefix(root)
-            .unwrap_or(&bl_path)
-            .to_string_lossy()
-            .replace('\\', "/"),
-        ..Report::default()
     };
-    let mut matched = vec![false; baseline.entries.len()];
-    for mut d in run.diagnostics {
-        if d.disposition == Disposition::Active {
-            if let Some(idx) = baseline.matches(&d.finding) {
-                matched[idx] = true;
-                d.disposition = Disposition::Baselined;
-            }
-        }
-        report.diagnostics.push(d);
-    }
-    report.stale_baseline = baseline
-        .entries
-        .iter()
-        .zip(&matched)
-        .filter(|(_, m)| !**m)
-        .map(|(e, _)| e.clone())
-        .collect();
     report.diagnostics.sort_by(|a, b| {
         (&a.finding.file, a.finding.line, a.finding.rule).cmp(&(
             &b.finding.file,
@@ -506,7 +441,6 @@ pub fn render_human(report: &Report) -> String {
         let tag = match d.disposition {
             Disposition::Active => "",
             Disposition::Suppressed => " [allowed]",
-            Disposition::Baselined => " [baselined]",
         };
         if d.disposition == Disposition::Active {
             out.push_str(&format!(
@@ -532,40 +466,22 @@ pub fn render_human(report: &Report) -> String {
             ));
         }
     }
-    let bl = if report.baseline_file.is_empty() {
-        "lint_baseline.toml"
-    } else {
-        &report.baseline_file
-    };
-    for e in &report.stale_baseline {
-        out.push_str(&format!(
-            "warning: stale baseline entry at {bl}:{}: {} in {} (`{}`) matches no \
-             finding — the code was fixed, delete this [[finding]] block\n",
-            e.line, e.rule, e.file, e.key
-        ));
-    }
     let suppressed = report
         .diagnostics
         .iter()
         .filter(|d| d.disposition == Disposition::Suppressed)
         .count();
-    let baselined = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.disposition == Disposition::Baselined)
-        .count();
     let g = &report.graph;
     out.push_str(&format!(
         "detlint: {} files, {} fns, {} call edges (+{} ambiguous, {} external), \
-         {} active finding(s), {} allowed, {} baselined\n",
+         {} active finding(s), {} allowed\n",
         report.files_scanned,
         g.functions,
         g.resolved_edges,
         g.ambiguous_edges,
         g.external_calls,
         report.active_count(),
-        suppressed,
-        baselined
+        suppressed
     ));
     if report.active_count() > 0 {
         out.push_str("run `cargo run -p autodbaas-lint -- --explain <RULE>` for rule details\n");
@@ -573,11 +489,12 @@ pub fn render_human(report: &Report) -> String {
     out
 }
 
-/// Render the report as JSON, schema v2 (hand-rolled; no serde in this
-/// workspace). v2 moves the per-disposition counts under `counts` and
-/// drops the v1 top-level `active` field on purpose: a v1 consumer that
+/// Render the report as JSON, schema v3 (hand-rolled; no serde in this
+/// workspace). v2 moved the per-disposition counts under `counts` and
+/// dropped the v1 top-level `active` field on purpose: a v1 consumer that
 /// reads `.active` must fail loudly rather than silently mis-parse, and
-/// `schema_version` tells it why.
+/// `schema_version` tells it why. v3 drops `counts.baselined` with the
+/// baseline file.
 pub fn render_json(report: &Report) -> String {
     fn esc(s: &str) -> String {
         let mut out = String::with_capacity(s.len() + 2);
@@ -600,7 +517,6 @@ pub fn render_json(report: &Report) -> String {
         let disp = match d.disposition {
             Disposition::Active => "active",
             Disposition::Suppressed => "suppressed",
-            Disposition::Baselined => "baselined",
         };
         let chain = f
             .chain
@@ -636,22 +552,16 @@ pub fn render_json(report: &Report) -> String {
         .iter()
         .filter(|d| d.disposition == Disposition::Suppressed)
         .count();
-    let baselined = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.disposition == Disposition::Baselined)
-        .count();
     let g = &report.graph;
     format!(
-        "{{\"schema_version\":2,\"files_scanned\":{},\
-         \"counts\":{{\"active\":{},\"suppressed\":{},\"baselined\":{}}},\
+        "{{\"schema_version\":3,\"files_scanned\":{},\
+         \"counts\":{{\"active\":{},\"suppressed\":{}}},\
          \"callgraph\":{{\"functions\":{},\"resolved_edges\":{},\
          \"ambiguous_edges\":{},\"external_calls\":{}}},\
          \"findings\":[{}]}}\n",
         report.files_scanned,
         report.active_count(),
         suppressed,
-        baselined,
         g.functions,
         g.resolved_edges,
         g.ambiguous_edges,
@@ -739,7 +649,7 @@ fn f() { let t = Instant::now(); let r = rand::thread_rng(); }
     }
 
     #[test]
-    fn json_v2_shape_escapes_and_counts() {
+    fn json_v3_shape_escapes_and_counts() {
         let src = "fn f() { let t = Instant::now(); } // has \"quotes\" in line\n";
         let ds = lint_source("crates/simdb/src/x.rs", "simdb", src);
         let report = Report {
@@ -748,8 +658,8 @@ fn f() { let t = Instant::now(); let r = rand::thread_rng(); }
             ..Report::default()
         };
         let json = render_json(&report);
-        assert!(json.contains("\"schema_version\":2"));
-        assert!(json.contains("\"counts\":{\"active\":1,\"suppressed\":0,\"baselined\":0}"));
+        assert!(json.contains("\"schema_version\":3"));
+        assert!(json.contains("\"counts\":{\"active\":1,\"suppressed\":0}"));
         assert!(json.contains("\"category\":\"determinism\""));
         assert!(json.contains("\"chain\":[]"));
         assert!(json.contains("\"callgraph\":"));
@@ -853,7 +763,7 @@ fn f() { let t = Instant::now(); let r = rand::thread_rng(); }
     }
 
     #[test]
-    fn render_human_prints_chain_and_stale_baseline_location() {
+    fn render_human_prints_the_call_chain() {
         let files = vec![
             SourceFile {
                 path: "crates/ctrlplane/src/d.rs".into(),
@@ -870,24 +780,11 @@ fn f() { let t = Instant::now(); let r = rand::thread_rng(); }
         let report = Report {
             diagnostics: run.diagnostics,
             files_scanned: 2,
-            stale_baseline: vec![baseline::BaselineEntry {
-                rule: "R001".into(),
-                file: "crates/gone.rs".into(),
-                key: "x.unwrap();".into(),
-                reason: "old".into(),
-                line: 12,
-            }],
-            baseline_file: "lint_baseline.toml".into(),
             graph: run.graph,
         };
         let text = render_human(&report);
         assert!(text.contains("call chain:"));
         assert!(text.contains("1. ctrlplane::d::reconcile"));
         assert!(text.contains("2. simdb::apply"));
-        assert!(
-            text.contains("stale baseline entry at lint_baseline.toml:12: R001 in crates/gone.rs"),
-            "stale entries must carry baseline file:line, rule and source file:\n{text}"
-        );
-        assert!(text.contains("delete this [[finding]] block"));
     }
 }

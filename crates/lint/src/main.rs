@@ -5,7 +5,7 @@
 //! cargo run -p autodbaas-lint -- --json        # machine-readable output
 //! cargo run -p autodbaas-lint -- --explain D003
 //! cargo run -p autodbaas-lint -- --list        # rule summary table
-//! cargo run -p autodbaas-lint -- --root <dir> --baseline <file>
+//! cargo run -p autodbaas-lint -- --root <dir>
 //! ```
 //!
 //! Exit codes: 0 clean, 1 active findings, 2 usage/config error.
@@ -14,8 +14,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> &'static str {
-    "usage: autodbaas-lint [--json] [--explain RULE] [--list] \
-     [--root DIR] [--baseline FILE] [--no-baseline]"
+    "usage: autodbaas-lint [--json] [--explain RULE] [--list] [--root DIR]"
 }
 
 /// Print to stdout, tolerating a closed pipe (`autodbaas-lint | head`
@@ -31,15 +30,12 @@ fn main() -> ExitCode {
     let mut explain: Option<String> = None;
     let mut list = false;
     let mut root: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut no_baseline = false;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => json = true,
             "--list" => list = true,
-            "--no-baseline" => no_baseline = true,
             "--explain" => match it.next() {
                 Some(r) => explain = Some(r.clone()),
                 None => {
@@ -51,13 +47,6 @@ fn main() -> ExitCode {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => {
                     eprintln!("error: --root needs a directory\n{}", usage());
-                    return ExitCode::from(2);
-                }
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --baseline needs a file\n{}", usage());
                     return ExitCode::from(2);
                 }
             },
@@ -107,14 +96,8 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     }
-    let baseline_arg = if no_baseline {
-        // Point at a name that cannot exist so the run is baseline-free.
-        Some(root.join(".detlint-no-baseline"))
-    } else {
-        baseline
-    };
 
-    match autodbaas_lint::run_workspace(&root, baseline_arg.as_deref()) {
+    match autodbaas_lint::run_workspace(&root) {
         Ok(report) => {
             if json {
                 emit(&autodbaas_lint::render_json(&report));
@@ -128,7 +111,7 @@ fn main() -> ExitCode {
             }
         }
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: io error: {e}");
             ExitCode::from(2)
         }
     }

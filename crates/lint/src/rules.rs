@@ -5,8 +5,8 @@
 //! one file plus enough workspace context (crate name, test regions) to
 //! scope itself. Rules match *token patterns*, never raw text, so string
 //! literals and comments can't produce false positives; the trade-off is
-//! that rules are heuristic (no type inference), which the baseline and
-//! `detlint-allow` escape hatches exist to absorb.
+//! that rules are heuristic (no type inference), which the
+//! `detlint-allow` escape hatch exists to absorb.
 
 use crate::lexer::{TokKind, Token};
 
@@ -34,8 +34,7 @@ pub struct Finding {
     pub line: u32,
     /// 1-based byte column.
     pub col: u32,
-    /// The trimmed source line — also the baseline matching key, so
-    /// baselined findings survive unrelated line-number drift.
+    /// The trimmed source line.
     pub snippet: String,
     /// Human-readable diagnostic.
     pub message: String,
@@ -643,7 +642,7 @@ S001 — suppression without a justification
 line, but only with a non-empty reason: an unexplained suppression is
 indistinguishable from a silenced bug two PRs later. S001 fires on any
 `detlint-allow` comment whose reason is missing. S001 itself cannot be
-suppressed or baselined.
+suppressed.
 
 Fix: state the bound or invariant that makes the finding a false
 positive, e.g. `// detlint-allow: R002 profile length is < 2^16 by

@@ -13,9 +13,8 @@ use rand::{Rng, SeedableRng};
 /// Generate the interaction plan for `(profile, seed)`.
 ///
 /// Events land at uniform times in the first 75% of the profile's run
-/// (mirroring [`FaultPlan::generate`](autodbaas_cloudsim::FaultPlan)), on
-/// uniform nodes, with action classes drawn from the profile's weighted
-/// dice. The plan is sorted by `(at, node, action)` like every plan in the
+/// (mirroring [`InteractionPlan::random_faults`]), on uniform nodes, with
+/// action classes drawn from the profile's weighted dice. The plan is sorted by `(at, node, action)` like every plan in the
 /// workspace, so generation order never leaks into injection order.
 pub fn generate(profile: &Profile, seed: u64) -> InteractionPlan {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5ce2a410);

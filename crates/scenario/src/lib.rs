@@ -1,8 +1,8 @@
 //! Interaction-plan scenario simulator for the AutoDBaaS fleet.
 //!
-//! The chaos engine (`autodbaas-cloudsim::faults`) can *replay* seeded
-//! fault plans; this crate *searches* for the conditions that break the
-//! fleet, in the style of Turso's deterministic simulator and the safety
+//! `FleetSim` *replays* an interaction plan someone wrote (the chaos
+//! figure's `InteractionPlan::standard_faults`); this crate *searches* for
+//! the plans that break the fleet, in the style of Turso's deterministic simulator and the safety
 //! framing of OnlineTune:
 //!
 //! * [`profile`] — weighted, reusable scenario shapes (`quiet`,

@@ -249,124 +249,6 @@ impl AnyBackend {
     }
 }
 
-// Inherent mirrors of the trait surface, so non-generic call sites (the
-// fleet sim, the control plane) use `node.db().metrics_snapshot()` without
-// importing the trait. Each delegates to the trait impl below.
-impl AnyBackend {
-    /// See [`Backend::flavor`].
-    pub fn flavor(&self) -> DbFlavor {
-        Backend::flavor(self)
-    }
-    /// See [`Backend::instance`].
-    pub fn instance(&self) -> InstanceType {
-        Backend::instance(self)
-    }
-    /// See [`Backend::profile`].
-    pub fn profile(&self) -> &KnobProfile {
-        Backend::profile(self)
-    }
-    /// See [`Backend::knobs`].
-    pub fn knobs(&self) -> &KnobSet {
-        Backend::knobs(self)
-    }
-    /// See [`Backend::planner`].
-    pub fn planner(&self) -> &Planner {
-        Backend::planner(self)
-    }
-    /// See [`Backend::catalog`].
-    pub fn catalog(&self) -> &Catalog {
-        Backend::catalog(self)
-    }
-    /// See [`Backend::metrics`].
-    pub fn metrics(&self) -> &Metrics {
-        Backend::metrics(self)
-    }
-    /// See [`Backend::metrics_snapshot`].
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        Backend::metrics_snapshot(self)
-    }
-    /// See [`Backend::disks`].
-    pub fn disks(&self) -> &DiskSet {
-        Backend::disks(self)
-    }
-    /// See [`Backend::wal`].
-    pub fn wal(&self) -> &Wal {
-        Backend::wal(self)
-    }
-    /// See [`Backend::checkpoints_done`].
-    pub fn checkpoints_done(&self) -> u64 {
-        Backend::checkpoints_done(self)
-    }
-    /// See [`Backend::now`].
-    pub fn now(&self) -> SimTime {
-        Backend::now(self)
-    }
-    /// See [`Backend::throughput_series`].
-    pub fn throughput_series(&self) -> &TimeSeries {
-        Backend::throughput_series(self)
-    }
-    /// See [`Backend::working_set_bytes`].
-    pub fn working_set_bytes(&mut self, reset: bool) -> u64 {
-        Backend::working_set_bytes(self, reset)
-    }
-    /// See [`Backend::active_connections`].
-    pub fn active_connections(&self) -> u32 {
-        Backend::active_connections(self)
-    }
-    /// See [`Backend::set_active_connections`].
-    pub fn set_active_connections(&mut self, n: u32) {
-        Backend::set_active_connections(self, n)
-    }
-    /// See [`Backend::is_down`].
-    pub fn is_down(&self) -> bool {
-        Backend::is_down(self)
-    }
-    /// See [`Backend::plan`].
-    pub fn plan(&self, q: &QueryProfile) -> Plan {
-        Backend::plan(self, q)
-    }
-    /// See [`Backend::submit`].
-    pub fn submit(&mut self, q: &QueryProfile, count: u64) -> SubmitResult {
-        Backend::submit(self, q, count)
-    }
-    /// See [`Backend::swap_factor`].
-    pub fn swap_factor(&self) -> f64 {
-        Backend::swap_factor(self)
-    }
-    /// See [`Backend::tick`].
-    pub fn tick(&mut self, dt_ms: u64) {
-        Backend::tick(self, dt_ms)
-    }
-    /// See [`Backend::apply_config`].
-    pub fn apply_config(&mut self, changes: &[ConfigChange], mode: ApplyMode) -> ApplyReport {
-        Backend::apply_config(self, changes, mode)
-    }
-    /// See [`Backend::crash`].
-    pub fn crash(&mut self) -> RecoveryReport {
-        Backend::crash(self)
-    }
-    /// See [`Backend::degrade`].
-    pub fn degrade(&mut self, duration_ms: u64, factor: f64) {
-        Backend::degrade(self, duration_ms, factor)
-    }
-    /// See [`Backend::staged_changes`].
-    pub fn staged_changes(&self) -> &[ConfigChange] {
-        Backend::staged_changes(self)
-    }
-    /// See [`Backend::set_knob_direct`].
-    pub fn set_knob_direct(&mut self, knob: KnobId, value: f64) {
-        Backend::set_knob_direct(self, knob, value)
-    }
-    /// See [`Backend::use_split_disks`].
-    pub fn use_split_disks(&mut self) {
-        Backend::use_split_disks(self)
-    }
-    /// See [`Backend::descriptor`].
-    pub fn descriptor(&self) -> BackendDescriptor {
-        Backend::descriptor(self)
-    }
-}
-
 impl Backend for AnyBackend {
     fn flavor(&self) -> DbFlavor {
         dispatch!(self, db => db.flavor())

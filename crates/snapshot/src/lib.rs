@@ -43,7 +43,9 @@ pub const MAGIC: [u8; 8] = *b"ADBSNAP1";
 ///   shard-resolution fields, `FleetSim` its engine-flag byte.
 /// * 4 — the BO tuner lost its refit switch: `BoConfig` dropped
 ///   `incremental`.
-pub const VERSION: u32 = 4;
+/// * 5 — the fleet lost its second schedule: `FleetSim` dropped the
+///   `chaos` engine field (faults ride the interaction plan).
+pub const VERSION: u32 = 5;
 
 /// Reserved tag closing every snapshot file; its payload is the running
 /// FNV-1a hash of all preceding bytes.

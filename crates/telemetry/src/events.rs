@@ -1,7 +1,7 @@
 //! Countable, fingerprintable event log for fault-injection and recovery
 //! telemetry.
 //!
-//! The chaos engine and the self-healing control plane both need the same
+//! Fault injection and the self-healing control plane both need the same
 //! thing from telemetry: every fault injected and every recovery action
 //! taken must be *countable* (so harnesses can report availability, MTTR
 //! and convergence) and the whole log must be *comparable across runs* (so
@@ -9,6 +9,7 @@
 //! provides that as an append-only, deterministic event log.
 
 use crate::SimTime;
+use autodbaas_snapshot::{fnv1a, fnv1a_start};
 
 /// Streaming FNV-1a hasher over arbitrary byte chunks.
 ///
@@ -38,24 +39,16 @@ pub struct Fingerprint {
 }
 
 impl Fingerprint {
-    /// FNV-1a offset basis.
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    /// FNV-1a prime.
-    const PRIME: u64 = 0x100000001b3;
-
     /// Fresh hasher at the FNV-1a offset basis.
     pub fn new() -> Self {
         Self {
-            state: Self::OFFSET,
+            state: fnv1a_start(),
         }
     }
 
     /// Absorb a byte chunk.
     pub fn mix(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(Self::PRIME);
-        }
+        self.state = fnv1a(self.state, bytes);
     }
 
     /// Absorb a `u64` in little-endian byte order.

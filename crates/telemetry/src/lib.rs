@@ -19,7 +19,7 @@ pub mod timeseries;
 pub use entropy::{normalized_entropy, shannon_entropy};
 pub use events::{intern_kind, Event, EventLog, Fingerprint};
 pub use quantile::P2Quantile;
-pub use stats::{mean, percentile, stddev, variance, Ewma, Histogram, SummaryStats};
+pub use stats::{mean, percentile, stddev};
 pub use timeseries::{PeakDetector, Sample, TimeSeries};
 
 /// Print a line to stdout, tolerating a closed pipe.

@@ -46,204 +46,6 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Exponentially weighted moving average with smoothing factor `alpha`.
-///
-/// Used to smooth disk-latency series before peak detection so single-sample
-/// noise does not register as a checkpoint burst.
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Create an EWMA; `alpha` in `(0, 1]`, larger = more reactive.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
-        Self { alpha, value: None }
-    }
-
-    /// Feed one observation and return the updated average.
-    pub fn update(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => self.alpha * x + (1.0 - self.alpha) * prev,
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current average, if any observation has been fed.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Drop all state, as when a workload switch invalidates history.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
-
-/// Fixed-width histogram over `[lo, hi)` with saturating edge buckets.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// A histogram with `buckets` equal-width bins covering `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(hi > lo, "histogram range must be non-empty");
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Self {
-            lo,
-            hi,
-            counts: vec![0; buckets],
-            total: 0,
-        }
-    }
-
-    /// Record one observation. Values outside the range clamp to the edge
-    /// buckets, which is what latency monitoring wants (outliers still count).
-    pub fn record(&mut self, x: f64) {
-        let n = self.counts.len();
-        let span = self.hi - self.lo;
-        let idx = (((x - self.lo) / span) * n as f64).floor();
-        let idx = (idx.max(0.0) as usize).min(n - 1);
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Raw bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Approximate quantile (`q` in `[0,1]`) from bucket midpoints.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.total == 0 {
-            return self.lo;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut seen = 0u64;
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return self.lo + width * (i as f64 + 0.5);
-            }
-        }
-        self.hi
-    }
-}
-
-/// One-pass summary (count / mean / min / max / variance via Welford).
-#[derive(Debug, Clone, Default)]
-pub struct SummaryStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl SummaryStats {
-    /// Empty summary.
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one observation (Welford's online update).
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Running mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum seen, or 0.0 when empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Maximum seen, or 0.0 when empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merge another summary into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &SummaryStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,92 +75,5 @@ mod tests {
     fn percentile_of_unsorted_input() {
         let xs = [9.0, 1.0, 5.0];
         assert!((percentile(&xs, 50.0) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ewma_first_update_is_identity() {
-        let mut e = Ewma::new(0.3);
-        assert_eq!(e.update(10.0), 10.0);
-        let second = e.update(0.0);
-        assert!((second - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ewma_reset_clears_state() {
-        let mut e = Ewma::new(0.5);
-        e.update(5.0);
-        e.reset();
-        assert!(e.value().is_none());
-        assert_eq!(e.update(1.0), 1.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn ewma_rejects_zero_alpha() {
-        let _ = Ewma::new(0.0);
-    }
-
-    #[test]
-    fn histogram_clamps_out_of_range() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(-5.0);
-        h.record(100.0);
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[9], 1);
-        assert_eq!(h.total(), 2);
-    }
-
-    #[test]
-    fn histogram_quantile_approximates() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..100 {
-            h.record(i as f64);
-        }
-        let q50 = h.quantile(0.5);
-        assert!((q50 - 50.0).abs() < 2.0, "q50 was {q50}");
-        let q99 = h.quantile(0.99);
-        assert!((q99 - 99.0).abs() < 2.0, "q99 was {q99}");
-    }
-
-    #[test]
-    fn summary_stats_welford_matches_batch() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut s = SummaryStats::new();
-        for &x in &xs {
-            s.record(x);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-        assert_eq!(s.count(), 8);
-    }
-
-    #[test]
-    fn summary_stats_merge_equals_single_pass() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let mut a = SummaryStats::new();
-        let mut b = SummaryStats::new();
-        for &x in &xs[..3] {
-            a.record(x);
-        }
-        for &x in &xs[3..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        let mut whole = SummaryStats::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        assert!((a.mean() - whole.mean()).abs() < 1e-12);
-        assert!((a.variance() - whole.variance()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_stats_empty_defaults() {
-        let s = SummaryStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
     }
 }

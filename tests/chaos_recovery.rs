@@ -1,7 +1,7 @@
 //! Chaos-recovery integration tests: the self-healing control plane under
 //! deterministic fault injection.
 //!
-//! Each test pins one recovery path with an explicit [`FaultPlan`] schedule
+//! Each test pins one recovery path with an explicit [`InteractionPlan`] schedule
 //! (so the failure lands at a known tick) and asserts the control plane
 //! drives the service back to health: lost responses time out into
 //! backoff-retries, tuner outages end in stale-response drops rather than
@@ -12,7 +12,7 @@
 //! replayable, so any failure these tests ever find is debuggable.
 
 use autodbaas::cloudsim::{
-    FaultEvent, FaultKind, FaultPlan, FleetConfig, FleetSim, ManagedDatabase, RollbackGuard,
+    FaultKind, FleetConfig, FleetSim, InteractionPlan, ManagedDatabase, PlanEvent, RollbackGuard,
     RollbackPolicy,
 };
 use autodbaas::prelude::*;
@@ -66,11 +66,11 @@ fn lost_response_times_out_retries_and_recovers() {
     // The periodic policy submits at t=120 s; the response is promised
     // ~50 ms later and would be delivered at t=121 s — where this fault
     // intercepts it.
-    sim.enable_chaos(FaultPlan::new(vec![FaultEvent {
-        at: 121_000,
-        node: 0,
-        kind: FaultKind::RequestLoss,
-    }]));
+    sim.enable_plan(InteractionPlan::new(vec![PlanEvent::fault(
+        121_000,
+        0,
+        FaultKind::RequestLoss,
+    )]));
     sim.run_for(5 * MILLIS_PER_MIN);
 
     assert_eq!(sim.events.count("fault.request_loss"), 1);
@@ -110,13 +110,13 @@ fn tuner_outage_drops_stale_responses_without_wedging() {
     // Outage lands right after the t=120 s request is submitted and lasts
     // 2 minutes: the node times out and retries into the dead service
     // several times before it returns.
-    sim.enable_chaos(FaultPlan::new(vec![FaultEvent {
-        at: 121_000,
-        node: 0,
-        kind: FaultKind::TunerOutage {
+    sim.enable_plan(InteractionPlan::new(vec![PlanEvent::fault(
+        121_000,
+        0,
+        FaultKind::TunerOutage {
             duration_ms: 2 * MILLIS_PER_MIN,
         },
-    }]));
+    )]));
     sim.run_for(6 * MILLIS_PER_MIN);
 
     assert_eq!(sim.events.count("fault.tuner_outage"), 1);
@@ -143,17 +143,9 @@ fn vm_crash_fails_over_with_ha_and_restarts_without() {
         managed_node(38, TuningPolicy::TdeDriven, 200.0).with_slaves(2),
         "ha",
     );
-    sim.enable_chaos(FaultPlan::new(vec![
-        FaultEvent {
-            at: 30_000,
-            node: 0,
-            kind: FaultKind::VmCrash,
-        },
-        FaultEvent {
-            at: 30_000,
-            node: 1,
-            kind: FaultKind::VmCrash,
-        },
+    sim.enable_plan(InteractionPlan::new(vec![
+        PlanEvent::fault(30_000, 0, FaultKind::VmCrash),
+        PlanEvent::fault(30_000, 1, FaultKind::VmCrash),
     ]));
     sim.run_for(3 * MILLIS_PER_MIN);
 
@@ -198,11 +190,11 @@ fn lagging_replica_defers_apply_until_caught_up() {
     );
     // Pause replay just before the t=120 s recommendation arrives: WAL
     // accumulates on the paused slave, the lag guard refuses the apply.
-    sim.enable_chaos(FaultPlan::new(vec![FaultEvent {
-        at: 110_000,
-        node: 0,
-        kind: FaultKind::ReplicaLagSpike { pause_ms: 60_000 },
-    }]));
+    sim.enable_plan(InteractionPlan::new(vec![PlanEvent::fault(
+        110_000,
+        0,
+        FaultKind::ReplicaLagSpike { pause_ms: 60_000 },
+    )]));
     sim.run_for(6 * MILLIS_PER_MIN);
 
     assert_eq!(sim.events.count("fault.replica_lag_spike"), 1);
@@ -288,7 +280,7 @@ fn rollback_guard_restores_pre_apply_config_and_accepts_clean_ones() {
 /// the log. The full-size version of this run is the Fig. 16 harness.
 #[test]
 fn standard_fault_plan_is_survivable_and_replayable() {
-    let run = |seed: u64, plan: FaultPlan| -> FleetSim {
+    let run = |seed: u64, plan: InteractionPlan| -> FleetSim {
         let mut sim = FleetSim::new(chaos_config(seed), 4);
         sim.add_node(
             managed_node(seed, TuningPolicy::Periodic(2 * MILLIS_PER_MIN), 150.0),
@@ -303,17 +295,20 @@ fn standard_fault_plan_is_survivable_and_replayable() {
             .with_slaves(1),
             "ha",
         );
-        sim.enable_chaos(plan);
+        sim.enable_plan(plan);
         sim.run_for(8 * MILLIS_PER_MIN);
         // Quiet-down: covers the watcher timeout and every pending retry.
         sim.run_for(4 * MILLIS_PER_MIN);
         sim
     };
 
-    let plan = FaultPlan::standard(2, 8 * MILLIS_PER_MIN);
+    let plan = InteractionPlan::standard_faults(2, 8 * MILLIS_PER_MIN);
     let a = run(5, plan.clone());
     let b = run(5, plan);
-    let c = run(5, FaultPlan::generate(99, 2, 8 * MILLIS_PER_MIN, 12));
+    let c = run(
+        5,
+        InteractionPlan::random_faults(99, 2, 8 * MILLIS_PER_MIN, 12),
+    );
 
     assert!(a.events.count_prefix("fault.") > 0);
     assert!(

@@ -17,7 +17,7 @@ use std::path::Path;
 #[test]
 fn workspace_is_detlint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let report = autodbaas_lint::run_workspace(root, None)
+    let report = autodbaas_lint::run_workspace(root)
         .unwrap_or_else(|e| panic!("detlint failed to run: {e}"));
     assert!(
         report.files_scanned > 0,
@@ -30,17 +30,15 @@ fn workspace_is_detlint_clean() {
     );
 }
 
+/// Reason-mandatory `// detlint-allow:` is the only suppression: no
+/// baseline file exists to grandfather a finding.
 #[test]
-fn baseline_has_no_stale_entries() {
+fn no_baseline_file_exists() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let report = autodbaas_lint::run_workspace(root, None)
+    assert!(!root.join("lint_baseline.toml").exists());
+    let report = autodbaas_lint::run_workspace(root)
         .unwrap_or_else(|e| panic!("detlint failed to run: {e}"));
-    assert!(
-        report.stale_baseline.is_empty(),
-        "lint_baseline.toml entries no longer match any finding (fixed code \
-         must shed its baseline entry): {:?}",
-        report.stale_baseline
-    );
+    assert!(report.is_clean());
 }
 
 /// Lint a synthetic workspace of fixture files and return the active

@@ -353,17 +353,17 @@ proptest! {
         seed in 0u64..500,
         faults in prop::collection::vec(0u64..100_000, 0..6),
     ) {
-        use autodbaas::cloudsim::{FaultEvent, FaultKind, FaultPlan};
+        use autodbaas::cloudsim::{FaultKind, InteractionPlan, PlanEvent};
         use autodbaas::simdb::MetricId;
         const MIN: u64 = 60_000;
         // Decode each raw draw into (injection slot, node, fault kind) —
         // the vendored proptest has no tuple strategies.
-        let plan: Vec<FaultEvent> = faults
+        let plan: Vec<PlanEvent> = faults
             .iter()
-            .map(|&raw| FaultEvent {
-                at: 10_000 + (raw % 5) * 20_000,
-                node: (raw / 5) as usize % n_nodes,
-                kind: match (raw / 320) % 8 {
+            .map(|&raw| PlanEvent::fault(
+                10_000 + (raw % 5) * 20_000,
+                (raw / 5) as usize % n_nodes,
+                match (raw / 320) % 8 {
                     0 => FaultKind::VmCrash,
                     1 => FaultKind::MasterCrashMidApply,
                     2 => FaultKind::SlaveCrashMidApply,
@@ -373,7 +373,7 @@ proptest! {
                     6 => FaultKind::ReplicaLagSpike { pause_ms: 10_000 },
                     _ => FaultKind::RequestLoss,
                 },
-            })
+            ))
             .collect();
         let run = |shards: usize| {
             let mut sim = FleetSim::new(
@@ -387,7 +387,7 @@ proptest! {
             for i in 0..n_nodes {
                 sim.add_node(fleet_node(seed * 1000 + i as u64), &format!("db-{i}"));
             }
-            sim.enable_chaos(FaultPlan::new(plan.clone()));
+            sim.enable_plan(InteractionPlan::new(plan.clone()));
             sim.run_for(2 * MIN);
             let metrics: Vec<(u64, f64)> = sim
                 .nodes

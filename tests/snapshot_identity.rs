@@ -4,8 +4,7 @@
 //! same event-log fingerprint, same serialized state, same counters.
 
 use autodbaas::cloudsim::{
-    FaultKind, FaultPlan, FleetConfig, FleetSim, InteractionPlan, ManagedDatabase, PlanAction,
-    PlanEvent,
+    FaultKind, FleetConfig, FleetSim, InteractionPlan, ManagedDatabase, PlanAction, PlanEvent,
 };
 use autodbaas::prelude::*;
 use autodbaas::tde::TdeConfig;
@@ -38,6 +37,14 @@ fn node(flavor: DbFlavor, adulterated: bool, seed: u64) -> ManagedDatabase {
 /// A mixed-backend chaos fleet: page-heap and LSM masters side by side,
 /// rollback guard armed, standard fault rotation running.
 fn fleet(shards: usize, seed: u64) -> FleetSim {
+    fleet_with(shards, seed, standard_faults())
+}
+
+fn standard_faults() -> InteractionPlan {
+    InteractionPlan::standard_faults(4, 30 * MILLIS_PER_MIN)
+}
+
+fn fleet_with(shards: usize, seed: u64, plan: InteractionPlan) -> FleetSim {
     let mut sim = FleetSim::new(
         FleetConfig {
             seed,
@@ -55,7 +62,7 @@ fn fleet(shards: usize, seed: u64) -> FleetSim {
         };
         sim.add_node(node(flavor, i == 2, seed ^ (i * 131)), &format!("db-{i}"));
     }
-    sim.enable_chaos(FaultPlan::standard(4, 30 * MILLIS_PER_MIN));
+    sim.enable_plan(plan);
     sim
 }
 
@@ -133,12 +140,20 @@ fn corruption_is_detected_never_garbage() {
     );
     // Truncation too.
     assert!(FleetSim::from_snapshot_bytes(&bytes[..bytes.len() - 9]).is_err());
+    // An image stamped with the previous format version (the fleet still
+    // carried a second schedule field then) is refused by name.
+    let mut stale = bytes.clone();
+    stale[8..12].copy_from_slice(&4u32.to_le_bytes());
+    let err = FleetSim::from_snapshot_bytes(&stale).err();
+    assert_eq!(format!("{err:?}"), "Some(UnsupportedVersion(4))");
 }
 
-/// Bursts, knob pushes, maintenance, replica changes and a fault, spread
-/// over the run — every [`PlanAction`] payload shape crosses the snapshot.
-fn plan() -> InteractionPlan {
-    InteractionPlan::new(vec![
+/// The standard fault rotation plus bursts, knob pushes, maintenance and
+/// replica changes, spread over the run — every [`PlanAction`] payload
+/// shape crosses the snapshot.
+fn mixed_plan() -> InteractionPlan {
+    let mut events = standard_faults().events().to_vec();
+    events.extend([
         PlanEvent {
             at: 4 * MILLIS_PER_MIN,
             node: 0,
@@ -162,34 +177,52 @@ fn plan() -> InteractionPlan {
             node: 3,
             action: PlanAction::AddReplica,
         },
-        PlanEvent {
-            at: 22 * MILLIS_PER_MIN,
-            node: 0,
-            action: PlanAction::Fault(FaultKind::DiskStall {
+        PlanEvent::fault(
+            22 * MILLIS_PER_MIN,
+            0,
+            FaultKind::DiskStall {
                 duration_ms: 2 * MILLIS_PER_MIN,
                 factor: 4.0,
-            }),
-        },
+            },
+        ),
         PlanEvent {
             at: 26 * MILLIS_PER_MIN,
             node: 3,
             action: PlanAction::RemoveReplica,
         },
-    ])
+    ]);
+    InteractionPlan::new(events)
 }
 
 #[test]
 fn interaction_plan_cursor_survives_restore() {
-    let mut sim = fleet(1, 11);
-    sim.enable_plan(plan());
-    let mut reference = fleet(1, 11);
-    reference.enable_plan(plan());
+    let mut reference = fleet_with(1, 11, mixed_plan());
     run_until(&mut reference, TOTAL);
+    for label in ["fault.vm_crash", "plan.burst_end", "plan.knob_push"] {
+        assert!(reference.events.count(label) > 0, "{label} never fired");
+    }
 
-    run_until(&mut sim, 13 * MILLIS_PER_MIN);
-    let bytes = sim.snapshot_bytes();
-    let mut resumed = FleetSim::from_snapshot_bytes(&bytes).expect("restore");
-    run_until(&mut resumed, TOTAL);
-    assert_eq!(reference.events.fingerprint(), resumed.events.fingerprint());
-    assert_eq!(reference.snapshot_bytes(), resumed.snapshot_bytes());
+    // 5 min falls between the burst (4 min) and its revert (7 min): the
+    // saved arrival process has to cross the snapshot too.
+    for (k, open_bursts) in [(5 * MILLIS_PER_MIN, 1), (13 * MILLIS_PER_MIN, 0)] {
+        let mut sim = fleet_with(1, 11, mixed_plan());
+        run_until(&mut sim, k);
+        assert_eq!(
+            sim.events.count("plan.burst") - sim.events.count("plan.burst_end"),
+            open_bursts,
+            "k={k}"
+        );
+        let bytes = sim.snapshot_bytes();
+        let mut resumed = FleetSim::from_snapshot_bytes(&bytes).expect("restore");
+        run_until(&mut resumed, TOTAL);
+        assert_eq!(
+            reference.events.fingerprint(),
+            resumed.events.fingerprint(),
+            "k={k}"
+        );
+        assert!(
+            reference.snapshot_bytes() == resumed.snapshot_bytes(),
+            "k={k}"
+        );
+    }
 }
