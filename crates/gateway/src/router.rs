@@ -20,8 +20,8 @@ use autodbaas_simdb::{Catalog, DbFlavor, DiskKind, InstanceType};
 use autodbaas_telemetry::{EventLog, P2Quantile};
 use std::collections::BTreeMap;
 
-/// Bucket key for requests that do not carry a tenant id yet
-/// (RegisterService, Health, Stats).
+/// Access-log key of requests that carry no tenant id (RegisterService,
+/// Health, Stats) and the token bucket all registrations share.
 pub const ANON_TENANT: u64 = u64::MAX;
 
 /// Tuning parameters of the routing layer.
@@ -130,8 +130,14 @@ impl GatewayState {
     }
 
     /// Admission check for a request at `now_ms`. `Busy` outcomes are
-    /// billed to the tenant and counted here.
+    /// billed to the tenant and counted here. `Health` and `Stats` charge
+    /// no bucket: they are O(1) reads already bounded by the connection
+    /// queues, and a registration burst must not blind a load balancer to
+    /// `draining`.
     pub fn admit(&mut self, req: &Request, now_ms: u64) -> Admission {
+        if matches!(req, Request::Health | Request::Stats) {
+            return Admission::Admit;
+        }
         let key = req.tenant().unwrap_or(ANON_TENANT);
         let verdict = self.admission.check(key, now_ms);
         if let Admission::Busy { .. } = verdict {
@@ -661,6 +667,54 @@ mod tests {
         assert_eq!(state.meter().usage(ServiceId(tenant)).gateway_busy, 1);
         assert_eq!(state.counters().1, 1);
         assert_eq!(state.access_log.count("gw.busy"), 1);
+    }
+
+    #[test]
+    fn monitoring_is_not_shed_by_a_registration_burst() {
+        let mut state = GatewayState::new(RouterConfig {
+            admission: AdmissionConfig {
+                burst: 3.0,
+                rate_per_sec: 1.0,
+            },
+            ..RouterConfig::default()
+        });
+        let registration = Request::RegisterService {
+            flavor: 0,
+            instance: 3,
+            disk: 0,
+            n_slaves: 1,
+            seed: 11,
+        };
+        // As the server does: admit, and route what was admitted.
+        let mut sent = 0u64;
+        let mut call = |state: &mut GatewayState, req: &Request| {
+            sent += 1;
+            match state.admit(req, 7) {
+                Admission::Admit => Some(state.route(req, 7)),
+                Admission::Busy { .. } => None,
+            }
+        };
+        for _ in 0..3 {
+            let reply = call(&mut state, &registration);
+            assert!(matches!(reply, Some(Response::Registered { .. })));
+        }
+        assert_eq!(call(&mut state, &registration), None, "bucket is empty");
+        for _ in 0..10 {
+            assert_eq!(
+                call(&mut state, &Request::Health),
+                Some(Response::Healthy { draining: false })
+            );
+            let stats = call(&mut state, &Request::Stats);
+            assert!(matches!(stats, Some(Response::StatsReply { .. })));
+        }
+        assert_eq!(
+            call(&mut state, &registration),
+            None,
+            "probes neither drew on the anonymous bucket nor refilled it"
+        );
+        let (served, busy, errors) = state.counters();
+        assert_eq!((served + busy, errors), (sent, 0));
+        assert_eq!((served, busy), (23, 2));
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! drain.
 
 use autodbaas_gateway::{
-    serve, AdmissionConfig, GatewayClient, GatewayState, Request, Response, RouterConfig,
-    ServerConfig, WallClock, WireDecision,
+    frame, serve, AdmissionConfig, Decoded, GatewayClient, GatewayState, Request, Response,
+    RouterConfig, ServerConfig, WallClock, WireDecision,
 };
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -214,6 +216,123 @@ fn over_quota_tenant_is_shed_with_busy() {
         gbusy >= u64::from(busy_seen),
         "Busy replies were not billed"
     );
+}
+
+#[test]
+fn pipelined_frames_are_answered_in_order() {
+    // 64 frames handed to the kernel in one `write_all`: however TCP cuts
+    // them into reads, the gateway answers each batch with one write, and
+    // the replies must come back one per request, in request order.
+    let handle = start(AdmissionConfig::default(), 2);
+    let mut control = connect(&handle);
+    let tenants = [register(&mut control, 21), register(&mut control, 22)];
+
+    let requests: Vec<Request> = (0..64u64)
+        .map(|i| {
+            let tenant = tenants[(i % 2) as usize];
+            let at = i * 3_600_000;
+            match i % 8 {
+                0..=2 => Request::PushMetricsWindow {
+                    tenant,
+                    window_start: at,
+                    window_ms: 3_600_000,
+                    class_counts: [900 + i, 40, 10, 5, 1, 0],
+                    throttled: i % 3 == 0,
+                    knob_at_cap: false,
+                },
+                3 => Request::FetchRecommendation { tenant, now: at },
+                4 => Request::ThrottleSignal {
+                    tenant,
+                    at,
+                    knob_class: (i % 3) as u8,
+                    service_time_ms: 0,
+                },
+                5 => Request::ApplyAck {
+                    tenant,
+                    at,
+                    ok: true,
+                },
+                6 => Request::Health,
+                _ => Request::Stats,
+            }
+        })
+        .collect();
+    let bytes: Vec<u8> = requests
+        .iter()
+        .flat_map(|r| frame::encode(&r.encode()).expect("a request fits a frame"))
+        .collect();
+
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    raw.write_all(&bytes).expect("one write of 64 frames");
+
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    let mut replies = Vec::new();
+    while replies.len() < requests.len() {
+        match frame::decode(&buf).expect("the gateway sends valid frames") {
+            Decoded::Frame { payload, consumed } => {
+                buf.drain(..consumed);
+                replies.push(Response::decode(&payload).expect("a reply that decodes"));
+            }
+            Decoded::NeedMore(_) => {
+                let n = raw.read(&mut chunk).expect("replies before the timeout");
+                assert!(n > 0, "closed after {} of 64 replies", replies.len());
+                buf.extend_from_slice(&chunk[..n]);
+            }
+        }
+    }
+    assert!(buf.is_empty(), "bytes beyond the 64th reply");
+    for (i, (req, resp)) in requests.iter().zip(&replies).enumerate() {
+        let right_kind = matches!(
+            (req, resp),
+            (
+                Request::PushMetricsWindow { .. },
+                Response::Classified { .. }
+            ) | (
+                Request::FetchRecommendation { .. },
+                Response::Recommendation { .. }
+            ) | (
+                Request::ThrottleSignal { .. },
+                Response::ThrottleQueued { .. }
+            ) | (Request::ApplyAck { .. }, Response::ApplyRecorded)
+                | (Request::Health, Response::Healthy { draining: false })
+                | (Request::Stats, Response::StatsReply { .. })
+        );
+        assert!(right_kind, "request {i} {req:?} was answered {resp:?}");
+    }
+    // Each Stats reply counts what was served before it, itself included:
+    // the batch was routed in order, not merely answered in order.
+    let served_seen: Vec<u64> = replies
+        .iter()
+        .filter_map(|r| match r {
+            Response::StatsReply { served, .. } => Some(*served),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        served_seen,
+        (0..8).map(|k| 2 + 8 * (k + 1)).collect::<Vec<u64>>()
+    );
+
+    // Conservation through the front door: 2 registrations, the 64, and
+    // the Stats that asks.
+    match control.call(&Request::Stats).expect("stats") {
+        Response::StatsReply {
+            served,
+            busy,
+            errors,
+            active_tenants,
+            ..
+        } => {
+            assert_eq!((served + busy, errors), (2 + 64 + 1, 0));
+            assert_eq!(active_tenants, 2);
+        }
+        other => panic!("expected StatsReply, got {other:?}"),
+    }
+    drop((control, raw));
+    handle.shutdown();
 }
 
 #[test]
