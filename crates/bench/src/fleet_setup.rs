@@ -96,6 +96,7 @@ pub fn backend_arg() -> DbFlavor {
 }
 
 use autodbaas_cloudsim::FleetSim;
+use autodbaas_snapshot::{read_snapshot_file, write_snapshot_file, SnapError};
 use std::path::{Path, PathBuf};
 
 /// The shared `--resume <snapshot>` flag (fig16/fig17/fig18): a path the
@@ -111,9 +112,14 @@ pub fn resume_arg() -> Option<PathBuf> {
 /// assertions, so each figure binary doubles as a snapshot-identity
 /// check when `--resume` is passed.
 pub fn checkpoint_roundtrip(sim: FleetSim, path: &Path) -> FleetSim {
-    sim.save_snapshot(path).expect("write snapshot");
+    write_snapshot_file(path, &sim.snapshot_bytes()).expect("write snapshot");
     drop(sim);
-    FleetSim::load_snapshot(path).expect("reload snapshot")
+    load_fleet(path).expect("reload snapshot")
+}
+
+/// Read a one-fleet snapshot file written by [`checkpoint_roundtrip`].
+fn load_fleet(path: &Path) -> Result<FleetSim, SnapError> {
+    FleetSim::from_snapshot_bytes(&read_snapshot_file(path)?)
 }
 
 /// Frame tags for two-arm snapshot files: fig18 checkpoints its guarded
@@ -128,7 +134,7 @@ pub fn save_fleet_pair(path: &Path, a: &FleetSim, b: &FleetSim) {
     let mut fw = autodbaas_snapshot::FrameWriter::new();
     fw.frame_snap(FRAME_ARM_A, a);
     fw.frame_snap(FRAME_ARM_B, b);
-    autodbaas_snapshot::write_snapshot_file(path, &fw.finish()).expect("write snapshot pair");
+    write_snapshot_file(path, &fw.finish()).expect("write snapshot pair");
 }
 
 /// Load a two-arm snapshot written by [`save_fleet_pair`]; `None` when
@@ -137,7 +143,7 @@ pub fn load_fleet_pair(path: &Path) -> Option<(FleetSim, FleetSim)> {
     if !path.exists() {
         return None;
     }
-    let data = autodbaas_snapshot::read_snapshot_file(path).expect("read snapshot pair");
+    let data = read_snapshot_file(path).expect("read snapshot pair");
     let mut reader = autodbaas_snapshot::FrameReader::new(&data).expect("snapshot header");
     let (mut a, mut b) = (None, None);
     while let Some((tag, payload)) = reader.next_frame().expect("snapshot frame") {
@@ -158,7 +164,7 @@ pub fn load_fleet_pair(path: &Path) -> Option<(FleetSim, FleetSim)> {
 /// fleet and whether it was resumed — fig18's cross-process segments.
 pub fn fleet_or_resume(path: Option<&Path>, build: impl FnOnce() -> FleetSim) -> (FleetSim, bool) {
     match path {
-        Some(p) if p.exists() => (FleetSim::load_snapshot(p).expect("resume snapshot"), true),
+        Some(p) if p.exists() => (load_fleet(p).expect("resume snapshot"), true),
         _ => (build(), false),
     }
 }

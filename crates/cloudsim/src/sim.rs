@@ -1330,7 +1330,10 @@ impl Snap for FleetSim {
         let burst_revert = Vec::<(SimTime, usize, ArrivalProcess)>::decode(r)?;
         let tuner_outage_until = SimTime::decode(r)?;
         let n_recovery = r.get_len()?;
-        let mut recovery_due = Vec::with_capacity(n_recovery);
+        // Reserve only what the remaining input could back byte for byte.
+        let mut recovery_due = Vec::with_capacity(
+            n_recovery.min(r.remaining() / std::mem::size_of::<(SimTime, usize, &str)>()),
+        );
         for _ in 0..n_recovery {
             let at = SimTime::decode(r)?;
             let node = usize::decode(r)?;
@@ -1396,22 +1399,6 @@ impl FleetSim {
             }
         }
         fleet.ok_or(SnapError::Malformed("no fleet frame"))
-    }
-
-    /// Write the fleet snapshot to `path` atomically (temp file + rename),
-    /// so a crash mid-write never leaves a half-snapshot behind.
-    pub fn save_snapshot(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let bytes = self.snapshot_bytes();
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Read and restore a fleet snapshot from `path`.
-    pub fn load_snapshot(path: &std::path::Path) -> std::io::Result<Self> {
-        let bytes = std::fs::read(path)?;
-        Self::from_snapshot_bytes(&bytes)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{e:?}")))
     }
 }
 

@@ -1,12 +1,210 @@
 //! Property tests for the snapshot codec: encode∘decode = id for every
 //! value shape, decode totality on byte soup, and corruption detection at
-//! the frame layer for arbitrary frame sets.
+//! the frame layer for arbitrary frame sets. The frame layer is also held
+//! to a byte-identity oracle: a straightforward two-walk writer and reader
+//! (seal pass, then a separate whole-file pass) kept here as reference.
 
 use autodbaas_snapshot::{
-    decode_from_slice, encode_to_vec, FrameReader, FrameWriter, Snap, SnapReader,
+    decode_from_slice, encode_to_vec, fnv1a, fnv1a_start, FrameReader, FrameWriter, Snap,
+    SnapError, SnapReader, MAGIC, TRAILER_TAG, VERSION,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+
+/// Reference writer: each frame hashed on its own, the whole file hashed
+/// again by `finish`.
+struct RefWriter {
+    out: Vec<u8>,
+}
+
+impl RefWriter {
+    fn new() -> Self {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        Self { out }
+    }
+
+    fn frame(&mut self, tag: u16, payload: &[u8]) {
+        let mut h = fnv1a(fnv1a_start(), &tag.to_le_bytes());
+        h = fnv1a(h, &(payload.len() as u64).to_le_bytes());
+        h = fnv1a(h, payload);
+        self.out.extend_from_slice(&tag.to_le_bytes());
+        self.out
+            .extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        self.out.extend_from_slice(payload);
+        self.out.extend_from_slice(&h.to_le_bytes());
+    }
+
+    fn frame_snap<T: Snap>(&mut self, tag: u16, value: &T) {
+        self.frame(tag, &encode_to_vec(value));
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        let file_hash = fnv1a(fnv1a_start(), &self.out);
+        let mut trailer = RefWriter { out: Vec::new() };
+        trailer.frame(TRAILER_TAG, &file_hash.to_le_bytes());
+        self.out.extend_from_slice(&trailer.out);
+        self.out
+    }
+}
+
+/// Reference reader: every seal checked on its own, the trailer checked
+/// by rehashing everything before it.
+struct RefReader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    finished: bool,
+}
+
+impl<'a> RefReader<'a> {
+    fn new(data: &'a [u8]) -> Result<Self, SnapError> {
+        if data.len() < 12 {
+            return Err(SnapError::Truncated {
+                needed: 12,
+                have: data.len(),
+            });
+        }
+        if data[..8] != MAGIC {
+            return Err(SnapError::BadMagic);
+        }
+        let version = u32::from_le_bytes(data[8..12].try_into().unwrap());
+        if version != VERSION {
+            return Err(SnapError::UnsupportedVersion(version));
+        }
+        Ok(Self {
+            buf: data,
+            pos: 12,
+            finished: false,
+        })
+    }
+
+    fn read_raw_frame(&mut self) -> Result<(u16, &'a [u8]), SnapError> {
+        let remaining = self.buf.len() - self.pos;
+        if remaining < 18 {
+            return Err(SnapError::MissingTrailer);
+        }
+        let at = self.pos;
+        let tag = u16::from_le_bytes([self.buf[at], self.buf[at + 1]]);
+        let len = u64::from_le_bytes(self.buf[at + 2..at + 10].try_into().unwrap()) as usize;
+        if remaining < 18 + len {
+            return Err(SnapError::Truncated {
+                needed: 18 + len,
+                have: remaining,
+            });
+        }
+        let payload = &self.buf[at + 10..at + 10 + len];
+        let stored = u64::from_le_bytes(self.buf[at + 10 + len..at + 18 + len].try_into().unwrap());
+        let mut h = fnv1a(fnv1a_start(), &tag.to_le_bytes());
+        h = fnv1a(h, &(len as u64).to_le_bytes());
+        h = fnv1a(h, payload);
+        if h != stored {
+            return Err(SnapError::ChecksumMismatch { tag });
+        }
+        self.pos += 18 + len;
+        Ok((tag, payload))
+    }
+
+    fn next_frame(&mut self) -> Result<Option<(u16, &'a [u8])>, SnapError> {
+        if self.finished {
+            return Ok(None);
+        }
+        let body_end = self.pos;
+        let (tag, payload) = self.read_raw_frame()?;
+        if tag != TRAILER_TAG {
+            return Ok(Some((tag, payload)));
+        }
+        if payload.len() != 8 {
+            return Err(SnapError::Malformed("trailer payload"));
+        }
+        let stored = u64::from_le_bytes(payload.try_into().unwrap());
+        if stored != fnv1a(fnv1a_start(), &self.buf[..body_end]) {
+            return Err(SnapError::TrailerMismatch);
+        }
+        if self.pos != self.buf.len() {
+            return Err(SnapError::TrailingBytes {
+                extra: self.buf.len() - self.pos,
+            });
+        }
+        self.finished = true;
+        Ok(None)
+    }
+}
+
+/// Everything a reader yields: the frames in order, then how it stopped.
+type Outcome<'a> = (Vec<(u16, &'a [u8])>, Result<(), SnapError>);
+
+fn drain<'a>(mut next: impl FnMut() -> Result<Option<(u16, &'a [u8])>, SnapError>) -> Outcome<'a> {
+    let mut frames = Vec::new();
+    loop {
+        match next() {
+            Ok(Some(f)) => frames.push(f),
+            Ok(None) => return (frames, Ok(())),
+            Err(e) => return (frames, Err(e)),
+        }
+    }
+}
+
+fn read_new(bytes: &[u8]) -> Outcome<'_> {
+    match FrameReader::new(bytes) {
+        Ok(mut fr) => drain(|| fr.next_frame()),
+        Err(e) => (Vec::new(), Err(e)),
+    }
+}
+
+fn read_ref(bytes: &[u8]) -> Outcome<'_> {
+    match RefReader::new(bytes) {
+        Ok(mut fr) => drain(|| fr.next_frame()),
+        Err(e) => (Vec::new(), Err(e)),
+    }
+}
+
+/// Write the same frame list through both writers: `kinds[i]` picks a raw
+/// `frame`, a `frame_snap` of the bytes, or a `frame_snap` of a tuple.
+fn write_both(kinds: &[u8], tags: &[u16], payloads: &[Vec<u8>]) -> (Vec<u8>, Vec<u8>) {
+    let mut fw = FrameWriter::new();
+    let mut rw = RefWriter::new();
+    for ((&kind, &tag), p) in kinds.iter().zip(tags).zip(payloads) {
+        match kind {
+            0 => {
+                fw.frame(tag, p);
+                rw.frame(tag, p);
+            }
+            1 => {
+                fw.frame_snap(tag, p);
+                rw.frame_snap(tag, p);
+            }
+            _ => {
+                let v = (u64::from(tag), p.clone(), p.len() % 2 == 0);
+                fw.frame_snap(tag, &v);
+                rw.frame_snap(tag, &v);
+            }
+        }
+    }
+    (fw.finish(), rw.finish())
+}
+
+/// A length prefix may claim at most as many elements as bytes remain,
+/// but each element here is a megabyte: reserving the claim up front
+/// would ask the allocator for a terabyte. Decode must reserve by what
+/// the input can back and fail with a typed truncation instead. (Runs on
+/// a thread with a large stack: a megabyte array is a stack value.)
+#[test]
+fn length_prefix_cannot_reserve_beyond_the_input() {
+    const N: usize = 1 << 20;
+    let decode = || {
+        let claim = N - 1;
+        let mut bytes = (claim as u64).to_le_bytes().to_vec();
+        bytes.resize(8 + claim, 0);
+        decode_from_slice::<Vec<[u8; N]>>(&bytes).map(|v| v.len())
+    };
+    let outcome = std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(decode)
+        .unwrap()
+        .join()
+        .unwrap();
+    assert!(matches!(outcome, Err(SnapError::Truncated { .. })));
+}
 
 fn round_trip<T: Snap + PartialEq + std::fmt::Debug>(v: &T) {
     let bytes = encode_to_vec(v);
@@ -145,5 +343,46 @@ proptest! {
         let cut = cut % bytes.len();
         let outcome = FrameReader::new(&bytes[..cut]).and_then(|fr| fr.read_all());
         prop_assert!(outcome.is_err(), "truncation at {} went undetected", cut);
+    }
+
+    /// Byte-identity oracle, writer side: the single-walk writer produces
+    /// exactly the reference writer's bytes for any mix of raw and typed
+    /// frames.
+    #[test]
+    fn writer_matches_reference_bytes(
+        kinds in prop::collection::vec(0u8..=2, 0..5),
+        tags in prop::collection::vec(0u16..TRAILER_TAG, 5),
+        payloads in prop::collection::vec(prop::collection::vec(0u8..=255, 0..40), 5),
+    ) {
+        let (new, reference) = write_both(&kinds, &tags, &payloads);
+        prop_assert_eq!(new, reference);
+    }
+
+    /// Byte-identity oracle, reader side: under every single-byte XOR,
+    /// every truncation point and bytes appended after the trailer, the
+    /// single-walk reader yields the same frames and stops with the same
+    /// error as the reference reader.
+    #[test]
+    fn reader_matches_reference_under_damage(
+        kinds in prop::collection::vec(0u8..=2, 0..4),
+        tags in prop::collection::vec(0u16..TRAILER_TAG, 4),
+        payloads in prop::collection::vec(prop::collection::vec(0u8..=255, 0..24), 4),
+        xor in 1u8..=255,
+        tail in prop::collection::vec(0u8..=255, 1..9),
+    ) {
+        let (bytes, _) = write_both(&kinds, &tags, &payloads);
+        prop_assert_eq!(read_new(&bytes), read_ref(&bytes));
+        prop_assert!(read_new(&bytes).1.is_ok());
+        for i in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[i] ^= xor;
+            prop_assert_eq!(read_new(&bad), read_ref(&bad), "xor {:#x} at byte {}", xor, i);
+        }
+        for cut in 0..bytes.len() {
+            prop_assert_eq!(read_new(&bytes[..cut]), read_ref(&bytes[..cut]), "cut at {}", cut);
+        }
+        let mut long = bytes.clone();
+        long.extend_from_slice(&tail);
+        prop_assert_eq!(read_new(&long), read_ref(&long));
     }
 }

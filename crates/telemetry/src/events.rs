@@ -285,13 +285,17 @@ impl autodbaas_snapshot::Snap for EventLog {
     fn decode(
         r: &mut autodbaas_snapshot::SnapReader<'_>,
     ) -> Result<Self, autodbaas_snapshot::SnapError> {
+        // Reserve only what the remaining input could back byte for byte:
+        // a length prefix is bounded by the bytes left, not by memory.
         let n_kinds = r.get_len()?;
-        let mut table: Vec<&'static str> = Vec::with_capacity(n_kinds);
+        let mut table: Vec<&'static str> =
+            Vec::with_capacity(n_kinds.min(r.remaining() / std::mem::size_of::<&str>()));
         for _ in 0..n_kinds {
             table.push(intern_kind(r.get_str()?));
         }
         let n_events = r.get_len()?;
-        let mut events = Vec::with_capacity(n_events.min(r.remaining()));
+        let mut events =
+            Vec::with_capacity(n_events.min(r.remaining() / std::mem::size_of::<Event>()));
         for _ in 0..n_events {
             let at = r.get_u64()?;
             let idx = r.get_u32()? as usize;

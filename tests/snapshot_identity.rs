@@ -148,6 +148,70 @@ fn corruption_is_detected_never_garbage() {
     assert_eq!(format!("{err:?}"), "Some(UnsupportedVersion(4))");
 }
 
+/// The layout pin: a fixed 4-node mixed-backend fleet serializes to these
+/// exact bytes. Any change to the file layout moves the length or the
+/// hash, and such a change needs a `VERSION` bump (and a new pin).
+#[test]
+fn snapshot_layout_is_pinned() {
+    let mut sim = fleet(1, 42);
+    run_until(&mut sim, 3 * MILLIS_PER_MIN);
+    let bytes = sim.snapshot_bytes();
+    let hash = autodbaas_snapshot::fnv1a(autodbaas_snapshot::fnv1a_start(), &bytes);
+    assert_eq!(
+        (bytes.len(), hash),
+        (975_827, 0x8a24_baf9_2e59_3da9),
+        "snapshot layout moved without a VERSION bump"
+    );
+}
+
+/// A valid seal proves nothing about the payload: FNV is not a MAC, so
+/// anyone can re-seal edited bytes. Overwrite 1–3 payload bytes of a
+/// page-heap + LSM fleet, re-seal, and restore: every outcome must be a
+/// fleet or a typed `SnapError`, never a panic or an abort.
+#[test]
+fn resealed_nonsense_restores_or_errors_never_panics() {
+    use autodbaas::prelude::SeedableRng;
+    use autodbaas_snapshot::{FrameReader, FrameWriter};
+    use rand::Rng;
+
+    let mut sim = FleetSim::new(
+        FleetConfig {
+            seed: 5,
+            ..FleetConfig::default()
+        },
+        2,
+    );
+    for (i, flavor) in [DbFlavor::Postgres, DbFlavor::Lsm, DbFlavor::Postgres]
+        .into_iter()
+        .enumerate()
+    {
+        sim.add_node(node(flavor, i == 1, 5 + i as u64), &format!("db-{i}"));
+    }
+    run_until(&mut sim, 2 * MILLIS_PER_MIN);
+    let bytes = sim.snapshot_bytes();
+    let frames = FrameReader::new(&bytes).and_then(|fr| fr.read_all());
+    let (tag, payload) = frames.expect("fresh snapshot")[0];
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+    let mut typed_errors = 0;
+    for trial in 0..300 {
+        let mut edited = payload.to_vec();
+        for _ in 0..rng.gen_range(1..=3) {
+            let at = rng.gen_range(0..edited.len());
+            edited[at] = rng.gen_range(0..=255u8);
+        }
+        let mut fw = FrameWriter::new();
+        fw.frame(tag, &edited);
+        let resealed = fw.finish();
+        match std::panic::catch_unwind(|| FleetSim::from_snapshot_bytes(&resealed)) {
+            Ok(Ok(_)) => {}
+            Ok(Err(_)) => typed_errors += 1,
+            Err(_) => panic!("trial {trial}: restoring resealed nonsense panicked"),
+        }
+    }
+    assert!(typed_errors > 0, "no edit was ever rejected");
+}
+
 /// The standard fault rotation plus bursts, knob pushes, maintenance and
 /// replica changes, spread over the run — every [`PlanAction`] payload
 /// shape crosses the snapshot.
