@@ -256,6 +256,24 @@ impl ManagedDatabase {
         DriveTick { submitted, down }
     }
 
+    /// Whether the fleet may stop driving this node per tick: a zero
+    /// constant arrival rate draws no arrivals (and no randomness), and a
+    /// master that is up stays up while nothing else touches the node, so
+    /// every deferred tick submits nothing and is not down.
+    pub(crate) fn may_defer(&self) -> bool {
+        matches!(self.arrival, ArrivalProcess::Constant(rate) if rate <= 0.0)
+            && !self.service.master().is_down()
+    }
+
+    /// Replay `ticks` deferred ticks: the same [`ManagedDatabase::drive`]
+    /// calls, back to back, that driving the node per tick would have made.
+    pub(crate) fn replay(&mut self, ticks: u64, tick_ms: u64) {
+        for _ in 0..ticks {
+            let t = self.drive(tick_ms);
+            debug_assert_eq!(t, DriveTick::default(), "a deferred tick did work");
+        }
+    }
+
     /// Swap the workload (the Fig. 14 switch), resetting TDE workload
     /// state.
     pub fn switch_workload(

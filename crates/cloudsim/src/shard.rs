@@ -11,7 +11,8 @@
 //!
 //! # Barrier protocol
 //!
-//! Per tick the caller publishes `(base, tick_ms)`, resets the `done`
+//! Per tick the caller publishes the node and deferral bases, the tick
+//! length and whether nodes may be deferred, resets the `done`
 //! counter, bumps the `generation` counter (Release) and unparks every
 //! worker. A worker wakes, Acquire-loads the generation, drives its node
 //! range, writes its [`ShardOutput`] into its slot, and announces with
@@ -30,6 +31,13 @@
 //! epoch draws one probe value that the caller checks against a mirrored
 //! stream, so a worker that ever missed or replayed an epoch — a barrier
 //! protocol violation — fails loudly instead of silently diverging.
+//!
+//! # Deferred nodes
+//!
+//! A node whose [`HotState`] deferral entry is not [`DRIVEN`] is not
+//! visited: the shard bumps the entry (one more owed tick) and moves on,
+//! without touching the node struct. The fleet replays owed ticks before
+//! anything next reads or writes the node (see `FleetSim::catch_up`).
 
 use crate::node::ManagedDatabase;
 
@@ -91,9 +99,13 @@ struct Ctl {
     poisoned: AtomicBool,
     /// Tick length for the current epoch.
     tick_ms: AtomicU64,
+    /// Whether driven nodes may be deferred this epoch.
+    defer: AtomicBool,
     /// Base of the fleet's node slice for the current epoch. Only valid
     /// between the generation bump and the matching `done` barrier.
     base: AtomicPtr<ManagedDatabase>,
+    /// Base of the fleet's deferral entries, valid exactly like `base`.
+    deferral: AtomicPtr<u64>,
 }
 
 /// One worker's output slot. The `done` Release/Acquire pairing already
@@ -133,7 +145,9 @@ impl ShardPool {
             shutdown: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
             tick_ms: AtomicU64::new(0),
+            defer: AtomicBool::new(false),
             base: AtomicPtr::new(std::ptr::null_mut()),
+            deferral: AtomicPtr::new(std::ptr::null_mut()),
         });
         let mut slots = Vec::with_capacity(shards - 1);
         let mut handles = Vec::with_capacity(shards - 1);
@@ -178,32 +192,44 @@ impl ShardPool {
 
     /// Drive one tick across every shard and merge the outputs in shard
     /// order. `nodes` must be the same fleet (same length) the pool was
-    /// built for.
-    pub fn drive_tick(&mut self, nodes: &mut [ManagedDatabase], tick_ms: u64) -> DriveStats {
+    /// built for, and `deferral` its [`HotState`] deferral entries, one per
+    /// node. A deferred node only owes the tick; with `defer` set, a driven
+    /// node that [`ManagedDatabase::may_defer`] allows is deferred from the
+    /// next tick on. A deferred tick submits nothing and is not down, so
+    /// the returned stats count it exactly as driving it would.
+    pub fn drive_tick(
+        &mut self,
+        nodes: &mut [ManagedDatabase],
+        deferral: &mut [u64],
+        defer: bool,
+        tick_ms: u64,
+    ) -> DriveStats {
         assert_eq!(
             nodes.len(),
             self.n_nodes,
             "pool partitioned for a different fleet size"
         );
+        assert_eq!(deferral.len(), self.n_nodes, "one deferral entry per node");
         let mut total = DriveStats {
             node_ticks: self.n_nodes as u64,
             ..DriveStats::default()
         };
         if self.handles.is_empty() {
             // Single shard: the plain loop, no synchronisation.
-            for node in nodes {
-                let t = node.drive(tick_ms);
-                total.submitted += t.submitted;
-                total.down_ticks += u64::from(t.down);
-            }
+            let out = drive_shard(nodes, deferral, defer, tick_ms);
+            total.submitted = out.submitted;
+            total.down_ticks = out.down;
             return total;
         }
 
         // Publish the epoch. The Release on `generation` orders the
         // base/tick/done stores before any worker's Acquire load.
         let base = nodes.as_mut_ptr();
+        let deferral = deferral.as_mut_ptr();
         self.ctl.base.store(base, Ordering::Relaxed);
+        self.ctl.deferral.store(deferral, Ordering::Relaxed);
         self.ctl.tick_ms.store(tick_ms, Ordering::Relaxed);
+        self.ctl.defer.store(defer, Ordering::Relaxed);
         self.ctl.done.store(0, Ordering::Relaxed);
         self.generation += 1;
         self.ctl
@@ -213,17 +239,21 @@ impl ShardPool {
             h.thread().unpark();
         }
 
-        for i in self.ranges[0].clone() {
-            // SAFETY: `base` points at `nodes[0]` for this whole epoch and
-            // `i` stays inside `ranges[0]`, which is disjoint from every
-            // worker shard's range; `nodes` is not reborrowed until the
-            // barrier below retires the epoch, so this is the only live
-            // `&mut` to `nodes[i]`.
-            let node = unsafe { &mut *base.add(i) };
-            let t = node.drive(tick_ms);
-            total.submitted += t.submitted;
-            total.down_ticks += u64::from(t.down);
-        }
+        let mine = self.ranges[0].clone();
+        // SAFETY: `base` and `deferral` point at entry 0 of the fleet's
+        // node and deferral slices for this whole epoch, and `ranges[0]`
+        // is in bounds and disjoint from every worker shard's range;
+        // neither slice is reborrowed until the barrier below retires the
+        // epoch, so these are the only live references to this range.
+        let (nodes, deferral) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(base.add(mine.start), mine.len()),
+                std::slice::from_raw_parts_mut(deferral.add(mine.start), mine.len()),
+            )
+        };
+        let out = drive_shard(nodes, deferral, defer, tick_ms);
+        total.submitted += out.submitted;
+        total.down_ticks += out.down;
 
         // Barrier: every worker's `done` increment (Release) pairs with
         // this Acquire, so their node mutations and slot writes are visible.
@@ -274,6 +304,34 @@ impl Drop for ShardPool {
     }
 }
 
+/// Entry of a node driven every tick; any other value is a deferred node's
+/// owed-tick count.
+pub(crate) const DRIVEN: u64 = u64::MAX;
+
+/// Drive one shard's nodes one tick (see [`ShardPool::drive_tick`]). The
+/// output's `probe` is left for the caller.
+fn drive_shard(
+    nodes: &mut [ManagedDatabase],
+    deferral: &mut [u64],
+    defer: bool,
+    tick_ms: u64,
+) -> ShardOutput {
+    let mut out = ShardOutput::default();
+    for (node, owed) in nodes.iter_mut().zip(deferral) {
+        if *owed != DRIVEN {
+            *owed += 1;
+            continue;
+        }
+        let t = node.drive(tick_ms);
+        out.submitted += t.submitted;
+        out.down += u64::from(t.down);
+        if defer && node.may_defer() {
+            *owed = 0;
+        }
+    }
+    out
+}
+
 /// Worker loop for one shard: park until the generation moves, drive the
 /// owned node range, publish the output, announce on the barrier.
 fn worker_main(ctl: &Ctl, slot: &Slot, range: Range<usize>, seed: u64) {
@@ -292,31 +350,27 @@ fn worker_main(ctl: &Ctl, slot: &Slot, range: Range<usize>, seed: u64) {
             std::thread::park();
         }
         let base = ctl.base.load(Ordering::Relaxed);
+        let deferral = ctl.deferral.load(Ordering::Relaxed);
         let tick_ms = ctl.tick_ms.load(Ordering::Relaxed);
+        let defer = ctl.defer.load(Ordering::Relaxed);
         let probe = rng.gen::<u64>();
         let driven = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut submitted = 0u64;
-            let mut down = 0u64;
-            for i in range.clone() {
-                // SAFETY: `i` stays inside this worker's `range`, disjoint
-                // from every other shard's range, and `base` stays valid
-                // for the whole epoch because the caller blocks on the
-                // barrier before touching `nodes` again — so this is the
-                // only live `&mut` to `nodes[i]`.
-                let node = unsafe { &mut *base.add(i) };
-                let t = node.drive(tick_ms);
-                submitted += t.submitted;
-                down += u64::from(t.down);
-            }
-            (submitted, down)
+            // SAFETY: `range` is in bounds and disjoint from every other
+            // shard's range, and `base` and `deferral` stay valid for the
+            // whole epoch because the caller blocks on the barrier before
+            // touching either slice again — so these are the only live
+            // references to this range.
+            let (nodes, deferral) = unsafe {
+                (
+                    std::slice::from_raw_parts_mut(base.add(range.start), range.len()),
+                    std::slice::from_raw_parts_mut(deferral.add(range.start), range.len()),
+                )
+            };
+            drive_shard(nodes, deferral, defer, tick_ms)
         }));
         match driven {
-            Ok((submitted, down)) => {
-                *slot.out.lock() = ShardOutput {
-                    submitted,
-                    down,
-                    probe,
-                };
+            Ok(out) => {
+                *slot.out.lock() = ShardOutput { probe, ..out };
             }
             Err(_) => ctl.poisoned.store(true, Ordering::Release),
         }
@@ -342,10 +396,17 @@ fn worker_main(ctl: &Ctl, slot: &Slot, range: Range<usize>, seed: u64) {
 /// earliest due time (a too-early entry costs one no-op scan; a too-late
 /// one would skip real work). The fleet refreshes a node's entry after
 /// every mutation of its control fields.
+///
+/// Beside them sits one deferral entry per node: [`DRIVEN`], or the ticks
+/// a deferred node owes. The drive loop reads it before the node struct,
+/// so a deferred node costs one dense `u64` increment per tick. Deferral
+/// entries are scheduling state, not fleet state: they are not encoded,
+/// and a restored fleet starts with every node driven.
 #[derive(Debug, Clone, Default)]
 pub struct HotState {
     control_due: Vec<u64>,
     next_recovery_at: u64,
+    deferral: Vec<u64>,
 }
 
 impl HotState {
@@ -354,12 +415,43 @@ impl HotState {
         Self {
             control_due: Vec::new(),
             next_recovery_at: u64::MAX,
+            deferral: Vec::new(),
         }
     }
 
-    /// Register one more node (nothing due).
+    /// Register one more node (nothing due, driven every tick).
     pub fn push_node(&mut self) {
         self.control_due.push(u64::MAX);
+        self.deferral.push(DRIVEN);
+    }
+
+    /// Ticks node `idx` owes (0 for a node driven every tick).
+    pub(crate) fn owed(&self, idx: usize) -> u64 {
+        match self.deferral[idx] {
+            DRIVEN => 0,
+            owed => owed,
+        }
+    }
+
+    /// Clear node `idx`'s owed ticks and return them; a deferred node
+    /// stays deferred.
+    pub(crate) fn take_owed(&mut self, idx: usize) -> u64 {
+        let owed = self.owed(idx);
+        if owed > 0 {
+            self.deferral[idx] = 0;
+        }
+        owed
+    }
+
+    /// Drive node `idx` every tick again. Whatever it owed is dropped, so
+    /// the caller replays it first.
+    pub(crate) fn lower_deferral(&mut self, idx: usize) {
+        self.deferral[idx] = DRIVEN;
+    }
+
+    /// The deferral entries, in node order, for the drive loop.
+    pub(crate) fn deferral_mut(&mut self) -> &mut [u64] {
+        &mut self.deferral
     }
 
     /// Earliest time node `idx`'s control scan can act (`u64::MAX` = never).
@@ -388,7 +480,7 @@ impl HotState {
     }
 }
 
-use autodbaas_snapshot::snap_struct;
+use autodbaas_snapshot::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
 snap_struct!(DriveStats {
     node_ticks,
@@ -396,20 +488,35 @@ snap_struct!(DriveStats {
     down_ticks
 });
 
-snap_struct!(HotState {
-    control_due,
-    next_recovery_at
-});
+impl Snap for HotState {
+    fn encode(&self, w: &mut SnapWriter) {
+        self.control_due.encode(w);
+        self.next_recovery_at.encode(w);
+    }
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let control_due = Vec::<u64>::decode(r)?;
+        let deferral = vec![DRIVEN; control_due.len()];
+        Ok(Self {
+            control_due,
+            next_recovery_at: Snap::decode(r)?,
+            deferral,
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use autodbaas_core::{TdeConfig, TuningPolicy};
-    use autodbaas_simdb::{Backend, DbFlavor, DiskKind, InstanceType, MetricId};
+    use autodbaas_simdb::{Backend, DbFlavor, DiskKind, InstanceType};
     use autodbaas_tuner::WorkloadId;
     use autodbaas_workload::{tpcc, ArrivalProcess};
 
     fn fleet(n: usize) -> Vec<ManagedDatabase> {
+        fleet_at(n, |_| 80.0)
+    }
+
+    fn fleet_at(n: usize, qps: impl Fn(usize) -> f64) -> Vec<ManagedDatabase> {
         (0..n)
             .map(|i| {
                 let wl = tpcc(0.5);
@@ -420,7 +527,7 @@ mod tests {
                     DiskKind::Ssd,
                     catalog,
                     Box::new(wl),
-                    ArrivalProcess::Constant(80.0),
+                    ArrivalProcess::Constant(qps(i)),
                     TuningPolicy::TdeDriven,
                     WorkloadId(0),
                     TdeConfig::default(),
@@ -441,10 +548,24 @@ mod tests {
         }
     }
 
+    /// Every third node is loaded, the rest zero-rate. With deferral on,
+    /// a zero-rate node is driven once and then only owes ticks; replaying
+    /// what it owes leaves it where the serial drive does.
     #[test]
     fn any_shard_count_matches_the_serial_drive_bit_for_bit() {
         let ticks = 30u64;
-        let mut serial = fleet(13);
+        let qps = |i: usize| if i.is_multiple_of(3) { 80.0 } else { 0.0 };
+        let state = |nodes: &[ManagedDatabase]| -> Vec<(u64, u64, Vec<u64>)> {
+            nodes
+                .iter()
+                .map(|n| {
+                    let snap = n.db().metrics_snapshot();
+                    let bits = snap.as_vec().iter().map(|v| v.to_bits()).collect();
+                    (n.queries_submitted, n.total_ticks, bits)
+                })
+                .collect()
+        };
+        let mut serial = fleet_at(13, qps);
         let mut serial_stats = DriveStats::default();
         for _ in 0..ticks {
             serial_stats.node_ticks += serial.len() as u64;
@@ -454,33 +575,26 @@ mod tests {
                 serial_stats.down_ticks += u64::from(t.down);
             }
         }
-        let reference: Vec<(u64, f64)> = serial
-            .iter()
-            .map(|n| {
-                (
-                    n.queries_submitted,
-                    n.db().metrics().get(MetricId::QueriesExecuted),
-                )
-            })
-            .collect();
-        for shards in [1usize, 2, 3, 5, 13, 64] {
-            let mut nodes = fleet(13);
-            let mut pool = ShardPool::new(shards, nodes.len(), 0x5eed ^ 7);
-            let mut stats = DriveStats::default();
-            for _ in 0..ticks {
-                stats.accumulate(&pool.drive_tick(&mut nodes, 1_000));
+        let reference = state(&serial);
+        for defer in [false, true] {
+            for shards in [1usize, 2, 3, 5, 13, 64] {
+                let mut nodes = fleet_at(13, qps);
+                let mut pool = ShardPool::new(shards, nodes.len(), 0x5eed ^ 7);
+                let mut deferral = vec![DRIVEN; nodes.len()];
+                let mut stats = DriveStats::default();
+                for _ in 0..ticks {
+                    stats.accumulate(&pool.drive_tick(&mut nodes, &mut deferral, defer, 1_000));
+                }
+                assert_eq!(stats, serial_stats, "defer={defer} shards={shards}");
+                for (i, (node, &owed)) in nodes.iter_mut().zip(&deferral).enumerate() {
+                    let quiet = defer && qps(i) == 0.0;
+                    assert_eq!(owed, if quiet { ticks - 1 } else { DRIVEN }, "node {i}");
+                    if quiet {
+                        node.replay(owed, 1_000);
+                    }
+                }
+                assert_eq!(state(&nodes), reference, "defer={defer} shards={shards}");
             }
-            assert_eq!(stats, serial_stats, "shards={shards}");
-            let got: Vec<(u64, f64)> = nodes
-                .iter()
-                .map(|n| {
-                    (
-                        n.queries_submitted,
-                        n.db().metrics().get(MetricId::QueriesExecuted),
-                    )
-                })
-                .collect();
-            assert_eq!(got, reference, "shards={shards}");
         }
     }
 
@@ -491,11 +605,11 @@ mod tests {
             let mut pool = ShardPool::new(3, 6, 9);
             assert_eq!(pool.shards(), 3);
             for _ in 0..200 {
-                pool.drive_tick(&mut nodes, 250);
+                pool.drive_tick(&mut nodes, &mut [DRIVEN; 6], false, 250);
             }
         } // drop joins the workers
         let mut pool = ShardPool::new(2, 6, 9);
-        let stats = pool.drive_tick(&mut nodes, 250);
+        let stats = pool.drive_tick(&mut nodes, &mut [DRIVEN; 6], false, 250);
         assert_eq!(stats.node_ticks, 6);
     }
 
@@ -512,7 +626,7 @@ mod tests {
     fn driving_a_resized_fleet_is_rejected() {
         let mut nodes = fleet(4);
         let mut pool = ShardPool::new(2, 5, 1);
-        pool.drive_tick(&mut nodes, 1_000);
+        pool.drive_tick(&mut nodes, &mut [DRIVEN; 4], false, 1_000);
     }
 
     #[test]
@@ -529,5 +643,17 @@ mod tests {
         assert_eq!(hot.next_recovery_at(), 7_000);
         hot.set_next_recovery(u64::MAX);
         assert_eq!(hot.next_recovery_at(), u64::MAX);
+
+        // Deferral entries count owed ticks and are never encoded.
+        let bytes = autodbaas_snapshot::encode_to_vec(&hot);
+        hot.deferral_mut()[1] = 3;
+        assert_eq!((hot.owed(0), hot.owed(1)), (0, 3));
+        assert_eq!(autodbaas_snapshot::encode_to_vec(&hot), bytes);
+        assert_eq!((hot.take_owed(0), hot.take_owed(1)), (0, 3));
+        assert_eq!(hot.deferral_mut(), [DRIVEN, 0], "still deferred");
+        hot.lower_deferral(1);
+        let restored: HotState = autodbaas_snapshot::decode_from_slice(&bytes).unwrap();
+        assert_eq!(restored.deferral, [DRIVEN, DRIVEN]);
+        assert_eq!(restored.deferral, hot.deferral);
     }
 }

@@ -265,8 +265,11 @@ impl FleetSim {
 
     /// Arm an interaction plan: faults, bursts, knob pushes, maintenance
     /// windows and replica churn inject themselves as simulated time passes
-    /// them, and the reconcilers switch to continuous watching.
+    /// them, and the reconcilers switch to continuous watching. Plan events
+    /// touch nodes from outside the catch-up sites, so every node is caught
+    /// up and driven per tick from here on.
     pub fn enable_plan(&mut self, plan: InteractionPlan) {
+        self.undefer_all();
         self.plan = Some(PlanEngine::new(plan));
     }
 
@@ -297,11 +300,16 @@ impl FleetSim {
     }
 
     /// Fleet-wide availability: fraction of driven node-ticks with the
-    /// master serving.
+    /// master serving. A deferred node's owed ticks count as served, which
+    /// is what replaying them will record.
     pub fn availability(&self) -> f64 {
-        let (down, total) = self.nodes.iter().fold((0u64, 0u64), |(d, t), n| {
-            (d + n.down_ticks, t + n.total_ticks)
-        });
+        let (down, total) = self
+            .nodes
+            .iter()
+            .enumerate()
+            .fold((0u64, 0u64), |(d, t), (idx, n)| {
+                (d + n.down_ticks, t + n.total_ticks + self.hot.owed(idx))
+            });
         if total == 0 {
             1.0
         } else {
@@ -341,7 +349,10 @@ impl FleetSim {
     /// recovery, a request past its deadline, or a parked retry past its
     /// due time. Each of these clears on a subsequent [`FleetSim::step`],
     /// so after a run's quiet tail this must be empty — the no-wedge
-    /// invariant the chaos tests pin.
+    /// invariant the chaos tests pin. A deferred node reads the same as a
+    /// caught-up one: its master was up when it was deferred and nothing
+    /// that could bring it down has touched it since, and its control
+    /// fields are not driven.
     pub fn wedged_nodes(&self) -> Vec<usize> {
         (0..self.nodes.len())
             .filter(|&idx| {
@@ -487,6 +498,12 @@ impl FleetSim {
     }
 
     /// Advance one tick.
+    ///
+    /// Between `step` calls a deferred node's simdb clock and tick counters
+    /// may trail [`FleetSim::now`]; what the fleet reports about it
+    /// (`availability`, `drive_stats`, `wedged_nodes`, the snapshot bytes)
+    /// does not. [`FleetSim::run_for`] returns with every node caught up
+    /// and driven per tick; mutate `nodes` directly only between runs.
     pub fn step(&mut self) {
         self.now += self.cfg.tick_ms;
 
@@ -500,12 +517,20 @@ impl FleetSim {
 
         // 1. Traffic. Databases are independent within a tick: the pool
         // partitions them once over persistent worker shards (shard 0 is
-        // this thread, so one shard is the plain loop).
+        // this thread, so one shard is the plain loop). With no plan armed
+        // and no burst pending, a quiet node is deferred: it only owes its
+        // ticks until a catch-up site replays them.
+        let defer = self.plan.is_none() && self.burst_revert.is_empty();
         let pool = self.pool.get_or_insert_with(|| {
             let n = self.nodes.len();
             ShardPool::new(resolve_shards(self.cfg.shards, n), n, self.cfg.seed)
         });
-        let tick = pool.drive_tick(&mut self.nodes, self.cfg.tick_ms);
+        let tick = pool.drive_tick(
+            &mut self.nodes,
+            self.hot.deferral_mut(),
+            defer,
+            self.cfg.tick_ms,
+        );
         self.drive_stats.accumulate(&tick);
 
         // 2. Crash recoveries that completed this tick.
@@ -563,6 +588,24 @@ impl FleetSim {
             due = due.min(d.next_try_at);
         }
         self.hot.set_control_due(idx, due);
+    }
+
+    /// Replay the ticks node `idx` owes, leaving it exactly where driving
+    /// it every tick would have: the same `drive` calls in the same order,
+    /// with nothing touching the node in between. Every site that reads or
+    /// writes a node's state calls this first; the node stays deferred.
+    fn catch_up(&mut self, idx: usize) {
+        let owed = self.hot.take_owed(idx);
+        self.nodes[idx].replay(owed, self.cfg.tick_ms);
+    }
+
+    /// Catch every node up and drive every node per tick again, so callers
+    /// may mutate nodes directly and the next tick re-decides deferral.
+    fn undefer_all(&mut self) {
+        for idx in 0..self.nodes.len() {
+            self.catch_up(idx);
+            self.hot.lower_deferral(idx);
+        }
     }
 
     /// Inject one fault into node `idx` (bounds-checked by the caller).
@@ -781,6 +824,7 @@ impl FleetSim {
 
     /// One node's control-plane scan (see [`FleetSim::control_scan`]).
     fn control_node(&mut self, idx: usize) {
+        self.catch_up(idx);
         let retry_base = self.cfg.retry_base_ms.max(1);
         let max_attempts = self.cfg.retry_max_attempts;
         let node = &mut self.nodes[idx];
@@ -820,8 +864,10 @@ impl FleetSim {
         self.refresh_hot(idx);
     }
 
-    /// Reconcile every service whose master is reachable.
-    pub fn reconcile_all(&mut self) {
+    /// Reconcile every service whose master is reachable. Runs only right
+    /// after a TDE round (which caught every node up) or with a plan armed
+    /// (nothing deferred), so it needs no catch-up of its own.
+    fn reconcile_all(&mut self) {
         for idx in 0..self.nodes.len() {
             let node = &mut self.nodes[idx];
             if node.service.master().is_down() {
@@ -861,12 +907,15 @@ impl FleetSim {
         self.refresh_hot(idx);
     }
 
-    /// Run for `duration_ms` of simulated time.
+    /// Run for `duration_ms` of simulated time. Returns with every node
+    /// caught up and driven per tick, so the caller may read or mutate
+    /// `nodes` directly before the next run.
     pub fn run_for(&mut self, duration_ms: u64) {
         let end = self.now + duration_ms;
         while self.now < end {
             self.step();
         }
+        self.undefer_all();
     }
 
     fn rl_state(delta: &[f64]) -> Vec<f64> {
@@ -878,6 +927,9 @@ impl FleetSim {
         let mut windows = std::mem::take(&mut self.window_scratch);
         windows.clear();
         for idx in 0..self.nodes.len() {
+            // Replaying a deferred node's window here, not in a pass of its
+            // own, leaves the node in cache for its close.
+            self.catch_up(idx);
             let node = &mut self.nodes[idx];
             // A monitoring-agent blackout or a master still in crash
             // recovery means no usable window: reset and move on — no
@@ -1066,6 +1118,7 @@ impl FleetSim {
     }
 
     fn deliver_recommendation(&mut self, idx: usize, seq: u64) {
+        self.catch_up(idx);
         let node = &mut self.nodes[idx];
         match node.in_flight {
             Some(req) if req.seq == seq => {
@@ -1135,7 +1188,8 @@ impl FleetSim {
 
     /// Vet a unit-cube recommendation and land it on service `idx` through
     /// the slave-first protocol; `attempts` counts lag-guard refusals this
-    /// recommendation already suffered.
+    /// recommendation already suffered. Its callers have caught the node
+    /// up (a plan's knob push runs with nothing deferred).
     fn apply_unit(&mut self, idx: usize, unit: Vec<f64>, attempts: u32) {
         let node = &mut self.nodes[idx];
         // §4 budget vetting: the config director checks `A+B+C+D < X`
@@ -1287,11 +1341,26 @@ impl Snap for TunerBackend {
 // restored fleet rebuilds them lazily, exactly as a freshly built one
 // does, so shard-count invariance carries over.
 // `recovery_due` holds `&'static str` labels and round-trips through the
-// bounded telemetry interner.
+// bounded telemetry interner. A deferred node is encoded as a caught-up
+// copy (the `Vec` layout, node by node), so the bytes never depend on
+// which ticks were deferred.
 impl Snap for FleetSim {
     fn encode(&self, w: &mut SnapWriter) {
         self.cfg.encode(w);
-        self.nodes.encode(w);
+        w.put_u64(self.nodes.len() as u64);
+        for (idx, node) in self.nodes.iter().enumerate() {
+            match self.hot.owed(idx) {
+                0 => node.encode(w),
+                owed => {
+                    let mut copy: ManagedDatabase = autodbaas_snapshot::decode_from_slice(
+                        &autodbaas_snapshot::encode_to_vec(node),
+                    )
+                    .expect("a node this process just encoded decodes");
+                    copy.replay(owed, self.cfg.tick_ms);
+                    copy.encode(w);
+                }
+            }
+        }
         self.director.encode(w);
         self.meter.encode(w);
         self.repo.encode(w);
@@ -1666,6 +1735,7 @@ mod tests {
         for _ in 0..ticks {
             for idx in 0..naive.nodes.len() {
                 naive.hot.set_control_due(idx, 0);
+                naive.hot.lower_deferral(idx);
             }
             naive.step();
         }
@@ -1709,6 +1779,216 @@ mod tests {
             assert_eq!(got.1, reference.1, "shards={shards}: node counters");
             assert_eq!(got.2, reference.2, "shards={shards}: drive stats");
             assert!(got.3 == reference.3, "shards={shards}: snapshot bytes");
+        }
+    }
+
+    /// The deferral oracle. The reference is the same fleet with every
+    /// deferral entry lowered before each step — the per-tick engine, with
+    /// no second code path. A quiet fleet (no plan) mixes zero-rate
+    /// page-heap, LSM and HA nodes, zero-rate `Periodic` nodes whose
+    /// requests time out (control actions) or land (deliveries) on
+    /// deferred nodes mid-window, a zero-rate HA node whose lagging slave
+    /// parks its apply for the control scan to retry, a zero-rate node
+    /// crashed at boot, and trickle nodes. Deferred and reference fleets
+    /// must agree at every tick on what the fleet reports, on the snapshot
+    /// bytes mid-window (and a fleet restored from them must continue
+    /// identically), after a `run_for` that ends mid-window, and after a
+    /// plan is armed on a fleet that owes ticks.
+    #[test]
+    fn deferred_and_stepped_engines_are_bit_identical() {
+        use crate::plan::{InteractionPlan, PlanAction, PlanEvent};
+        const ZERO: f64 = 0.0;
+        const TRICKLE: f64 = 2.0;
+        let build = |shards: usize| {
+            let mut sim = FleetSim::new(
+                FleetConfig {
+                    tde_period_ms: MILLIS_PER_MIN,
+                    tuner: TunerKind::Rl, // fixed 50 ms service time: exact timing
+                    seed: 11,
+                    shards,
+                    // One tuner slot: the k-th request of a round is ready
+                    // 50·(k+1) ms after it, and the first four time out.
+                    request_timeout_ms: 800,
+                    retry_base_ms: 5_000,
+                    retry_max_attempts: 4,
+                    max_apply_lag_bytes: 1,
+                    rollback: Some(RollbackPolicy::default()),
+                    ..FleetConfig::default()
+                },
+                1,
+            );
+            let two_min = TuningPolicy::Periodic(2 * MILLIS_PER_MIN);
+            let nodes: [(DbFlavor, f64, TuningPolicy, usize); 10] = [
+                (DbFlavor::Postgres, ZERO, two_min, 0),
+                (DbFlavor::Lsm, ZERO, two_min, 0),
+                (DbFlavor::Postgres, ZERO, two_min, 1),
+                (DbFlavor::Lsm, ZERO, two_min, 1),
+                (DbFlavor::Postgres, ZERO, two_min, 1), // slave replay paused below
+                (DbFlavor::Lsm, ZERO, two_min, 0),
+                (DbFlavor::Postgres, TRICKLE, TuningPolicy::TdeDriven, 0),
+                (DbFlavor::Lsm, TRICKLE, TuningPolicy::TdeDriven, 1),
+                (DbFlavor::Lsm, ZERO, TuningPolicy::TdeDriven, 0),
+                (DbFlavor::Postgres, ZERO, TuningPolicy::TdeDriven, 0), // crashed at boot
+            ];
+            for (i, (flavor, qps, policy, slaves)) in nodes.into_iter().enumerate() {
+                let wl = tpcc(0.5);
+                let mut node = ManagedDatabase::new(
+                    flavor,
+                    InstanceType::M4Large,
+                    DiskKind::Ssd,
+                    wl.catalog().clone(),
+                    Box::new(wl),
+                    ArrivalProcess::Constant(qps),
+                    policy,
+                    WorkloadId(0),
+                    TdeConfig::default(),
+                    500 + i as u64,
+                )
+                .with_slaves(slaves);
+                match i {
+                    4 => {
+                        // WAL the slave has not replayed: every apply is
+                        // lag-refused until the replay pause ends.
+                        node.service.pause_slave_replay(0, 140_000);
+                        node.arrival = ArrivalProcess::Constant(300.0);
+                        for _ in 0..5 {
+                            node.drive(1_000);
+                        }
+                        node.arrival = ArrivalProcess::Constant(ZERO);
+                    }
+                    9 => {
+                        node.db_mut().crash();
+                    }
+                    _ => {}
+                }
+                sim.add_node(node, &format!("db-{i}"));
+            }
+            sim
+        };
+        // What the fleet reports, at any tick.
+        let observe = |sim: &FleetSim| {
+            (
+                sim.events.fingerprint(),
+                sim.availability().to_bits(),
+                sim.drive_stats(),
+                sim.wedged_nodes(),
+            )
+        };
+        let counters = |sim: &FleetSim| -> Vec<(u64, u64, u64)> {
+            sim.nodes
+                .iter()
+                .map(|n| (n.queries_submitted, n.down_ticks, n.total_ticks))
+                .collect()
+        };
+        let step_lowered = |sim: &mut FleetSim| {
+            for idx in 0..sim.nodes.len() {
+                sim.hot.lower_deferral(idx);
+            }
+            sim.step();
+        };
+        let plan = || {
+            InteractionPlan::new(vec![PlanEvent {
+                at: 360_000,
+                node: 8,
+                action: PlanAction::Burst {
+                    rate_qps: 50.0,
+                    duration_ms: 30_000,
+                },
+            }])
+        };
+
+        for shards in [1, 4] {
+            let mut stepped = build(shards);
+            let mut deferred = build(shards);
+            let mut resumed: Option<FleetSim> = None;
+            let mut max_owed = 0;
+            let mut tick = 0u64;
+            let mut both = |stepped: &mut FleetSim,
+                            deferred: &mut FleetSim,
+                            resumed: &mut Option<FleetSim>,
+                            tick: &mut u64,
+                            to: u64| {
+                while *tick < to {
+                    *tick += 1;
+                    step_lowered(stepped);
+                    deferred.step();
+                    let want = observe(stepped);
+                    assert_eq!(observe(deferred), want, "shards={shards} tick={tick}");
+                    if let Some(r) = resumed.as_mut() {
+                        r.step();
+                        assert_eq!(observe(r), want, "restored, shards={shards} tick={tick}");
+                    }
+                    max_owed = (0..deferred.nodes.len())
+                        .map(|idx| deferred.hot.owed(idx))
+                        .fold(max_owed, u64::max);
+                }
+            };
+
+            // Mid-window: the bytes are the caught-up fleet's, and a fleet
+            // restored from them continues identically.
+            both(&mut stepped, &mut deferred, &mut resumed, &mut tick, 150);
+            let bytes = deferred.snapshot_bytes();
+            assert!(
+                bytes == stepped.snapshot_bytes(),
+                "shards={shards}: mid-window bytes"
+            );
+            resumed = Some(FleetSim::from_snapshot_bytes(&bytes).unwrap());
+            both(&mut stepped, &mut deferred, &mut resumed, &mut tick, 300);
+
+            // `run_for` ending mid-window returns with every node caught up.
+            for _ in 0..30 {
+                step_lowered(&mut stepped);
+            }
+            deferred.run_for(30_000);
+            resumed.as_mut().unwrap().run_for(30_000);
+            tick += 30;
+            assert_eq!(
+                counters(&deferred),
+                counters(&stepped),
+                "shards={shards}: run_for"
+            );
+            assert_eq!(counters(resumed.as_ref().unwrap()), counters(&stepped));
+
+            // Arming a plan on a fleet that owes ticks catches it up.
+            both(&mut stepped, &mut deferred, &mut resumed, &mut tick, 335);
+            stepped.enable_plan(plan());
+            deferred.enable_plan(plan());
+            resumed.as_mut().unwrap().enable_plan(plan());
+            both(&mut stepped, &mut deferred, &mut resumed, &mut tick, 420);
+
+            // Deferral engaged, and every catch-up site met a node that
+            // owed ticks: requests timed out and were retried (control
+            // scan), a recommendation landed mid-window (delivery), and the
+            // lag-parked apply landed from the control scan.
+            assert!(
+                max_owed >= 50,
+                "shards={shards}: deferral never engaged ({max_owed})"
+            );
+            let fired = |kind: &str, target: u64| {
+                stepped
+                    .events
+                    .events()
+                    .iter()
+                    .any(|e| e.kind == kind && e.target == target && e.at % MILLIS_PER_MIN != 0)
+            };
+            for (kind, target) in [
+                ("request.timeout", 0),
+                ("request.retry", 1),
+                ("apply.ok", 5),
+                ("apply.lag_deferred", 4),
+                ("apply.ok", 4),
+            ] {
+                assert!(fired(kind, target), "{kind} on node {target} never fired");
+            }
+            let want = (counters(&stepped), stepped.snapshot_bytes());
+            for (name, sim) in [
+                ("deferred", &deferred),
+                ("restored", resumed.as_ref().unwrap()),
+            ] {
+                let got = (counters(sim), sim.snapshot_bytes());
+                assert_eq!(got.0, want.0, "shards={shards} {name}: node counters");
+                assert!(got.1 == want.1, "shards={shards} {name}: snapshot bytes");
+            }
         }
     }
 

@@ -75,29 +75,24 @@ impl TimeSeries {
         self.samples.back().copied()
     }
 
-    /// Values of all samples with `at >= since`, oldest first.
-    pub fn values_since(&self, since: SimTime) -> Vec<f64> {
-        self.samples
-            .iter()
-            .filter(|s| s.at >= since)
-            .map(|s| s.value)
-            .collect()
+    /// Retained samples with `at >= since`, oldest first. Timestamps are
+    /// non-decreasing, so they are a suffix of the ring: found by binary
+    /// search, not by filtering the whole ring.
+    fn since(&self, since: SimTime) -> impl Iterator<Item = &Sample> {
+        let start = self.samples.partition_point(|s| s.at < since);
+        self.samples.range(start..)
     }
 
     /// Samples with `at >= since`, oldest first.
     pub fn window(&self, since: SimTime) -> Vec<Sample> {
-        self.samples
-            .iter()
-            .filter(|s| s.at >= since)
-            .copied()
-            .collect()
+        self.since(since).copied().collect()
     }
 
     /// Mean value over the window `at >= since` (0.0 if empty).
     pub fn mean_since(&self, since: SimTime) -> f64 {
         let mut sum = 0.0;
         let mut n = 0usize;
-        for s in self.samples.iter().filter(|s| s.at >= since) {
+        for s in self.since(since) {
             sum += s.value;
             n += 1;
         }
@@ -106,15 +101,6 @@ impl TimeSeries {
         } else {
             sum / n as f64
         }
-    }
-
-    /// Maximum value over the window `at >= since`.
-    pub fn max_since(&self, since: SimTime) -> Option<f64> {
-        self.samples
-            .iter()
-            .filter(|s| s.at >= since)
-            .map(|s| s.value)
-            .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))))
     }
 
     /// Downsample into `buckets` equal-width time bins over `[t0, t1)`,
@@ -212,10 +198,59 @@ mod tests {
     fn push_and_window_queries() {
         let ts = series(&[(0, 1.0), (10, 2.0), (20, 3.0), (30, 4.0)]);
         assert_eq!(ts.len(), 4);
-        assert_eq!(ts.values_since(15), vec![3.0, 4.0]);
+        let values = |w: Vec<Sample>| w.iter().map(|s| s.value).collect::<Vec<_>>();
+        assert_eq!(values(ts.window(15)), vec![3.0, 4.0]);
         assert!((ts.mean_since(10) - 3.0).abs() < 1e-12);
-        assert_eq!(ts.max_since(0), Some(4.0));
         assert_eq!(ts.last().unwrap().value, 4.0);
+    }
+
+    /// The filter over the whole ring that `window` and `mean_since`
+    /// replaced, kept as their reference.
+    fn filtered(ts: &TimeSeries, since: SimTime) -> Vec<Sample> {
+        ts.iter().filter(|s| s.at >= since).copied().collect()
+    }
+
+    fn filtered_mean(ts: &TimeSeries, since: SimTime) -> f64 {
+        let w = filtered(ts, since);
+        if w.is_empty() {
+            0.0
+        } else {
+            w.iter().fold(0.0, |sum, s| sum + s.value) / w.len() as f64
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Random non-decreasing series (steps of 0 give duplicate
+        /// timestamps), a ring that may have evicted its head, and `since`
+        /// anywhere from before the first sample to past the last: the
+        /// binary-searched window is the filtered one, sample for sample,
+        /// and its mean is bit-identical.
+        #[test]
+        fn window_queries_match_the_filtered_ring(
+            steps in prop::collection::vec(0u64..4, 0..80),
+            values in prop::collection::vec(-50.0f64..50.0, 80),
+            capacity in 1usize..96,
+            start in 0u64..20,
+            since in 0u64..200,
+        ) {
+            let mut ts = TimeSeries::with_capacity(capacity);
+            let mut at = start;
+            for (step, value) in steps.iter().zip(&values) {
+                at += step;
+                ts.push(at, *value);
+            }
+            for q in [since, 0, start, at, at + 1, u64::MAX] {
+                prop_assert_eq!(ts.window(q), filtered(&ts, q), "since {}", q);
+                prop_assert_eq!(
+                    ts.mean_since(q).to_bits(),
+                    filtered_mean(&ts, q).to_bits(),
+                    "since {}",
+                    q
+                );
+            }
+        }
     }
 
     #[test]

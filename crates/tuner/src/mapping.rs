@@ -28,21 +28,23 @@ pub fn map_workload(
     exclude: Option<WorkloadId>,
 ) -> Option<MappingResult> {
     // Per-dimension normalisation factors across the repository + target.
-    // Only sample-bearing workloads have signatures, so both sweeps walk
-    // `repo.sampled()` — fleets register thousands of workloads that never
-    // capture a sample, and those must not cost anything here.
+    // The repository keeps the max over its sampled signatures current, so
+    // only the target is folded in here; fleets register thousands of
+    // workloads that never capture a sample, and those cost nothing.
     let dim = target_signature.len();
-    let mut scale = vec![0.0f64; dim];
-    for w in repo.sampled() {
-        if let Some(sig) = w.signature() {
-            for (s, v) in scale.iter_mut().zip(sig) {
-                *s = s.max(v.abs());
-            }
-        }
-    }
-    for (s, v) in scale.iter_mut().zip(target_signature) {
-        *s = s.max(v.abs()).max(1e-12);
-    }
+    let cached = repo.signature_scale();
+    let scale: Vec<f64> = target_signature
+        .iter()
+        .enumerate()
+        .map(|(d, v)| {
+            cached
+                .get(d)
+                .copied()
+                .unwrap_or(0.0)
+                .max(v.abs())
+                .max(1e-12)
+        })
+        .collect();
 
     let target_n: Vec<f64> = target_signature
         .iter()

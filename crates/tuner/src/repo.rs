@@ -105,14 +105,6 @@ impl StoredWorkload {
         self.sig_mean.extend(self.sig_sum.iter().map(|s| s / n));
     }
 
-    /// Best objective observed so far.
-    pub fn best_objective(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .map(|s| s.objective)
-            .fold(None, |acc, o| Some(acc.map_or(o, |a: f64| a.max(o))))
-    }
-
     /// The sample with the best objective.
     pub fn best_sample(&self) -> Option<&Sample> {
         self.samples.iter().max_by(|a, b| {
@@ -144,6 +136,11 @@ pub struct WorkloadRepository {
     sampled: Vec<WorkloadId>,
     /// Running total across all workloads.
     total_samples: usize,
+    /// Per metric dimension, the largest `|signature|` over the sampled
+    /// workloads: the mapper's normalisation scale, rebuilt whenever a
+    /// signature moves instead of on every mapping. Derived state, so it
+    /// is not encoded; decode rebuilds it.
+    scale: Vec<f64>,
 }
 
 impl WorkloadRepository {
@@ -174,6 +171,29 @@ impl WorkloadRepository {
         }
         self.workloads[id.0 as usize].push_sample(sample);
         self.total_samples += 1;
+        self.rebuild_scale();
+    }
+
+    /// Recompute [`WorkloadRepository::signature_scale`] from the sampled
+    /// workloads' signatures. `max` over non-negative values does not
+    /// depend on order, so this equals the sweep the mapper used to make.
+    fn rebuild_scale(&mut self) {
+        self.scale.clear();
+        for id in &self.sampled {
+            let sig = &self.workloads[id.0 as usize].sig_mean;
+            if self.scale.len() < sig.len() {
+                self.scale.resize(sig.len(), 0.0);
+            }
+            for (s, v) in self.scale.iter_mut().zip(sig) {
+                *s = s.max(v.abs());
+            }
+        }
+    }
+
+    /// Per metric dimension, the largest `|signature|` over the workloads
+    /// holding samples (a dimension no signature reaches is absent, i.e. 0).
+    pub(crate) fn signature_scale(&self) -> &[f64] {
+        &self.scale
     }
 
     /// Append a batch of samples to a workload.
@@ -270,11 +290,23 @@ snap_struct!(StoredWorkload {
     sig_mean
 });
 
-snap_struct!(WorkloadRepository {
-    workloads,
-    sampled,
-    total_samples
-});
+impl Snap for WorkloadRepository {
+    fn encode(&self, w: &mut SnapWriter) {
+        self.workloads.encode(w);
+        self.sampled.encode(w);
+        self.total_samples.encode(w);
+    }
+    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
+        let mut repo = Self {
+            workloads: Snap::decode(r)?,
+            sampled: Snap::decode(r)?,
+            total_samples: Snap::decode(r)?,
+            scale: Vec::new(),
+        };
+        repo.rebuild_scale();
+        Ok(repo)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -301,14 +333,13 @@ mod tests {
     }
 
     #[test]
-    fn best_objective_tracks_max() {
+    fn best_sample_tracks_max() {
         let mut repo = WorkloadRepository::new();
         let id = repo.register("w", false);
-        assert!(repo.workload(id).best_objective().is_none());
+        assert!(repo.workload(id).best_sample().is_none());
         repo.add_sample(id, sample(vec![0.1], 100.0, SampleQuality::High));
         repo.add_sample(id, sample(vec![0.9], 300.0, SampleQuality::High));
         repo.add_sample(id, sample(vec![0.5], 200.0, SampleQuality::High));
-        assert_eq!(repo.workload(id).best_objective(), Some(300.0));
         assert_eq!(repo.workload(id).best_sample().unwrap().config, vec![0.9]);
     }
 
@@ -421,7 +452,7 @@ mod tests {
             (0..4).map(|i| sample(vec![i as f64], i as f64, SampleQuality::High)),
         );
         assert_eq!(repo.total_samples(), 4);
-        assert_eq!(repo.workload(id).best_objective(), Some(3.0));
+        assert_eq!(repo.workload(id).best_sample().unwrap().objective, 3.0);
     }
 
     #[test]
@@ -440,6 +471,56 @@ mod tests {
         assert_eq!(repo.online_quality_counts(), (2, 0));
         repo.add_sample(prod, sample(vec![0.5], 2.0, SampleQuality::Low));
         assert_eq!(repo.online_quality_counts(), (2, 1));
+    }
+
+    /// The sweep `map_workload` made over every sampled signature on every
+    /// call, kept as the cache's reference.
+    fn swept_scale(repo: &WorkloadRepository) -> Vec<f64> {
+        let dim = repo.sampled().map(|w| w.sig_mean.len()).max().unwrap_or(0);
+        let mut scale = vec![0.0f64; dim];
+        for w in repo.sampled() {
+            for (s, v) in scale.iter_mut().zip(w.signature().unwrap()) {
+                *s = s.max(v.abs());
+            }
+        }
+        scale
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Random appends over a few workloads, with ragged metric vectors
+        /// (a workload's dimension is its first sample's; later samples may
+        /// be shorter or longer) and signed values whose means shrink as
+        /// well as grow: the cached scale equals a fresh sweep after every
+        /// append and after a snapshot round trip.
+        #[test]
+        fn signature_scale_matches_a_fresh_sweep(
+            picks in prop::collection::vec(0usize..4, 1..40),
+            lens in prop::collection::vec(0usize..6, 40),
+            values in prop::collection::vec(-1e3f64..1e3, 240),
+        ) {
+            let mut repo = WorkloadRepository::new();
+            let ids: Vec<_> = (0..4).map(|i| repo.register(format!("w{i}"), i == 0)).collect();
+            prop_assert!(repo.signature_scale().is_empty());
+            for (k, &pick) in picks.iter().enumerate() {
+                let metrics = values[k * 6..k * 6 + lens[k]].to_vec();
+                repo.add_sample(
+                    ids[pick],
+                    Sample {
+                        config: vec![],
+                        metrics,
+                        objective: 1.0,
+                        quality: SampleQuality::High,
+                    },
+                );
+                prop_assert_eq!(repo.signature_scale(), swept_scale(&repo).as_slice());
+            }
+            let bytes = autodbaas_snapshot::encode_to_vec(&repo);
+            let back: WorkloadRepository = autodbaas_snapshot::decode_from_slice(&bytes).unwrap();
+            prop_assert_eq!(back.signature_scale(), repo.signature_scale());
+            prop_assert_eq!(autodbaas_snapshot::encode_to_vec(&back), bytes);
+        }
     }
 
     #[test]
