@@ -10,9 +10,13 @@
 //! observation epoch; that is the "actual working page set" the config
 //! director compares against the buffer-pool knob during maintenance
 //! windows.
+//!
+//! The epoch set is kept as 64-chunk bitmap words (`chunk / 64` → mask) with
+//! a running count of set bits: every access inserts into it, and a scan's
+//! adjacent chunks share one word, so the set stays small enough to sit in
+//! cache instead of holding one hashed entry per chunk.
 
 use std::collections::HashMap;
-use std::collections::HashSet;
 use std::hash::BuildHasherDefault;
 
 /// Default chunk granularity.
@@ -95,7 +99,12 @@ pub struct BufferPool {
     /// so starting the scan here skips the long clean prefix a mostly-idle
     /// pool accumulates. Every frame below this index is clean.
     dirty_low: usize,
-    epoch_touched: HashSet<ChunkId, ChunkBuild>,
+    /// Chunks touched this epoch as bitmap words: key `chunk / 64`, bit
+    /// `chunk % 64`.
+    epoch_words: HashMap<u64, u64, ChunkBuild>,
+    /// Set bits across `epoch_words` — the distinct chunks touched this
+    /// epoch. Rises only when a bit goes from 0 to 1.
+    epoch_touched: u64,
 }
 
 impl BufferPool {
@@ -108,12 +117,15 @@ impl BufferPool {
         Self {
             chunk_bytes,
             frames: vec![Frame::EMPTY; n],
-            map: HashMap::with_capacity_and_hasher(n, ChunkBuild::default()),
+            // Grows with residency: a pool that is never queried must not
+            // carry a table sized for every frame.
+            map: HashMap::default(),
             hand: 0,
             stats: PoolStats::default(),
             dirty_frames: 0,
             dirty_low: n,
-            epoch_touched: HashSet::default(),
+            epoch_words: HashMap::default(),
+            epoch_touched: 0,
         }
     }
 
@@ -132,7 +144,7 @@ impl BufferPool {
     /// counts as a backend write (it stalls a real query in a real DBMS,
     /// which is exactly what bgwriter knobs are tuned to avoid).
     pub fn access(&mut self, chunk: ChunkId, write: bool) -> bool {
-        self.epoch_touched.insert(chunk);
+        self.touch(chunk);
         if let Some(&idx) = self.map.get(&chunk) {
             let f = &mut self.frames[idx as usize];
             f.referenced = true;
@@ -178,6 +190,17 @@ impl BufferPool {
             "dirty counter exceeds frame capacity"
         );
         false
+    }
+
+    /// Add `chunk` to the epoch set; a repeat touch changes nothing.
+    #[inline]
+    fn touch(&mut self, chunk: ChunkId) {
+        let word = self.epoch_words.entry(chunk >> 6).or_insert(0);
+        let bit = 1u64 << (chunk & 63);
+        if *word & bit == 0 {
+            *word |= bit;
+            self.epoch_touched += 1;
+        }
     }
 
     fn find_victim(&mut self) -> usize {
@@ -265,9 +288,10 @@ impl BufferPool {
     /// Distinct chunks touched since the last epoch reset, in bytes — the
     /// working-set gauge. `reset` starts a new epoch.
     pub fn working_set_bytes(&mut self, reset: bool) -> u64 {
-        let ws = self.epoch_touched.len() as u64 * self.chunk_bytes;
+        let ws = self.epoch_touched * self.chunk_bytes;
         if reset {
-            self.epoch_touched.clear();
+            self.epoch_words.clear();
+            self.epoch_touched = 0;
         }
         ws
     }
@@ -294,9 +318,11 @@ autodbaas_snapshot::snap_struct!(PoolStats {
     evictions
 });
 
-/// The chunk map and the epoch set use a custom hasher, so the blanket
+/// The chunk map and the epoch words use a custom hasher, so the blanket
 /// hash-container impls don't apply: the map is rebuilt from the frame
-/// array (it is a pure index), and the epoch set encodes in sorted order.
+/// array (it is a pure index), and the epoch set encodes as the ascending
+/// list of touched chunk ids — words sorted by key, bits expanded low to
+/// high — the same bytes a sorted `Vec<ChunkId>` encodes to.
 impl autodbaas_snapshot::Snap for BufferPool {
     fn encode(&self, w: &mut autodbaas_snapshot::SnapWriter) {
         self.chunk_bytes.encode(w);
@@ -306,9 +332,16 @@ impl autodbaas_snapshot::Snap for BufferPool {
         self.dirty_frames.encode(w);
         self.dirty_low.encode(w);
         // detlint-allow: D003 collected then sorted before any byte is written
-        let mut touched: Vec<ChunkId> = self.epoch_touched.iter().copied().collect();
-        touched.sort_unstable();
-        touched.encode(w);
+        let mut words: Vec<_> = self.epoch_words.iter().collect();
+        words.sort_unstable_by_key(|&(&key, _)| key);
+        w.put_u64(self.epoch_touched);
+        for (&key, &word) in words {
+            let mut mask = word;
+            while mask != 0 {
+                w.put_u64(key << 6 | u64::from(mask.trailing_zeros()));
+                mask &= mask - 1;
+            }
+        }
     }
     fn decode(
         r: &mut autodbaas_snapshot::SnapReader<'_>,
@@ -320,16 +353,23 @@ impl autodbaas_snapshot::Snap for BufferPool {
         let dirty_frames = usize::decode(r)?;
         let dirty_low = usize::decode(r)?;
         let touched = Vec::<ChunkId>::decode(r)?;
-        let mut map = HashMap::with_capacity_and_hasher(frames.len(), ChunkBuild::default());
+        let resident = frames.iter().filter(|f| f.valid).count();
+        let mut map = HashMap::with_capacity_and_hasher(resident, ChunkBuild::default());
         for (idx, f) in frames.iter().enumerate() {
             if f.valid {
                 map.insert(f.chunk, idx as u32);
             }
         }
-        let mut epoch_touched =
-            HashSet::with_capacity_and_hasher(touched.len(), ChunkBuild::default());
-        epoch_touched.extend(touched);
-        Ok(Self {
+        // Key changes along the list: the exact word count for an encoded
+        // (sorted) list, and at most its length for any other.
+        let keys = touched
+            .windows(2)
+            .filter(|p| p[0] >> 6 != p[1] >> 6)
+            .count()
+            + 1;
+        let epoch_words =
+            HashMap::with_capacity_and_hasher(keys.min(touched.len()), ChunkBuild::default());
+        let mut pool = Self {
             chunk_bytes,
             frames,
             map,
@@ -337,8 +377,13 @@ impl autodbaas_snapshot::Snap for BufferPool {
             stats,
             dirty_frames,
             dirty_low,
-            epoch_touched,
-        })
+            epoch_words,
+            epoch_touched: 0,
+        };
+        for chunk in touched {
+            pool.touch(chunk);
+        }
+        Ok(pool)
     }
 }
 
@@ -457,5 +502,256 @@ mod tests {
     fn minimum_one_frame() {
         let p = BufferPool::new(0, DEFAULT_CHUNK_BYTES);
         assert_eq!(p.capacity(), 1);
+    }
+}
+
+/// Reference oracle for the working-set gauge: the same clock pool with the
+/// epoch set held as a plain set of touched chunk ids. The set is a
+/// `BTreeSet` (detlint's D003 covers test code too), so its encoding needs
+/// no sort. Random access streams (chunk ids across word boundaries, reads
+/// and writes, epoch resets, snapshot round trips) must give the same
+/// hit/miss results, the same `working_set_bytes` and the same encoded
+/// bytes at every step.
+#[cfg(test)]
+mod gauge_oracle {
+    use super::*;
+    use autodbaas_snapshot::{
+        decode_from_slice, encode_to_vec, Snap, SnapError, SnapReader, SnapWriter,
+    };
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
+
+    /// The pool with a set-of-chunks epoch set.
+    struct RefPool {
+        chunk_bytes: u64,
+        frames: Vec<Frame>,
+        map: HashMap<ChunkId, u32>,
+        hand: usize,
+        stats: PoolStats,
+        dirty_frames: usize,
+        dirty_low: usize,
+        epoch_touched: BTreeSet<ChunkId>,
+    }
+
+    impl RefPool {
+        fn new(capacity_bytes: u64, chunk_bytes: u64) -> Self {
+            let n = (capacity_bytes / chunk_bytes).max(1) as usize;
+            Self {
+                chunk_bytes,
+                frames: vec![Frame::EMPTY; n],
+                map: HashMap::new(),
+                hand: 0,
+                stats: PoolStats::default(),
+                dirty_frames: 0,
+                dirty_low: n,
+                epoch_touched: BTreeSet::new(),
+            }
+        }
+
+        fn access(&mut self, chunk: ChunkId, write: bool) -> bool {
+            self.epoch_touched.insert(chunk);
+            if let Some(&idx) = self.map.get(&chunk) {
+                let f = &mut self.frames[idx as usize];
+                f.referenced = true;
+                if write && !f.dirty {
+                    f.dirty = true;
+                    self.dirty_frames += 1;
+                    self.dirty_low = self.dirty_low.min(idx as usize);
+                }
+                self.stats.hits += 1;
+                return true;
+            }
+            self.stats.misses += 1;
+            let victim = self.find_victim();
+            let old = self.frames[victim];
+            if old.valid {
+                self.map.remove(&old.chunk);
+                self.stats.evictions += 1;
+                if old.dirty {
+                    self.stats.backend_writes += 1;
+                    self.dirty_frames -= 1;
+                }
+            }
+            self.frames[victim] = Frame {
+                chunk,
+                referenced: false,
+                dirty: write,
+                valid: true,
+            };
+            self.map.insert(chunk, victim as u32);
+            if write {
+                self.dirty_frames += 1;
+                self.dirty_low = self.dirty_low.min(victim);
+            }
+            false
+        }
+
+        fn find_victim(&mut self) -> usize {
+            for _ in 0..self.frames.len() * 2 {
+                let idx = self.hand;
+                self.hand = (self.hand + 1) % self.frames.len();
+                let f = &mut self.frames[idx];
+                if !f.valid {
+                    return idx;
+                }
+                if f.referenced {
+                    f.referenced = false;
+                } else {
+                    return idx;
+                }
+            }
+            let idx = self.hand;
+            self.hand = (self.hand + 1) % self.frames.len();
+            idx
+        }
+
+        fn working_set_bytes(&mut self, reset: bool) -> u64 {
+            let ws = self.epoch_touched.len() as u64 * self.chunk_bytes;
+            if reset {
+                self.epoch_touched.clear();
+            }
+            ws
+        }
+
+        /// Everything the encoding holds before the epoch list.
+        fn encode_head(&self, w: &mut SnapWriter) {
+            self.chunk_bytes.encode(w);
+            self.frames.encode(w);
+            self.hand.encode(w);
+            self.stats.encode(w);
+            self.dirty_frames.encode(w);
+            self.dirty_low.encode(w);
+        }
+    }
+
+    impl Snap for RefPool {
+        fn encode(&self, w: &mut SnapWriter) {
+            self.encode_head(w);
+            let touched: Vec<ChunkId> = self.epoch_touched.iter().copied().collect();
+            touched.encode(w);
+        }
+        fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+            let chunk_bytes = u64::decode(r)?;
+            let frames = Vec::<Frame>::decode(r)?;
+            let hand = usize::decode(r)?;
+            let stats = PoolStats::decode(r)?;
+            let dirty_frames = usize::decode(r)?;
+            let dirty_low = usize::decode(r)?;
+            let touched = Vec::<ChunkId>::decode(r)?;
+            let map = frames
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| f.valid)
+                .map(|(idx, f)| (f.chunk, idx as u32))
+                .collect();
+            Ok(Self {
+                chunk_bytes,
+                frames,
+                map,
+                hand,
+                stats,
+                dirty_frames,
+                dirty_low,
+                epoch_touched: touched.into_iter().collect(),
+            })
+        }
+    }
+
+    /// Chunk ids on and around word boundaries, at both ends of the id space.
+    const EDGES: [ChunkId; 10] = [
+        0,
+        1,
+        63,
+        64,
+        65,
+        127,
+        128,
+        u64::MAX - 64,
+        u64::MAX - 63,
+        u64::MAX,
+    ];
+
+    /// Mostly a few words' worth of small ids (repeats and evictions), some
+    /// word-boundary ids, now and then one anywhere in the id space.
+    fn draw_chunk(rng: &mut StdRng) -> ChunkId {
+        match rng.gen_range(0..10) {
+            0..=1 => EDGES[rng.gen_range(0..EDGES.len())],
+            2 => rng.gen(),
+            _ => rng.gen_range(0..256),
+        }
+    }
+
+    /// Drive `pool` and `reference` through `steps` random operations,
+    /// asserting agreement after every one.
+    fn drive(pool: &mut BufferPool, reference: &mut RefPool, rng: &mut StdRng, steps: usize) {
+        for step in 0..steps {
+            match rng.gen_range(0..100) {
+                0..=79 => {
+                    let chunk = draw_chunk(rng);
+                    let write = rng.gen_bool(0.3);
+                    assert_eq!(
+                        pool.access(chunk, write),
+                        reference.access(chunk, write),
+                        "hit/miss of chunk {chunk} at step {step}"
+                    );
+                }
+                80..=89 => assert_eq!(
+                    pool.working_set_bytes(true),
+                    reference.working_set_bytes(true),
+                    "working set at the reset of step {step}"
+                ),
+                _ => {
+                    *pool = decode_from_slice(&encode_to_vec(&*pool)).expect("pool bytes decode");
+                    *reference = decode_from_slice(&encode_to_vec(&*reference))
+                        .expect("reference bytes decode");
+                }
+            }
+            assert_eq!(
+                pool.working_set_bytes(false),
+                reference.working_set_bytes(false),
+                "working set after step {step}"
+            );
+            assert_eq!(
+                encode_to_vec(&*pool),
+                encode_to_vec(&*reference),
+                "encoded pool after step {step}"
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn word_gauge_matches_set_reference(seed in 0u64..u64::MAX, frames in 1u64..12) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let capacity = frames * DEFAULT_CHUNK_BYTES;
+            let mut pool = BufferPool::new(capacity, DEFAULT_CHUNK_BYTES);
+            let mut reference = RefPool::new(capacity, DEFAULT_CHUNK_BYTES);
+            drive(&mut pool, &mut reference, &mut rng, 200);
+        }
+
+        #[test]
+        fn unsorted_epoch_list_decodes_like_reference(seed in 0u64..u64::MAX, len in 0usize..150) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut reference = RefPool::new(4 * DEFAULT_CHUNK_BYTES, DEFAULT_CHUNK_BYTES);
+            for _ in 0..20 {
+                reference.access(draw_chunk(&mut rng), rng.gen_bool(0.3));
+            }
+            // A hand-written epoch list: any order, ids repeated.
+            let mut list: Vec<ChunkId> = (0..len).map(|_| draw_chunk(&mut rng)).collect();
+            if let Some(&first) = list.first() {
+                list.push(first);
+            }
+            let mut w = SnapWriter::new();
+            reference.encode_head(&mut w);
+            list.encode(&mut w);
+            let bytes = w.into_bytes();
+            let mut pool: BufferPool = decode_from_slice(&bytes).expect("unsorted list decodes");
+            let mut reference: RefPool = decode_from_slice(&bytes).expect("unsorted list decodes");
+            prop_assert_eq!(pool.working_set_bytes(false), reference.working_set_bytes(false));
+            prop_assert_eq!(encode_to_vec(&pool), encode_to_vec(&reference));
+            drive(&mut pool, &mut reference, &mut rng, 50);
+        }
     }
 }

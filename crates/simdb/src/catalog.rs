@@ -134,7 +134,32 @@ autodbaas_snapshot::snap_struct!(Table {
     row_bytes,
     indexes
 });
-autodbaas_snapshot::snap_struct!(Catalog { tables });
+
+/// Sizes are derived with plain arithmetic (`rows * row_bytes` and its sum
+/// over tables), which a built catalog never overflows, but a snapshot is
+/// untrusted: decode rejects a catalog whose table or total byte size does
+/// not fit in `u64`. A total that fits also bounds the executor's chunk
+/// address space, at most `total / PAGE_BYTES` plus two chunks per table.
+impl autodbaas_snapshot::Snap for Catalog {
+    fn encode(&self, w: &mut autodbaas_snapshot::SnapWriter) {
+        self.tables.encode(w);
+    }
+    fn decode(
+        r: &mut autodbaas_snapshot::SnapReader<'_>,
+    ) -> Result<Self, autodbaas_snapshot::SnapError> {
+        use autodbaas_snapshot::SnapError::Malformed;
+        let tables = Vec::<Table>::decode(r)?;
+        let mut total = 0u64;
+        for t in &tables {
+            let heap = t
+                .rows
+                .checked_mul(u64::from(t.row_bytes))
+                .ok_or(Malformed("table size"))?;
+            total = total.checked_add(heap).ok_or(Malformed("catalog size"))?;
+        }
+        Ok(Self { tables })
+    }
+}
 
 #[cfg(test)]
 mod tests {

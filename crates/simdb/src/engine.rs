@@ -1090,6 +1090,32 @@ mod tests {
     }
 
     #[test]
+    fn hostile_catalog_restores_to_a_typed_error() {
+        use autodbaas_snapshot::{encode_to_vec, SnapError};
+        let d = db();
+        let mut bytes = encode_to_vec(&d);
+        // The catalog follows flavor, instance and knobs; table 0's `rows`
+        // follows the table count, its id and its length-prefixed name.
+        let catalog_at = encode_to_vec(&d.flavor).len()
+            + encode_to_vec(&d.instance).len()
+            + encode_to_vec(&d.knobs).len();
+        let rows_at = catalog_at + 8 + 4 + 8 + d.catalog.table(0).name.len();
+        assert_eq!(
+            bytes[rows_at..rows_at + 8],
+            d.catalog.table(0).rows.to_le_bytes(),
+            "offset must land on table 0's row count"
+        );
+        // One edited high byte: `rows * row_bytes` no longer fits in u64.
+        bytes[rows_at + 7] = 0xff;
+        let restored = autodbaas_snapshot::decode_from_slice::<SimDatabase>(&bytes);
+        assert_eq!(
+            restored.err(),
+            Some(SnapError::Malformed("table size")),
+            "a hostile catalog must restore to a typed error"
+        );
+    }
+
+    #[test]
     fn split_disk_mode_reroutes_wal() {
         let mut d = db();
         d.use_split_disks();

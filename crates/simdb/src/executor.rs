@@ -165,7 +165,6 @@ impl Executor {
         if miss_pages > 0.0 {
             disk.submit_read(miss_pages * PAGE_BYTES as f64);
         }
-        let _ = scale; // retained for the latency model below
         metrics.inc(
             MetricId::BlksHit,
             plan.est_pages as f64 * hit_ratio * count as f64,
