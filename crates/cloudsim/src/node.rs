@@ -444,11 +444,12 @@ mod tests {
             n.drive(1_000);
         }
         let _ = n.tde.run(n.service.master_mut(), None);
+        assert!(n.tde.histogram().total() > 0);
         n.switch_workload(
             Box::new(autodbaas_workload::ycsb(1.0)),
             ArrivalProcess::Constant(100.0),
         );
-        assert_eq!(n.tde.templates().len(), 0);
+        assert_eq!(n.tde.histogram().total(), 0);
     }
 
     #[test]

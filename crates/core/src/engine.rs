@@ -4,9 +4,9 @@
 //! The TDE "gets periodically executed on the database master VM (like a
 //! plugin)". Each run it:
 //!
-//! 1. ingests the streaming query log into the class histogram, the
-//!    template store, and a reservoir sample;
-//! 2. re-plans the sampled templates to find work-area **spills** (memory
+//! 1. ingests the streaming query log into the class histogram and a
+//!    reservoir sample of the window's query instances;
+//! 2. re-plans the sampled queries to find work-area **spills** (memory
 //!    detector), passing repeated throttles through the **entropy filter**
 //!    to separate mis-tuned knobs from undersized instances;
 //! 3. gauges the **working set** against the restart-bound buffer knob
@@ -25,7 +25,6 @@ use crate::filter::{EntropyFilter, FilterConfig, FilterDecision};
 use crate::mdp::{MdpConfig, MdpEngine};
 use crate::memory::{check_working_set, detect_spills, knob_at_cap, WorkingSetFinding};
 use crate::reservoir::Reservoir;
-use crate::template::TemplateStore;
 use autodbaas_simdb::{Backend, KnobClass, KnobId, MetricId, QueryProfile, SpillKind};
 use autodbaas_telemetry::{SimTime, MILLIS_PER_MIN};
 use autodbaas_tuner::WorkloadRepository;
@@ -35,7 +34,7 @@ use rand::SeedableRng;
 /// Why a throttle fired.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ThrottleReason {
-    /// A sampled template spills the given work area.
+    /// A sampled query spills the given work area.
     MemorySpill(SpillKind),
     /// The gauged working set exceeds the buffer-pool knob.
     WorkingSetExceedsBuffer,
@@ -139,7 +138,6 @@ impl Default for TdeConfig {
 pub struct Tde {
     cfg: TdeConfig,
     reservoir: Reservoir<QueryProfile>,
-    templates: TemplateStore,
     hist: ClassHistogram,
     filter: EntropyFilter,
     bg_detector: BgwriterDetector,
@@ -161,7 +159,6 @@ impl Tde {
         let mdp = MdpEngine::new(profile, cfg.mdp);
         Self {
             reservoir: Reservoir::new(cfg.reservoir_capacity),
-            templates: TemplateStore::new(),
             hist: ClassHistogram::new(),
             filter: EntropyFilter::new(cfg.filter),
             bg_detector: BgwriterDetector::new(),
@@ -206,11 +203,6 @@ impl Tde {
         &self.mdp
     }
 
-    /// Template dictionary built so far.
-    pub fn templates(&self) -> &TemplateStore {
-        &self.templates
-    }
-
     /// Class histogram over the recent window.
     pub fn histogram(&self) -> &ClassHistogram {
         &self.hist
@@ -219,7 +211,6 @@ impl Tde {
     /// Forget workload-specific state (on a known workload switch).
     pub fn reset_workload_state(&mut self) {
         self.reservoir.clear();
-        self.templates.clear();
         self.hist.clear();
         self.filter.reset();
     }
@@ -233,9 +224,8 @@ impl Tde {
     }
 
     /// Step 1 of a run: fold the streaming log since the last run into the
-    /// class histogram, the template store and the reservoir. Entries are
-    /// read in place from the backend's ring; only a query the reservoir
-    /// admits is copied.
+    /// class histogram and the reservoir. Entries are read in place from
+    /// the backend's ring; only a query the reservoir admits is copied.
     fn ingest<B: Backend>(&mut self, db: &B) {
         // Decay the histogram so the window tracks the *current* pattern
         // (Fig. 14's point is quick reaction to workload change).
@@ -246,7 +236,6 @@ impl Tde {
         self.reservoir.clear();
         for l in db.query_log().since(self.last_ingested_at) {
             self.hist.record(&l.query);
-            self.templates.ingest(&l.query);
             self.reservoir.offer_with(|| l.query.clone(), &mut self.rng);
         }
         self.last_ingested_at = db.now();
@@ -454,7 +443,6 @@ snap_struct!(TdeConfig {
 snap_struct!(Tde {
     cfg,
     reservoir,
-    templates,
     hist,
     filter,
     bg_detector,
@@ -760,10 +748,11 @@ mod tests {
         let q = QueryProfile::new(QueryKind::Insert, 0);
         run_queries(&mut d, &q, 20);
         let _ = tde.run(&mut d, None);
-        assert!(!tde.templates().is_empty());
+        assert!(tde.histogram().total() > 0);
+        assert!(tde.reservoir.seen() > 0);
         tde.reset_workload_state();
-        assert_eq!(tde.templates().len(), 0);
         assert_eq!(tde.histogram().total(), 0);
+        assert_eq!(tde.reservoir.seen(), 0);
     }
 
     impl Tde {
@@ -782,7 +771,6 @@ mod tests {
             self.last_ingested_at = db.now();
             for q in &new_queries {
                 self.hist.record(q);
-                self.templates.ingest(q);
                 self.reservoir.offer(q.clone(), &mut self.rng);
             }
         }

@@ -12,7 +12,8 @@
 //!
 //! Pipeline pieces, each its own module:
 //!
-//! * [`template`] — query templating over the streaming log;
+//! * [`template`] — query templating, read by the [`drift`] detector (the
+//!   TDE itself samples query instances, not templates);
 //! * [`reservoir`] — Vitter Algorithm R sampling of the stream;
 //! * [`mod@classify`] — per-knob query classes and the class histogram;
 //! * [`memory`] — plan-based spill detection + working-set gauging;

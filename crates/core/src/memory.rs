@@ -2,8 +2,9 @@
 //!
 //! Two signals:
 //!
-//! * **Work-area spills** — sampled query templates are re-planned
-//!   (`EXPLAIN`-style, no execution) under the current knobs; "if any of
+//! * **Work-area spills** — the reservoir's sampled query instances are
+//!   re-planned (`EXPLAIN`-style, no execution) under the current knobs
+//!   (the paper re-plans templates; see DESIGN.md); "if any of
 //!   the selected templates … uses disk while execution, signifies that the
 //!   memory is in-sufficient" and the specific work-area knob the spill
 //!   exhausted is throttled.
@@ -14,7 +15,7 @@
 
 use autodbaas_simdb::{Backend, KnobId, QueryProfile, SpillKind};
 
-/// One spill finding from template re-planning.
+/// One spill finding from re-planning a sampled query.
 #[derive(Debug, Clone)]
 pub struct SpillFinding {
     /// The work-area knob the spill indicts.
@@ -23,12 +24,11 @@ pub struct SpillFinding {
     pub kind: SpillKind,
     /// Bytes by which the demand exceeded the knob.
     pub overflow_bytes: u64,
-    /// The template's representative query (for the tuning request's
-    /// context).
+    /// The sampled query that spilled (for the tuning request's context).
     pub query: QueryProfile,
 }
 
-/// Re-plan `sampled` templates under the database's current configuration
+/// Re-plan the `sampled` queries under the database's current configuration
 /// and report every spill.
 pub fn detect_spills<B: Backend>(db: &B, sampled: &[QueryProfile]) -> Vec<SpillFinding> {
     let roles = db.planner().roles();

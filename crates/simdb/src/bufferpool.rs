@@ -353,12 +353,26 @@ impl autodbaas_snapshot::Snap for BufferPool {
         let dirty_frames = usize::decode(r)?;
         let dirty_low = usize::decode(r)?;
         let touched = Vec::<ChunkId>::decode(r)?;
+        // `new`, the clock sweep and `clean_dirty` trust these scalars; one
+        // no pool could hold is refused here, not at the next access.
+        use autodbaas_snapshot::SnapError::Malformed;
+        if chunk_bytes == 0 || frames.is_empty() || hand >= frames.len() {
+            return Err(Malformed("buffer pool geometry"));
+        }
         let resident = frames.iter().filter(|f| f.valid).count();
         let mut map = HashMap::with_capacity_and_hasher(resident, ChunkBuild::default());
+        let (mut dirty, mut first_dirty) = (0, frames.len());
         for (idx, f) in frames.iter().enumerate() {
             if f.valid {
                 map.insert(f.chunk, idx as u32);
+                if f.dirty {
+                    dirty += 1;
+                    first_dirty = first_dirty.min(idx);
+                }
             }
+        }
+        if dirty_frames != dirty || dirty_low > first_dirty {
+            return Err(Malformed("buffer pool dirty tracking"));
         }
         // Key changes along the list: the exact word count for an encoded
         // (sorted) list, and at most its length for any other.
@@ -502,6 +516,74 @@ mod tests {
     fn minimum_one_frame() {
         let p = BufferPool::new(0, DEFAULT_CHUNK_BYTES);
         assert_eq!(p.capacity(), 1);
+    }
+
+    use autodbaas_snapshot::{decode_from_slice, encode_to_vec, SnapError};
+
+    /// Encode a four-frame pool (frames 1 and 3 dirty, `dirty_low` 1, or
+    /// nothing dirty) after `edit` set its scalars, and restore it. A pool
+    /// that decodes anyway is driven through what a restored database does
+    /// first, so each edit fails where it used to: at the operation it
+    /// breaks, or at the closing panic.
+    fn assert_restore_is_malformed(dirty: bool, edit: impl FnOnce(&mut BufferPool)) {
+        let mut p = pool(4);
+        for c in 0..4u64 {
+            p.access(c, dirty && c % 2 == 1);
+        }
+        edit(&mut p);
+        match decode_from_slice::<BufferPool>(&encode_to_vec(&p)) {
+            Err(e) => assert!(matches!(e, SnapError::Malformed(_)), "{e:?}"),
+            Ok(mut back) => {
+                back.clean_dirty(usize::MAX);
+                assert_eq!(back.dirty_count(), 0, "a full clean left dirty frames");
+                back.access(9, true);
+                back.resize(8 * DEFAULT_CHUNK_BYTES);
+                panic!("an impossible pool decoded");
+            }
+        }
+    }
+
+    #[test]
+    fn legitimate_scalars_round_trip() {
+        for dirty in [false, true] {
+            let mut p = pool(4);
+            for c in 0..6u64 {
+                p.access(c, dirty && c % 2 == 1);
+            }
+            let bytes = encode_to_vec(&p);
+            let back: BufferPool = decode_from_slice(&bytes).unwrap();
+            assert_eq!(encode_to_vec(&back), bytes);
+        }
+    }
+
+    #[test]
+    fn zero_chunk_bytes_is_malformed() {
+        assert_restore_is_malformed(true, |p| p.chunk_bytes = 0);
+    }
+
+    #[test]
+    fn empty_frame_array_is_malformed() {
+        assert_restore_is_malformed(false, |p| {
+            p.frames.clear();
+            p.dirty_low = 0;
+        });
+    }
+
+    #[test]
+    fn clock_hand_past_the_end_is_malformed() {
+        assert_restore_is_malformed(true, |p| p.hand = 4);
+    }
+
+    #[test]
+    fn dirty_count_unlike_the_frames_is_malformed() {
+        assert_restore_is_malformed(true, |p| p.dirty_frames = 1);
+        assert_restore_is_malformed(true, |p| p.dirty_frames = 3);
+    }
+
+    #[test]
+    fn dirty_bound_past_a_dirty_frame_or_the_end_is_malformed() {
+        assert_restore_is_malformed(true, |p| p.dirty_low = 2);
+        assert_restore_is_malformed(false, |p| p.dirty_low = 5);
     }
 }
 

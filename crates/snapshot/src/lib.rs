@@ -34,7 +34,8 @@
 //! trailer is never a second pass over the body. [`FrameWriter::frame_snap`]
 //! encodes in place behind a patched length, with no payload buffer to
 //! copy. The round trip of that fleet drops from ~1.1 s to ~0.64 s; the
-//! bytes and `VERSION` 5 are the same as with two walks.
+//! bytes are the same as with two walks (`VERSION` 5 then; 6 dropped the
+//! TDE's template store).
 //!
 //! Decode pre-reserves no more container elements than the remaining
 //! input could back byte for byte: a length prefix is bounded only by the
@@ -64,7 +65,9 @@ pub const MAGIC: [u8; 8] = *b"ADBSNAP1";
 ///   `incremental`.
 /// * 5 — the fleet lost its second schedule: `FleetSim` dropped the
 ///   `chaos` engine field (faults ride the interaction plan).
-pub const VERSION: u32 = 5;
+/// * 6 — the TDE dropped its template store: no decision read it, so `Tde`
+///   no longer encodes one.
+pub const VERSION: u32 = 6;
 
 /// Reserved tag closing every snapshot file; its payload is the running
 /// FNV-1a hash of all preceding bytes.

@@ -17,7 +17,7 @@
 //!   trace of §5;
 //! * [`tuner`] — OtterTune-style GP/BO and CDBTune-style actor–critic RL
 //!   tuners with the shared workload repository;
-//! * [`core`](tde) — the TDE: templating, reservoir sampling, per-knob query
+//! * [`core`](tde) — the TDE: reservoir sampling, per-knob query
 //!   classes, the memory/bgwriter/MDP detectors, and entropy filtration;
 //! * [`ctrlplane`] — config director, service orchestrator, DFA adapters,
 //!   reconciler, and maintenance-window logic;

@@ -140,7 +140,7 @@ fn corruption_is_detected_never_garbage() {
     );
     // Truncation too.
     assert!(FleetSim::from_snapshot_bytes(&bytes[..bytes.len() - 9]).is_err());
-    // An image stamped with the previous format version (the fleet still
+    // An image stamped with an earlier format version (4: the fleet still
     // carried a second schedule field then) is refused by name.
     let mut stale = bytes.clone();
     stale[8..12].copy_from_slice(&4u32.to_le_bytes());
@@ -159,7 +159,7 @@ fn snapshot_layout_is_pinned() {
     let hash = autodbaas_snapshot::fnv1a(autodbaas_snapshot::fnv1a_start(), &bytes);
     assert_eq!(
         (bytes.len(), hash),
-        (975_827, 0x8a24_baf9_2e59_3da9),
+        (968_728, 0xa9ca_07db_d560_6f33),
         "snapshot layout moved without a VERSION bump"
     );
 }
