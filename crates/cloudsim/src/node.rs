@@ -274,18 +274,6 @@ impl ManagedDatabase {
         }
     }
 
-    /// Swap the workload (the Fig. 14 switch), resetting TDE workload
-    /// state.
-    pub fn switch_workload(
-        &mut self,
-        workload: Box<dyn QuerySource + Send>,
-        arrival: ArrivalProcess,
-    ) {
-        self.workload = workload;
-        self.arrival = arrival;
-        self.tde.reset_workload_state();
-    }
-
     /// Objective over the window that just closed — completed queries per
     /// second — from an already-taken snapshot (the fleet TDE round
     /// snapshots once and derives everything from it).
@@ -435,21 +423,6 @@ mod tests {
         }
         let qps = n.window_objective_from(&n.db().metrics_snapshot(), 20_000);
         assert!((300.0..700.0).contains(&qps), "qps {qps}");
-    }
-
-    #[test]
-    fn switch_workload_resets_tde_state() {
-        let mut n = node(TuningPolicy::TdeDriven);
-        for _ in 0..5 {
-            n.drive(1_000);
-        }
-        let _ = n.tde.run(n.service.master_mut(), None);
-        assert!(n.tde.histogram().total() > 0);
-        n.switch_workload(
-            Box::new(autodbaas_workload::ycsb(1.0)),
-            ArrivalProcess::Constant(100.0),
-        );
-        assert_eq!(n.tde.histogram().total(), 0);
     }
 
     #[test]

@@ -148,11 +148,6 @@ impl ClassHistogram {
         }
     }
 
-    /// Reset for a new window.
-    pub fn clear(&mut self) {
-        self.counts = [0; QueryClass::ALL.len()];
-    }
-
     /// Halve all counts — an exponential forgetting window so the histogram
     /// tracks the *current* query pattern after a workload switch.
     pub fn decay_half(&mut self) {
@@ -223,8 +218,6 @@ mod tests {
         assert_eq!(h.total(), 4);
         assert_eq!(h.count(QueryClass::WriteHeavy), 2);
         assert!((h.fraction(QueryClass::WriteHeavy) - 0.5).abs() < 1e-12);
-        h.clear();
-        assert_eq!(h.total(), 0);
     }
 
     #[test]

@@ -208,13 +208,6 @@ impl Tde {
         &self.hist
     }
 
-    /// Forget workload-specific state (on a known workload switch).
-    pub fn reset_workload_state(&mut self) {
-        self.reservoir.clear();
-        self.hist.clear();
-        self.filter.reset();
-    }
-
     /// One periodic TDE run against `db` (any [`Backend`] adapter),
     /// optionally consulting the tuner repository for the background-writer
     /// baseline.
@@ -739,20 +732,6 @@ mod tests {
         let periodic = TuningPolicy::Periodic(5 * MILLIS_PER_MIN);
         assert!(!periodic.should_request(&report_empty, 2 * MILLIS_PER_MIN, 0));
         assert!(periodic.should_request(&report_empty, 5 * MILLIS_PER_MIN, 0));
-    }
-
-    #[test]
-    fn reset_clears_workload_state() {
-        let mut d = db();
-        let mut tde = Tde::new(&d.profile().clone(), TdeConfig::default(), 7);
-        let q = QueryProfile::new(QueryKind::Insert, 0);
-        run_queries(&mut d, &q, 20);
-        let _ = tde.run(&mut d, None);
-        assert!(tde.histogram().total() > 0);
-        assert!(tde.reservoir.seen() > 0);
-        tde.reset_workload_state();
-        assert_eq!(tde.histogram().total(), 0);
-        assert_eq!(tde.reservoir.seen(), 0);
     }
 
     impl Tde {

@@ -127,11 +127,6 @@ impl EntropyFilter {
     pub fn entropy_hits(&self) -> u32 {
         self.entropy_hits
     }
-
-    /// Reset all state (workload switch / maintenance).
-    pub fn reset(&mut self) {
-        self.consecutive = 0;
-    }
 }
 
 use autodbaas_snapshot::snap_struct;

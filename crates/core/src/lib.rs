@@ -10,10 +10,10 @@
 //! tuners only ever train on high-quality samples (protecting their
 //! learning models from corruption, Figs. 12–13).
 //!
-//! Pipeline pieces, each its own module:
+//! Pipeline pieces, each its own module. The paper templates the query
+//! log; this TDE samples and re-plans query instances instead, so there is
+//! no template store:
 //!
-//! * [`template`] — query templating, read by the [`drift`] detector (the
-//!   TDE itself samples query instances, not templates);
 //! * [`reservoir`] — Vitter Algorithm R sampling of the stream;
 //! * [`mod@classify`] — per-knob query classes and the class histogram;
 //! * [`memory`] — plan-based spill detection + working-set gauging;
@@ -28,24 +28,18 @@
 
 pub mod bgwriter;
 pub mod classify;
-pub mod drift;
 pub mod engine;
 pub mod filter;
 pub mod learned;
 pub mod mdp;
 pub mod memory;
-pub mod period;
 pub mod reservoir;
-pub mod template;
 
 pub use bgwriter::{baseline_from_repo, BgBaseline, BgFinding, BgwriterDetector};
 pub use classify::{classify, ClassHistogram, QueryClass};
-pub use drift::{js_divergence, DriftConfig, DriftDetector, DriftVerdict};
 pub use engine::{Tde, TdeConfig, TdeReport, ThrottleReason, ThrottleSignal, TuningPolicy};
 pub use filter::{EntropyFilter, FilterConfig, FilterDecision};
 pub use learned::{LearnedDetector, LearnedScores};
 pub use mdp::{MdpAction, MdpConfig, MdpEngine, MdpOutcome};
 pub use memory::{check_working_set, detect_spills, knob_at_cap, SpillFinding, WorkingSetFinding};
-pub use period::AdaptivePeriod;
 pub use reservoir::Reservoir;
-pub use template::{normalize_sql, TemplateEntry, TemplateId, TemplateStore};

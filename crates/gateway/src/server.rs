@@ -81,11 +81,6 @@ impl GatewayHandle {
         self.addr
     }
 
-    /// Shared routing state, for harnesses that want counters after a run.
-    pub fn state(&self) -> Arc<Mutex<GatewayState>> {
-        Arc::clone(&self.state)
-    }
-
     /// Begin draining: stop accepting, let in-flight requests finish,
     /// then join every thread. Returns the final state.
     pub fn shutdown(self) -> Arc<Mutex<GatewayState>> {

@@ -145,7 +145,7 @@ pub trait Backend {
     fn profile(&self) -> &KnobProfile;
     /// Current configuration.
     fn knobs(&self) -> &KnobSet;
-    /// The planner (the TDE evaluates template plans through this).
+    /// The planner (the TDE re-plans sampled queries through this).
     fn planner(&self) -> &Planner;
     /// Catalog served.
     fn catalog(&self) -> &Catalog;

@@ -244,7 +244,7 @@ impl SimDatabase {
         &self.knobs
     }
 
-    /// The planner (the TDE evaluates template plans through this).
+    /// The planner (the TDE re-plans sampled queries through this).
     pub fn planner(&self) -> &Planner {
         &self.planner
     }
@@ -315,7 +315,7 @@ impl SimDatabase {
     }
 
     /// Plan a query under the current configuration without executing it —
-    /// the `EXPLAIN` path the TDE's template evaluation uses.
+    /// the `EXPLAIN` path the TDE's re-planning of sampled queries uses.
     pub fn plan(&self, q: &QueryProfile) -> Plan {
         self.planner.plan(q, &self.knobs, &self.catalog)
     }

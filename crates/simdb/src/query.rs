@@ -4,9 +4,9 @@
 //! [`QueryProfile`]s that carry exactly the features the planner, executor,
 //! and TDE act on: how many rows are touched, how much working memory the
 //! sort/hash/join stages demand, how much maintenance or temp-table memory
-//! is needed, and how much data is written. A SQL-ish rendering
-//! ([`QueryProfile::render_sql`]) exists so the TDE's query-templating path
-//! (literal stripping, §3.1) operates on realistic text.
+//! is needed, and how much data is written. The paper's TDE templates
+//! query text (§3.1); ours acts on these features directly, so no SQL is
+//! rendered anywhere.
 
 use std::fmt;
 
@@ -78,24 +78,6 @@ impl QueryKind {
                 | QueryKind::AlterTable
         )
     }
-
-    /// SQL verb used when rendering.
-    fn verb(self) -> &'static str {
-        match self {
-            QueryKind::PointSelect | QueryKind::RangeSelect => "SELECT",
-            QueryKind::Join => "SELECT /*join*/",
-            QueryKind::Aggregate => "SELECT /*agg*/",
-            QueryKind::OrderBy => "SELECT /*order*/",
-            QueryKind::ComplexAggregate => "SELECT /*complex-agg*/",
-            QueryKind::Insert => "INSERT INTO",
-            QueryKind::Update => "UPDATE",
-            QueryKind::Delete => "DELETE FROM",
-            QueryKind::CreateIndex => "CREATE INDEX ON",
-            QueryKind::DropIndex => "DROP INDEX ON",
-            QueryKind::TempTable => "CREATE TEMP TABLE AS SELECT",
-            QueryKind::AlterTable => "ALTER TABLE",
-        }
-    }
 }
 
 impl fmt::Display for QueryKind {
@@ -130,7 +112,9 @@ pub struct QueryProfile {
     /// a small hot set (TPCC's recent orders ≈ 6; YCSB zipf ≈ 2;
     /// Wikipedia's long tail ≈ 1.2 ≈ near-uniform).
     pub locality: f64,
-    /// Literal parameters, preserved so templating has something to strip.
+    /// Literal parameters. No decision reads them; only the trace format
+    /// and the snapshot carry them. Dropping them changes every generator's
+    /// draw order, so it waits for a deliberate digest re-pin.
     pub literals: [i64; 2],
 }
 
@@ -150,19 +134,6 @@ impl QueryProfile {
             locality: 2.0,
             literals: [0, 0],
         }
-    }
-
-    /// Render a SQL-ish string with literals inline, e.g.
-    /// `SELECT /*agg*/ FROM t12 WHERE k = 94321 AND v < 7` — enough surface
-    /// for the templating module to normalize.
-    pub fn render_sql(&self) -> String {
-        format!(
-            "{} t{} WHERE k = {} AND v < {}",
-            self.kind.verb(),
-            self.table,
-            self.literals[0],
-            self.literals[1]
-        )
     }
 
     /// Total working-memory demand across all three work-area categories.
@@ -220,25 +191,6 @@ mod tests {
         assert!(!QueryKind::Join.is_write());
         assert!(!QueryKind::TempTable.is_write()); // temp data is not table data
         assert!(!QueryKind::DropIndex.is_write()); // metadata only
-    }
-
-    #[test]
-    fn render_includes_literals_and_table() {
-        let mut q = QueryProfile::new(QueryKind::Aggregate, 7);
-        q.literals = [123, 456];
-        let sql = q.render_sql();
-        assert!(sql.contains("t7"));
-        assert!(sql.contains("123"));
-        assert!(sql.contains("456"));
-    }
-
-    #[test]
-    fn same_shape_different_literals_render_differently() {
-        let mut a = QueryProfile::new(QueryKind::PointSelect, 1);
-        let mut b = a.clone();
-        a.literals = [1, 2];
-        b.literals = [3, 4];
-        assert_ne!(a.render_sql(), b.render_sql());
     }
 
     #[test]

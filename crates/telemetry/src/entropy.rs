@@ -1,6 +1,6 @@
 //! Entropy over query-class frequency tables (§3.1, Eqs. 1 and 2).
 //!
-//! The TDE groups query templates into per-knob classes and builds a hash
+//! The TDE groups logged queries into per-knob classes and builds a hash
 //! table of class frequencies. The *normalized* entropy of that distribution
 //! decides whether repeated memory throttles are caused by genuinely
 //! mis-tuned knobs (frequencies concentrated on the throttling class, high

@@ -3,7 +3,8 @@
 //! Every benchmark (TPCC, YCSB, …) reduces to a weighted set of
 //! [`TemplateSpec`]s — query shapes with parameter ranges — plus a catalog
 //! layout and a default request rate. [`MixWorkload`] samples from the mix;
-//! literals vary per instance so the TDE's templating has realistic input.
+//! each instance also draws two literals, which only the trace format
+//! and the snapshot carry.
 
 use crate::arrival::ArrivalProcess;
 use autodbaas_simdb::{Catalog, QueryKind, QueryProfile};

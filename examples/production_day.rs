@@ -1,20 +1,18 @@
 //! A full day on the production trace: the whole stack in one run.
 //!
 //! One PostgreSQL service runs the synthetic 33-day customer workload
-//! (Fig. 8's diurnal curve). The TDE runs every 5 minutes; a drift
-//! detector watches the template distribution; a learned (future-work)
-//! detector shadows the rule engine; at the end the day's operational
-//! report prints — the view a PaaS operator would get.
+//! (Fig. 8's diurnal curve). The TDE runs every 5 minutes; a learned
+//! (future-work) detector shadows the rule engine; at the end the day's
+//! operational report prints — the view a PaaS operator would get — and
+//! its two headline claims are checked.
 //!
 //! ```sh
 //! cargo run --release --example production_day
 //! ```
 
 use autodbaas::prelude::*;
-use autodbaas::tde::{
-    DriftConfig, DriftDetector, DriftVerdict, LearnedDetector, TdeConfig, TemplateStore,
-};
-use autodbaas::telemetry::{MILLIS_PER_HOUR, MILLIS_PER_MIN};
+use autodbaas::tde::{LearnedDetector, TdeConfig};
+use autodbaas::telemetry::MILLIS_PER_MIN;
 use rand::rngs::StdRng;
 
 fn main() {
@@ -32,15 +30,13 @@ fn main() {
     db.set_knob_direct(buffer, InstanceType::M4XLarge.mem_bytes() * 0.25);
 
     let mut tde = Tde::new(&profile, TdeConfig::default(), 7);
-    let mut drift = DriftDetector::new(DriftConfig::default());
-    let mut store = TemplateStore::new();
     let mut learned = LearnedDetector::new(&profile, 9);
     let mut rng: StdRng = SeedableRng::seed_from_u64(1);
 
     println!("== One production day (m4.xlarge, PostgreSQL profile) ==");
     println!(
-        "{:<6} {:>8} {:>10} {:>9} {:>7} {:>14}",
-        "hour", "qps", "throttles", "drift", "agree", "disk lat (ms)"
+        "{:<6} {:>8} {:>10} {:>7} {:>14}",
+        "hour", "qps", "throttles", "agree", "disk lat (ms)"
     );
 
     let window_ms = 5 * MILLIS_PER_MIN;
@@ -48,7 +44,6 @@ fn main() {
     let mut total_requests = 0u64;
     for hour in 0..24u64 {
         let hour_start_snap = db.metrics_snapshot();
-        let mut drift_events = 0;
         let mut throttles = 0;
         for _ in 0..12 {
             // 12 five-minute windows per hour.
@@ -58,7 +53,6 @@ fn main() {
                 let rate = wl.default_arrival().rate_at(db.now());
                 for _ in 0..12 {
                     let q = wl.next_query(&mut rng);
-                    drift.ingest(&mut store, &q);
                     let _ = db.submit(&q, ((rate / 12.0) as u64).max(1));
                 }
                 db.tick(1_000);
@@ -70,19 +64,15 @@ fn main() {
             }
             let delta = db.metrics_snapshot().delta(&win_snap);
             learned.observe(db.knobs(), &delta, &report);
-            if matches!(drift.close_window(), DriftVerdict::Changed(_)) {
-                drift_events += 1;
-            }
         }
         let delta = db.metrics_snapshot().delta(&hour_start_snap);
         let qps = delta[autodbaas::simdb::MetricId::QueriesExecuted.index()] / 3_600.0;
         hourly_qps.push(qps);
         println!(
-            "{:<6} {:>8.0} {:>10} {:>9} {:>7.2} {:>14.2}",
+            "{:<6} {:>8.0} {:>10} {:>7.2} {:>14.2}",
             format!("{hour:02}:00"),
             qps,
             throttles,
-            drift_events,
             learned.recent_agreement(),
             db.disks().data().current_latency_ms(),
         );
@@ -113,5 +103,12 @@ fn main() {
         db.bg().wal().recycled_segments(),
         db.bg().checkpoints_done()
     );
-    let _ = MILLIS_PER_HOUR; // explicit unit imports document the scale
+    assert!(
+        (8..=11).contains(&peak_hour),
+        "peak hour {peak_hour}:00 is outside the 8-11 AM surge"
+    );
+    assert!(
+        total_requests < 288,
+        "{total_requests} tuning requests is no better than 5-min polling"
+    );
 }

@@ -1,9 +1,9 @@
-//! Integration tests for the extension features: the adaptive observation
-//! period and the hybrid tuner, run against real simulated databases.
+//! Integration test for the hybrid tuner extension, run against a real
+//! simulated database.
 
 use autodbaas::prelude::*;
 use autodbaas::simdb::MetricId;
-use autodbaas::tde::{AdaptivePeriod, Tde, TdeConfig};
+use autodbaas::tde::{Tde, TdeConfig};
 use autodbaas::tuner::{
     normalize_config, HybridBackend, HybridConfig, HybridTuner, Sample, SampleQuality,
     WorkloadRepository,
@@ -19,58 +19,6 @@ fn drive(db: &mut SimDatabase, wl: &dyn QuerySource, rng: &mut StdRng, secs: u64
         }
         db.tick(1_000);
     }
-}
-
-/// The adaptive period backs off on a healthy database and tightens the
-/// moment a demanding workload arrives — fewer TDE runs for the same
-/// detection latency.
-#[test]
-fn adaptive_period_backs_off_then_reacts() {
-    let healthy = tpcc(0.5);
-    let demanding = AdulteratedWorkload::new(tpcc(0.5), 0.5);
-    let mut db = SimDatabase::new(
-        DbFlavor::Postgres,
-        InstanceType::M4XLarge,
-        DiskKind::Ssd,
-        healthy.catalog().clone(),
-        1,
-    );
-    let mut tde = Tde::new(&db.profile().clone(), TdeConfig::default(), 2);
-    let mut period = AdaptivePeriod::new(60_000, 480_000);
-    let mut rng = StdRng::seed_from_u64(3);
-
-    // 40 minutes of healthy traffic: the period must stretch and the run
-    // count stay far below the fixed-cadence equivalent (40 runs).
-    let mut runs_healthy = 0;
-    for _ in 0..40 {
-        drive(&mut db, &healthy, &mut rng, 60, 200);
-        if period.due(db.now()) {
-            let r = tde.run(&mut db, None);
-            period.record(db.now(), r.tuning_request);
-            runs_healthy += 1;
-        }
-    }
-    assert!(
-        runs_healthy < 20,
-        "healthy traffic should stretch the period ({runs_healthy} runs in 40 min)"
-    );
-    assert!(period.current_ms() > 120_000);
-
-    // The demanding workload arrives: the next due run throttles and the
-    // period collapses back toward the floor.
-    let mut tightened = false;
-    for _ in 0..16 {
-        drive(&mut db, &demanding, &mut rng, 60, 200);
-        if period.due(db.now()) {
-            let r = tde.run(&mut db, None);
-            period.record(db.now(), r.tuning_request);
-            if period.current_ms() <= 120_000 {
-                tightened = true;
-                break;
-            }
-        }
-    }
-    assert!(tightened, "throttles must tighten the cadence");
 }
 
 /// The hybrid tuner hands a freshly hooked database to the RL agent and

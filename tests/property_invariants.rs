@@ -4,7 +4,7 @@
 use autodbaas::ctrlplane::{Reconciler, ServiceSpec};
 use autodbaas::prelude::*;
 use autodbaas::simdb::{Catalog, QueryKind};
-use autodbaas::tde::{classify, normalize_sql, ClassHistogram, Reservoir, TemplateStore};
+use autodbaas::tde::{classify, ClassHistogram, Reservoir};
 use autodbaas::telemetry::entropy::{normalized_entropy, paper_entropy_score, shannon_entropy};
 use autodbaas::telemetry::stats::percentile;
 use autodbaas::tuner::{denormalize_config, normalize_config};
@@ -140,23 +140,47 @@ proptest! {
         }
     }
 
+    // Literals never reach a decision: two databases fed the same query
+    // stream, one with every literal rewritten, give the TDE identical
+    // reports and end with identical metrics and knobs. The workload
+    // throttles every window, so the detectors, the filter and the MDP all
+    // run on the sampled queries.
     #[test]
-    fn templating_is_literal_invariant(
-        lit_a in 0i64..1_000_000,
-        lit_b in 0i64..1_000_000,
-        kind_idx in 0usize..13,
-        table in 0u32..100,
-    ) {
-        let kind = QueryKind::ALL[kind_idx];
-        let mut store = TemplateStore::new();
-        let mut q1 = QueryProfile::new(kind, table);
-        q1.literals = [lit_a, lit_b % 1000];
-        let mut q2 = q1.clone();
-        q2.literals = [(lit_a + 17) % 1_000_000, (lit_b + 3) % 1000];
-        let a = store.ingest(&q1);
-        let b = store.ingest(&q2);
-        prop_assert_eq!(a, b, "literals must not split templates");
-        prop_assert!(!normalize_sql(&q1.render_sql()).contains(|c: char| c.is_ascii_digit()));
+    fn tde_is_literal_invariant(lit_seed in 0u64..1_000_000) {
+        let wl = AdulteratedWorkload::new(tpcc(0.5), 0.5);
+        let run = |rewrite_seed: Option<u64>| {
+            let mut db = SimDatabase::new(
+                DbFlavor::Postgres,
+                InstanceType::M4Large,
+                DiskKind::Ssd,
+                wl.base().catalog().clone(),
+                1,
+            );
+            let mut tde = Tde::new(&db.profile().clone(), TdeConfig::default(), 2);
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut lit_rng = rewrite_seed.map(StdRng::seed_from_u64);
+            let (mut reports, mut throttled) = (Vec::new(), 0);
+            for _ in 0..12 {
+                for _ in 0..5 {
+                    for _ in 0..8 {
+                        let mut q = wl.next_query(&mut rng);
+                        if let Some(r) = lit_rng.as_mut() {
+                            q.literals = [r.gen(), r.gen()];
+                        }
+                        let _ = db.submit(&q, 40);
+                    }
+                    db.tick(1_000);
+                }
+                let report = tde.run(&mut db, None);
+                throttled += usize::from(!report.throttles.is_empty());
+                reports.push(format!("{report:?}"));
+            }
+            let metrics = db.metrics_snapshot().as_vec().to_vec();
+            (reports, metrics, db.knobs().as_vec().to_vec(), throttled)
+        };
+        let (plain, rewritten) = (run(None), run(Some(lit_seed)));
+        prop_assert_eq!(plain.3, 12, "every window must throttle");
+        prop_assert_eq!(plain, rewritten);
     }
 
     #[test]
