@@ -8,7 +8,7 @@
 //! accuracy then climb as the automata's action probabilities converge.
 
 use autodbaas_bench::{header, sparkline, Rig};
-use autodbaas_core::{MdpConfig, MdpEngine};
+use autodbaas_core::MdpEngine;
 use autodbaas_simdb::{Backend, DbFlavor, InstanceType, QueryProfile};
 use autodbaas_telemetry::outln;
 use autodbaas_workload::production;
@@ -46,12 +46,8 @@ fn main() {
     // realistic hit ratio.
     rig.drive(&wl, 800, 120, 16);
 
-    // Episodes of ~375 steps, as in the paper.
-    let cfg = MdpConfig {
-        episode_steps: 375,
-        ..MdpConfig::default()
-    };
-    let mut mdp = MdpEngine::new(&p, cfg);
+    // The engine's episodes are 375 steps, inside the paper's 350–400.
+    let mut mdp = MdpEngine::new(&p);
     let mut rng = StdRng::seed_from_u64(17);
     let mut knobs = rig.db.knobs().clone();
 

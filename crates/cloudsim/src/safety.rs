@@ -16,6 +16,9 @@
 
 use autodbaas_snapshot::snap_struct;
 
+/// EWMA weight for the rolling baseline objective.
+const BASELINE_ALPHA: f64 = 0.2;
+
 /// Safe-tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct SafetyConfig {
@@ -39,8 +42,6 @@ pub struct SafetyConfig {
     /// SLO floor as a fraction of the rolling baseline: a window whose
     /// objective drops below `baseline × slo_floor_frac` is a breach.
     pub slo_floor_frac: f64,
-    /// EWMA weight for the rolling baseline objective.
-    pub baseline_alpha: f64,
     /// Windows observed before the baseline is trusted enough to charge
     /// regret or call breaches (the fleet boots untuned and cold).
     pub warmup_windows: u64,
@@ -55,7 +56,6 @@ impl Default for SafetyConfig {
             min_radius: 0.02,
             max_radius: 0.3,
             slo_floor_frac: 0.7,
-            baseline_alpha: 0.2,
             warmup_windows: 5,
         }
     }
@@ -68,7 +68,6 @@ snap_struct!(SafetyConfig {
     min_radius,
     max_radius,
     slo_floor_frac,
-    baseline_alpha,
     warmup_windows
 });
 
@@ -277,7 +276,7 @@ impl SafetyGovernor {
         led.baseline = if led.windows == 1 {
             objective
         } else {
-            (1.0 - cfg.baseline_alpha) * led.baseline + cfg.baseline_alpha * objective
+            (1.0 - BASELINE_ALPHA) * led.baseline + BASELINE_ALPHA * objective
         };
         verdict
     }

@@ -71,9 +71,6 @@ pub struct FleetConfig {
     /// Retries (of a timed-out request, or of a lag-refused apply) before
     /// the recommendation is abandoned cleanly.
     pub retry_max_attempts: u32,
-    /// Reconciler watcher timeout (§4): drift older than this is forced
-    /// back to the persisted config.
-    pub watcher_timeout_ms: u64,
     /// Replica-lag guard for applies: a recommendation is deferred (with
     /// backoff) while any slave lags more than this many bytes.
     pub max_apply_lag_bytes: u64,
@@ -116,12 +113,15 @@ impl Default for FleetConfig {
             request_timeout_ms: 5 * 60 * 1_000,
             retry_base_ms: 30_000,
             retry_max_attempts: 6,
-            watcher_timeout_ms: 2 * 60 * 1_000,
             max_apply_lag_bytes: 64 * 1024 * 1024,
             rollback: None,
         }
     }
 }
+
+/// Reconciler watcher timeout (§4): drift older than this is forced back to
+/// the persisted config.
+const WATCHER_TIMEOUT_MS: u64 = 2 * 60 * 1_000;
 
 /// Fewest nodes automatic shard resolution gives a shard: below this the
 /// barrier costs more than the shard contributes.
@@ -420,10 +420,8 @@ impl FleetSim {
         let idx = self.nodes.len();
         self.orch
             .persist_config(ServiceId(idx as u64), node.db().knobs().clone());
-        self.reconcilers.push(Reconciler::new(
-            ServiceId(idx as u64),
-            self.cfg.watcher_timeout_ms,
-        ));
+        self.reconcilers
+            .push(Reconciler::new(ServiceId(idx as u64), WATCHER_TIMEOUT_MS));
         self.meter
             .set_backend(ServiceId(idx as u64), node.db().kind());
         if let Some(gov) = &mut self.safety {
@@ -1304,7 +1302,6 @@ snap_struct!(FleetConfig {
     request_timeout_ms,
     retry_base_ms,
     retry_max_attempts,
-    watcher_timeout_ms,
     max_apply_lag_bytes,
     rollback
 });

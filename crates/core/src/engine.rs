@@ -21,8 +21,8 @@
 
 use crate::bgwriter::{baseline_from_repo, BgwriterDetector};
 use crate::classify::ClassHistogram;
-use crate::filter::{EntropyFilter, FilterConfig, FilterDecision};
-use crate::mdp::{MdpConfig, MdpEngine};
+use crate::filter::{EntropyFilter, FilterDecision};
+use crate::mdp::MdpEngine;
 use crate::memory::{check_working_set, detect_spills, knob_at_cap, WorkingSetFinding};
 use crate::reservoir::Reservoir;
 use autodbaas_simdb::{Backend, KnobClass, KnobId, MetricId, QueryProfile, SpillKind};
@@ -77,41 +77,34 @@ pub struct TdeReport {
     pub buffer_findings: Vec<WorkingSetFinding>,
 }
 
+/// Observation-window seconds assumed for repository baselines.
+const BASELINE_WINDOW_S: f64 = 60.0;
+
+/// TDE runs per working-set gauging epoch (the Curino-style gauge \[5\]
+/// accumulates across several observation windows before resetting).
+const WS_EPOCH_RUNS: u32 = 10;
+
+/// Buffer hit ratio below which a memory throttle fires on the buffer knob.
+const HIT_RATIO_FLOOR: f64 = 0.45;
+
 /// TDE configuration.
 #[derive(Debug, Clone)]
 pub struct TdeConfig {
     /// Reservoir sample size per observation window.
     pub reservoir_capacity: usize,
-    /// Entropy-filter parameters.
-    pub filter: FilterConfig,
     /// Toggle for the filter (ablation).
     pub enable_entropy_filter: bool,
-    /// MDP parameters.
-    pub mdp: MdpConfig,
     /// MDP cadence ("the TDE triggers the MDP at interval of 2 to 4
     /// minutes").
     pub mdp_interval_ms: u64,
-    /// Observation-window seconds assumed for repository baselines.
-    pub baseline_window_s: f64,
-    /// TDE runs per working-set gauging epoch (the Curino-style gauge \[5\]
-    /// accumulates across several observation windows before resetting).
-    pub ws_epoch_runs: u32,
-    /// Buffer hit ratio below which a memory throttle fires on the buffer
-    /// knob.
-    pub hit_ratio_floor: f64,
 }
 
 impl Default for TdeConfig {
     fn default() -> Self {
         Self {
             reservoir_capacity: 64,
-            filter: FilterConfig::default(),
             enable_entropy_filter: true,
-            mdp: MdpConfig::default(),
             mdp_interval_ms: 3 * MILLIS_PER_MIN,
-            baseline_window_s: 60.0,
-            ws_epoch_runs: 10,
-            hit_ratio_floor: 0.45,
         }
     }
 }
@@ -122,7 +115,7 @@ impl Default for TdeConfig {
 ///
 /// ```
 /// use autodbaas_core::{Tde, TdeConfig};
-/// use autodbaas_simdb::{Catalog, DbFlavor, DiskKind, InstanceType, SimDatabase};
+/// use autodbaas_simdb::{Backend, Catalog, DbFlavor, DiskKind, InstanceType, SimDatabase};
 ///
 /// let catalog = Catalog::synthetic(4, 100_000_000, 150, 1);
 /// let mut db = SimDatabase::new(
@@ -156,13 +149,12 @@ pub struct Tde {
 impl Tde {
     /// Build a TDE for a database's knob profile.
     pub fn new(profile: &autodbaas_simdb::KnobProfile, cfg: TdeConfig, seed: u64) -> Self {
-        let mdp = MdpEngine::new(profile, cfg.mdp);
         Self {
             reservoir: Reservoir::new(cfg.reservoir_capacity),
             hist: ClassHistogram::new(),
-            filter: EntropyFilter::new(cfg.filter),
+            filter: EntropyFilter::default(),
             bg_detector: BgwriterDetector::new(),
-            mdp,
+            mdp: MdpEngine::new(profile),
             cfg,
             mdp_last_run: 0,
             last_ingested_at: 0,
@@ -247,10 +239,7 @@ impl Tde {
         // memory; there may be no spills left, but the machine is swapping.
         let swapping = db.swap_factor() > 1.05 && self.reservoir.seen() > 0;
         let throttled = !spills.is_empty() || swapping;
-        let any_at_cap = swapping
-            || spills
-                .iter()
-                .any(|f| knob_at_cap(db, f.knob, self.cfg.filter.cap_fraction));
+        let any_at_cap = swapping || spills.iter().any(|f| knob_at_cap(db, f.knob));
         let decision = if self.cfg.enable_entropy_filter {
             self.filter.observe(throttled, any_at_cap, &self.hist)
         } else {
@@ -294,7 +283,7 @@ impl Tde {
         // Evaluated once per gauging epoch so a single oversized working
         // set yields one throttle per epoch, not one per window.
         self.ws_run_counter += 1;
-        let reset_epoch = self.ws_run_counter >= self.cfg.ws_epoch_runs;
+        let reset_epoch = self.ws_run_counter >= WS_EPOCH_RUNS;
         if reset_epoch {
             self.ws_run_counter = 0;
         }
@@ -324,7 +313,7 @@ impl Tde {
             let total = hits + reads;
             if total > 1_000.0 {
                 let ratio = hits / total;
-                if ratio < self.cfg.hit_ratio_floor {
+                if ratio < HIT_RATIO_FLOOR {
                     report.throttles.push(ThrottleSignal {
                         knob: db.planner().roles().buffer_pool,
                         class: KnobClass::Memory,
@@ -342,8 +331,7 @@ impl Tde {
         // The signature is the §3b snapshot, borrowed where it is stored:
         // nothing touches `db` between the two sections.
         if let Some(repo) = repo.filter(|r| r.total_samples() > 0) {
-            if let Some(baseline) = baseline_from_repo(repo, signature, self.cfg.baseline_window_s)
-            {
+            if let Some(baseline) = baseline_from_repo(repo, signature, BASELINE_WINDOW_S) {
                 if self.bg_detector.detect(db, baseline).is_some() {
                     let knob = db.planner().roles().checkpoint_interval;
                     report.throttles.push(ThrottleSignal {
@@ -424,13 +412,8 @@ use autodbaas_snapshot::snap_struct;
 
 snap_struct!(TdeConfig {
     reservoir_capacity,
-    filter,
     enable_entropy_filter,
-    mdp,
-    mdp_interval_ms,
-    baseline_window_s,
-    ws_epoch_runs,
-    hit_ratio_floor
+    mdp_interval_ms
 });
 
 snap_struct!(Tde {

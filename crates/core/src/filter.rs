@@ -15,7 +15,11 @@
 //! a plan update … and recommendation requests are not sent". We use the
 //! paper's orientation of the score (concentration-high, see
 //! `autodbaas_telemetry::entropy::paper_entropy_score`); the "cap" test is
-//! a knob sitting within a few percent of its instance-constrained maximum.
+//! [`crate::memory::knob_at_cap`].
+//!
+//! The rule's values are constants, not options: the 8-throttle count is
+//! §3.1's; the paper gives no number for "higher" entropy, so the 0.35
+//! concentration threshold is this reproduction's fixed choice.
 
 use crate::classify::ClassHistogram;
 use autodbaas_telemetry::entropy::paper_entropy_score;
@@ -36,32 +40,16 @@ pub enum FilterDecision {
     Hold,
 }
 
-/// Filter configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct FilterConfig {
-    /// Consecutive throttles before evaluating entropy (the paper's 8).
-    pub consecutive_threshold: u32,
-    /// Paper-orientation entropy score above which the distribution counts
-    /// as "concentrated".
-    pub entropy_threshold: f64,
-    /// A knob within this fraction of its maximum counts as "at cap".
-    pub cap_fraction: f64,
-}
+/// Consecutive throttles before the entropy is evaluated (§3.1's 8).
+const CONSECUTIVE_THRESHOLD: u32 = 8;
 
-impl Default for FilterConfig {
-    fn default() -> Self {
-        Self {
-            consecutive_threshold: 8,
-            entropy_threshold: 0.35,
-            cap_fraction: 0.95,
-        }
-    }
-}
+/// Paper-orientation entropy score above which the class distribution
+/// counts as "concentrated".
+const ENTROPY_THRESHOLD: f64 = 0.35;
 
 /// Per-knob-class consecutive-throttle tracker + entropy evaluation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EntropyFilter {
-    cfg: FilterConfig,
     consecutive: u32,
     /// Count of entropy evaluations that concluded "cap-limited" — §4 calls
     /// these "entropy hits" and uses them in the buffer-shrink rule.
@@ -69,15 +57,6 @@ pub struct EntropyFilter {
 }
 
 impl EntropyFilter {
-    /// New filter with config.
-    pub fn new(cfg: FilterConfig) -> Self {
-        Self {
-            cfg,
-            consecutive: 0,
-            entropy_hits: 0,
-        }
-    }
-
     /// Record that a detector window produced a throttle (`true`) or ran
     /// clean (`false`), then decide. `knob_at_cap` is whether the throttled
     /// knob is pinned at its maximum; `hist` is the current class table.
@@ -92,21 +71,21 @@ impl EntropyFilter {
             return FilterDecision::Forward; // nothing to suppress
         }
         self.consecutive += 1;
-        if self.consecutive <= self.cfg.consecutive_threshold {
+        if self.consecutive <= CONSECUTIVE_THRESHOLD {
             return FilterDecision::Forward;
         }
-        // More than `threshold` consecutive throttles: evaluate entropy.
+        // More than 8 consecutive throttles: evaluate entropy.
         let score = paper_entropy_score(hist.counts());
         // Restart the 8-count either way ("the same job waits for next 8
         // throttles before calculating the next entropy value").
         self.consecutive = 0;
-        if knob_at_cap && score < self.cfg.entropy_threshold {
+        if knob_at_cap && score < ENTROPY_THRESHOLD {
             // Low concentration = all classes firing evenly while the knob
             // is pinned: the instance is undersized — ask the customer for
             // a bigger plan and stop wasting the tuner's time.
             self.entropy_hits += 1;
             FilterDecision::PlanUpgrade
-        } else if knob_at_cap && score >= self.cfg.entropy_threshold {
+        } else if knob_at_cap && score >= ENTROPY_THRESHOLD {
             // Concentrated on one class with the knob pinned: §3.1's first
             // rule-based case — "throttles can be filtered". The entropy
             // hit lets the §4 maintenance window shrink the buffer to make
@@ -131,14 +110,7 @@ impl EntropyFilter {
 
 use autodbaas_snapshot::snap_struct;
 
-snap_struct!(FilterConfig {
-    consecutive_threshold,
-    entropy_threshold,
-    cap_fraction
-});
-
 snap_struct!(EntropyFilter {
-    cfg,
     consecutive,
     entropy_hits
 });
@@ -184,7 +156,7 @@ mod tests {
 
     #[test]
     fn below_threshold_everything_forwards() {
-        let mut f = EntropyFilter::new(FilterConfig::default());
+        let mut f = EntropyFilter::default();
         let h = hist_even();
         for _ in 0..8 {
             assert_eq!(f.observe(true, true, &h), FilterDecision::Forward);
@@ -194,7 +166,7 @@ mod tests {
 
     #[test]
     fn ninth_consecutive_throttle_with_even_classes_and_cap_upgrades_plan() {
-        let mut f = EntropyFilter::new(FilterConfig::default());
+        let mut f = EntropyFilter::default();
         let h = hist_even();
         for _ in 0..8 {
             f.observe(true, true, &h);
@@ -206,7 +178,7 @@ mod tests {
 
     #[test]
     fn concentrated_classes_at_cap_are_suppressed_not_upgraded() {
-        let mut f = EntropyFilter::new(FilterConfig::default());
+        let mut f = EntropyFilter::default();
         let h = hist_concentrated();
         for _ in 0..8 {
             f.observe(true, true, &h);
@@ -218,7 +190,7 @@ mod tests {
 
     #[test]
     fn no_cap_means_never_upgrade() {
-        let mut f = EntropyFilter::new(FilterConfig::default());
+        let mut f = EntropyFilter::default();
         let h = hist_even();
         for _ in 0..20 {
             let d = f.observe(true, false, &h);
@@ -229,7 +201,7 @@ mod tests {
 
     #[test]
     fn clean_window_resets_consecutive_count() {
-        let mut f = EntropyFilter::new(FilterConfig::default());
+        let mut f = EntropyFilter::default();
         let h = hist_even();
         for _ in 0..7 {
             f.observe(true, true, &h);

@@ -38,8 +38,8 @@ pub mod reservoir;
 pub use bgwriter::{baseline_from_repo, BgBaseline, BgFinding, BgwriterDetector};
 pub use classify::{classify, ClassHistogram, QueryClass};
 pub use engine::{Tde, TdeConfig, TdeReport, ThrottleReason, ThrottleSignal, TuningPolicy};
-pub use filter::{EntropyFilter, FilterConfig, FilterDecision};
+pub use filter::{EntropyFilter, FilterDecision};
 pub use learned::{LearnedDetector, LearnedScores};
-pub use mdp::{MdpAction, MdpConfig, MdpEngine, MdpOutcome};
+pub use mdp::{MdpAction, MdpEngine, MdpOutcome};
 pub use memory::{check_working_set, detect_spills, knob_at_cap, SpillFinding, WorkingSetFinding};
 pub use reservoir::Reservoir;

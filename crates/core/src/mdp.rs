@@ -15,6 +15,11 @@
 //! (tracked per automaton), `A` = {increase, decrease}, `B` the cost/benefit
 //! response, `N` the value transition (apply the step), `H` the probability
 //! update below.
+//!
+//! The automaton's values are constants, not options. The 375-step
+//! episode sits inside §3.3's 350–400; §3.3 names the linear reward–penalty
+//! scheme but no rates, so α = 0.15, β = 0.05 and the 2 % profit that
+//! raises a throttle are this reproduction's fixed choices.
 
 use autodbaas_simdb::{Backend, KnobId, KnobProfile, KnobSet, QueryProfile};
 use rand::{Rng, RngCore};
@@ -50,35 +55,22 @@ struct KnobAutomaton {
     visited: Vec<f64>,
 }
 
-/// Hyper-parameters of the engine.
-#[derive(Debug, Clone, Copy)]
-pub struct MdpConfig {
-    /// Reward learning rate (α of L_R-P).
-    pub alpha: f64,
-    /// Penalty learning rate (β).
-    pub beta: f64,
-    /// Relative profit above which a throttle fires.
-    pub profit_threshold: f64,
-    /// Steps per episode (the paper uses 350–400).
-    pub episode_steps: usize,
-}
+/// Reward learning rate (α of L_R-P).
+const ALPHA: f64 = 0.15;
 
-impl Default for MdpConfig {
-    fn default() -> Self {
-        Self {
-            alpha: 0.15,
-            beta: 0.05,
-            profit_threshold: 0.02,
-            episode_steps: 375,
-        }
-    }
-}
+/// Penalty learning rate (β).
+const BETA: f64 = 0.05;
+
+/// Relative profit above which a throttle fires.
+const PROFIT_THRESHOLD: f64 = 0.02;
+
+/// Steps per episode (§3.3 runs 350–400).
+const EPISODE_STEPS: usize = 375;
 
 /// The §3.3 engine: one automaton per async/planner knob, shared episodic
 /// bookkeeping for the Fig. 6 learning curves.
 #[derive(Debug, Clone)]
 pub struct MdpEngine {
-    cfg: MdpConfig,
     automata: Vec<KnobAutomaton>,
     steps_in_episode: usize,
     episode_reward: f64,
@@ -91,7 +83,7 @@ impl MdpEngine {
     /// Build automata for every async/planner knob of `profile`. Unit step
     /// is 1/20 of each knob's range ("the knob values are changed … by unit
     /// step (defined statically)").
-    pub fn new(profile: &KnobProfile, cfg: MdpConfig) -> Self {
+    pub fn new(profile: &KnobProfile) -> Self {
         let automata = profile
             .ids_in_class(autodbaas_simdb::KnobClass::AsyncPlanner)
             .into_iter()
@@ -107,7 +99,6 @@ impl MdpEngine {
             })
             .collect();
         Self {
-            cfg,
             automata,
             steps_in_episode: 0,
             episode_reward: 0.0,
@@ -209,10 +200,10 @@ impl MdpEngine {
             let punished = profit < -NEUTRAL_EPS;
             let p = &mut a.p_increase;
             match action {
-                MdpAction::Increase if rewarded => *p += self.cfg.alpha * (1.0 - *p),
-                MdpAction::Increase if punished => *p -= self.cfg.beta * *p,
-                MdpAction::Decrease if rewarded => *p -= self.cfg.alpha * *p,
-                MdpAction::Decrease if punished => *p += self.cfg.beta * (1.0 - *p),
+                MdpAction::Increase if rewarded => *p += ALPHA * (1.0 - *p),
+                MdpAction::Increase if punished => *p -= BETA * *p,
+                MdpAction::Decrease if rewarded => *p -= ALPHA * *p,
+                MdpAction::Decrease if punished => *p += BETA * (1.0 - *p),
                 _ => {}
             }
             *p = p.clamp(0.02, 0.98);
@@ -222,7 +213,7 @@ impl MdpEngine {
                 knobs.set(&profile, a.knob, old);
             }
 
-            let throttle = profit > self.cfg.profit_threshold;
+            let throttle = profit > PROFIT_THRESHOLD;
             self.episode_reward += profit;
             // "Accuracy" counts non-detrimental actions: profitable moves
             // and neutral exploration both leave the system no worse.
@@ -239,7 +230,7 @@ impl MdpEngine {
         }
 
         // Episode rollover.
-        if self.steps_in_episode >= self.cfg.episode_steps {
+        if self.steps_in_episode >= EPISODE_STEPS {
             let acc = self.episode_profitable_steps as f64 / self.steps_in_episode as f64;
             self.episode_rewards.push(self.episode_reward);
             self.episode_accuracy.push(acc);
@@ -253,13 +244,6 @@ impl MdpEngine {
 
 use autodbaas_snapshot::snap_struct;
 
-snap_struct!(MdpConfig {
-    alpha,
-    beta,
-    profit_threshold,
-    episode_steps
-});
-
 snap_struct!(KnobAutomaton {
     knob,
     p_increase,
@@ -268,7 +252,6 @@ snap_struct!(KnobAutomaton {
 });
 
 snap_struct!(MdpEngine {
-    cfg,
     automata,
     steps_in_episode,
     episode_reward,
@@ -311,7 +294,7 @@ mod tests {
     #[test]
     fn engine_covers_reloadable_async_knobs_only() {
         let profile = autodbaas_simdb::KnobProfile::postgres();
-        let engine = MdpEngine::new(&profile, MdpConfig::default());
+        let engine = MdpEngine::new(&profile);
         let expected = profile
             .ids_in_class(KnobClass::AsyncPlanner)
             .into_iter()
@@ -325,7 +308,7 @@ mod tests {
     fn step_produces_outcome_per_knob_and_respects_bounds() {
         let d = db();
         let mut knobs = d.knobs().clone();
-        let mut engine = MdpEngine::new(d.profile(), MdpConfig::default());
+        let mut engine = MdpEngine::new(d.profile());
         let mut rng = StdRng::seed_from_u64(1);
         let out = engine.step(&d, &mut knobs, &analytic_queries(), &mut rng);
         assert_eq!(out.len(), engine.knob_count());
@@ -343,7 +326,7 @@ mod tests {
     fn empty_sample_is_a_noop() {
         let d = db();
         let mut knobs = d.knobs().clone();
-        let mut engine = MdpEngine::new(d.profile(), MdpConfig::default());
+        let mut engine = MdpEngine::new(d.profile());
         let mut rng = StdRng::seed_from_u64(2);
         assert!(engine.step(&d, &mut knobs, &[], &mut rng).is_empty());
     }
@@ -356,7 +339,7 @@ mod tests {
         let rpc = d.profile().lookup("random_page_cost").unwrap();
         d.set_knob_direct(rpc, 10.0);
         let mut knobs = d.knobs().clone();
-        let mut engine = MdpEngine::new(d.profile(), MdpConfig::default());
+        let mut engine = MdpEngine::new(d.profile());
         let mut rng = StdRng::seed_from_u64(3);
         // Queries sitting just below the index/seq crossover at rpc = 10 on
         // the biggest table, so the first unit decrease flips the plan and
@@ -383,14 +366,10 @@ mod tests {
     fn episodes_roll_over_and_record_curves() {
         let d = db();
         let mut knobs = d.knobs().clone();
-        let cfg = MdpConfig {
-            episode_steps: 8,
-            ..MdpConfig::default()
-        };
-        let mut engine = MdpEngine::new(d.profile(), cfg);
+        let mut engine = MdpEngine::new(d.profile());
         let mut rng = StdRng::seed_from_u64(4);
         let qs = analytic_queries();
-        for _ in 0..10 {
+        for _ in 0..EPISODE_STEPS + 2 {
             engine.step(&d, &mut knobs, &qs, &mut rng);
         }
         assert!(!engine.episode_rewards().is_empty());
@@ -406,7 +385,7 @@ mod tests {
     #[test]
     fn loss_reverts_the_knob() {
         let d = db();
-        let mut engine = MdpEngine::new(d.profile(), MdpConfig::default());
+        let mut engine = MdpEngine::new(d.profile());
         let mut rng = StdRng::seed_from_u64(5);
         let qs = analytic_queries();
         let mut knobs = d.knobs().clone();

@@ -77,14 +77,17 @@ pub fn check_working_set<B: Backend>(db: &mut B, reset: bool) -> Option<WorkingS
     }
 }
 
+/// A knob within this fraction of its spec max counts as "at cap".
+const CAP_FRACTION: f64 = 0.95;
+
 /// Is a memory knob effectively pinned at its maximum? True when the value
-/// sits within `cap_fraction` of its spec max, or when the instance's
-/// whole memory budget is saturated — both are the "underlying instance
-/// configuration limit is in-sufficient" situations of §3.1.
-pub fn knob_at_cap<B: Backend>(db: &B, knob: KnobId, cap_fraction: f64) -> bool {
+/// sits within 5 % of its spec max, or when the instance's whole memory
+/// budget is saturated — both are the "underlying instance configuration
+/// limit is in-sufficient" situations of §3.1.
+pub fn knob_at_cap<B: Backend>(db: &B, knob: KnobId) -> bool {
     let spec = db.profile().spec(knob);
     let v = db.knobs().get(knob);
-    if v >= spec.max * cap_fraction {
+    if v >= spec.max * CAP_FRACTION {
         return true;
     }
     let budget = db.knobs().memory_budget_used(db.profile());
@@ -183,8 +186,8 @@ mod tests {
     fn cap_detection_via_spec_max() {
         let mut d = db();
         let work_mem = d.profile().lookup("work_mem").unwrap();
-        assert!(!knob_at_cap(&d, work_mem, 0.95));
+        assert!(!knob_at_cap(&d, work_mem));
         d.set_knob_direct(work_mem, d.profile().spec(work_mem).max);
-        assert!(knob_at_cap(&d, work_mem, 0.95));
+        assert!(knob_at_cap(&d, work_mem));
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionControl};
 use crate::proto::{ErrorCode, Request, Response, WireDecision, N_CLASSES};
-use autodbaas_core::{ClassHistogram, EntropyFilter, FilterConfig, FilterDecision, QueryClass};
+use autodbaas_core::{ClassHistogram, EntropyFilter, FilterDecision, QueryClass};
 use autodbaas_ctrlplane::{
     ConfigDirector, RecommendationMeter, ServiceId, ServiceOrchestrator, ServiceSpec, TunerKind,
 };
@@ -24,6 +24,9 @@ use std::collections::BTreeMap;
 /// Health, Stats) and the token bucket all registrations share.
 pub const ANON_TENANT: u64 = u64::MAX;
 
+/// Dimensionality of synthesized unit-config vectors.
+const REC_DIM: usize = 8;
+
 /// Tuning parameters of the routing layer.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
@@ -34,10 +37,6 @@ pub struct RouterConfig {
     /// Modelled GPR busy-time per BO recommendation, ms (the paper's
     /// ~110 s on m4.xlarge).
     pub bo_service_time_ms: f64,
-    /// Dimensionality of synthesized unit-config vectors.
-    pub rec_dim: usize,
-    /// Entropy-filtration config applied per tenant.
-    pub filter: FilterConfig,
 }
 
 impl Default for RouterConfig {
@@ -46,8 +45,6 @@ impl Default for RouterConfig {
             admission: AdmissionConfig::default(),
             tuners: vec![TunerKind::Bo; 4],
             bo_service_time_ms: 110_000.0,
-            rec_dim: 8,
-            filter: FilterConfig::default(),
         }
     }
 }
@@ -254,7 +251,7 @@ impl GatewayState {
             service.0,
             TenantState {
                 service,
-                filter: EntropyFilter::new(self.cfg.filter),
+                filter: EntropyFilter::default(),
                 recs: 0,
                 seed,
             },
@@ -379,7 +376,7 @@ impl GatewayState {
         };
         let mut h: u64 = 0xcbf29ce484222325 ^ seed.wrapping_mul(0x9e3779b97f4a7c15);
         h ^= ordinal;
-        (0..self.cfg.rec_dim)
+        (0..REC_DIM)
             .map(|i| {
                 h ^= (i as u64).wrapping_add(0x632be59bd9b4e019);
                 h = h.wrapping_mul(0x100000001b3);

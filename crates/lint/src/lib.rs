@@ -69,18 +69,10 @@ pub struct SourceFile {
 }
 
 /// The result of linting a set of sources.
-#[derive(Debug)]
-pub struct LintRun {
-    /// Every finding with allow-suppression already applied.
-    pub diagnostics: Vec<Diagnosed>,
-    /// Call-graph resolution accounting.
-    pub graph: GraphStats,
-}
-
-/// The result of linting a workspace.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
-    /// Every finding, in (file, line) order.
+    /// Every finding with allow-suppression already applied; in (file,
+    /// line) order once [`run_workspace`] returns it.
     pub diagnostics: Vec<Diagnosed>,
     /// Files analyzed.
     pub files_scanned: usize,
@@ -275,7 +267,7 @@ pub fn lint_source(path: &str, crate_name: &str, src: &str) -> Vec<Diagnosed> {
 /// parse → call graph → interprocedural rules, with allow suppression
 /// applied to everything. This is what [`run_workspace`] runs on the real
 /// tree and what fixture tests feed synthetic workspaces into.
-pub fn lint_sources(files: &[SourceFile]) -> LintRun {
+pub fn lint_sources(files: &[SourceFile]) -> Report {
     let mut diagnostics = Vec::new();
     let mut parsed: Vec<callgraph::FileAst> = Vec::with_capacity(files.len());
     let mut all_allows: Vec<Vec<Allow>> = Vec::with_capacity(files.len());
@@ -339,8 +331,9 @@ pub fn lint_sources(files: &[SourceFile]) -> LintRun {
             .unwrap_or(&[]);
         diagnostics.extend(apply_allows(vec![finding], allows));
     }
-    LintRun {
+    Report {
         diagnostics,
+        files_scanned: files.len(),
         graph: graph.stats,
     }
 }
@@ -411,13 +404,7 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
             src: std::fs::read_to_string(file)?,
         });
     }
-    let run = lint_sources(&sources);
-
-    let mut report = Report {
-        diagnostics: run.diagnostics,
-        files_scanned: sources.len(),
-        graph: run.graph,
-    };
+    let mut report = lint_sources(&sources);
     report.diagnostics.sort_by(|a, b| {
         (&a.finding.file, a.finding.line, a.finding.rule).cmp(&(
             &b.finding.file,
@@ -776,13 +763,7 @@ fn f() { let t = Instant::now(); let r = rand::thread_rng(); }
                 src: "pub fn apply() { x.unwrap(); }".into(),
             },
         ];
-        let run = lint_sources(&files);
-        let report = Report {
-            diagnostics: run.diagnostics,
-            files_scanned: 2,
-            graph: run.graph,
-        };
-        let text = render_human(&report);
+        let text = render_human(&lint_sources(&files));
         assert!(text.contains("call chain:"));
         assert!(text.contains("1. ctrlplane::d::reconcile"));
         assert!(text.contains("2. simdb::apply"));

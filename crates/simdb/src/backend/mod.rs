@@ -3,12 +3,13 @@
 //! The paper's central multiplier claim is that *one* AutoDBaaS deployment
 //! tunes a heterogeneous fleet. This module makes that claim testable in
 //! the reproduction: [`Backend`] is the typed trait API the TDE, control
-//! plane, fleet sim and benches consume; [`crate::SimDatabase`] is the
-//! page-heap adapter (checkpoint write bursts); [`LsmDatabase`] is a
-//! genuinely different engine (memtable flushes + levelled compaction,
-//! write-stall back-pressure) that still produces the same observable
-//! vocabulary — spills, latency peaks, metric deltas — so the same
-//! detectors and tuners close the loop over both.
+//! plane, fleet sim and benches consume, and the only method surface of
+//! the engines behind it. [`crate::SimDatabase`] is the page-heap engine
+//! (checkpoint write bursts) and implements the trait in its own module;
+//! [`LsmDatabase`] is a genuinely different engine (memtable flushes +
+//! levelled compaction, write-stall back-pressure) that still produces the
+//! same observable vocabulary — spills, latency peaks, metric deltas — so
+//! the same detectors and tuners close the loop over both.
 //!
 //! [`AnyBackend`] is the enum dispatcher fleets hold: static dispatch, no
 //! boxing, and mixed fleets host both adapters simultaneously. Knob and
@@ -18,7 +19,6 @@
 //! *layout* is shared so tuners transfer across engines).
 
 mod lsm;
-mod pageheap;
 
 pub use lsm::LsmDatabase;
 
@@ -124,8 +124,10 @@ impl BackendDescriptor {
 }
 
 /// The engine surface the TDE, control plane, fleet sim and benches
-/// consume. Implemented by [`SimDatabase`] (page-heap adapter),
-/// [`LsmDatabase`], and [`AnyBackend`].
+/// consume. Implemented directly by [`SimDatabase`] (the page-heap engine,
+/// in `engine.rs`) and [`LsmDatabase`], and by [`AnyBackend`] through
+/// dispatch; a concrete engine has no inherent copy of these methods, so
+/// callers holding one import this trait.
 ///
 /// The contract the conformance suite (`tests/backend_conformance.rs`)
 /// pins for every adapter:

@@ -364,7 +364,11 @@ impl autodbaas_snapshot::Snap for BufferPool {
         let (mut dirty, mut first_dirty) = (0, frames.len());
         for (idx, f) in frames.iter().enumerate() {
             if f.valid {
-                map.insert(f.chunk, idx as u32);
+                // A chunk two frames hold would map to only one of them,
+                // and evicting the other would unmap it.
+                if map.insert(f.chunk, idx as u32).is_some() {
+                    return Err(Malformed("buffer pool chunk held by two frames"));
+                }
                 if f.dirty {
                     dirty += 1;
                     first_dirty = first_dirty.min(idx);
@@ -584,6 +588,13 @@ mod tests {
     fn dirty_bound_past_a_dirty_frame_or_the_end_is_malformed() {
         assert_restore_is_malformed(true, |p| p.dirty_low = 2);
         assert_restore_is_malformed(false, |p| p.dirty_low = 5);
+    }
+
+    #[test]
+    fn two_valid_frames_on_one_chunk_is_malformed() {
+        for dirty in [false, true] {
+            assert_restore_is_malformed(dirty, |p| p.frames[1].chunk = p.frames[0].chunk);
+        }
     }
 }
 

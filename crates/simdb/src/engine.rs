@@ -6,6 +6,7 @@
 //! with the §4 semantics (reload signal, socket activation, restart;
 //! restart-bound knobs staged until a restart-class apply).
 
+use crate::backend::Backend;
 use crate::bgwriter::BgWriter;
 use crate::bufferpool::{BufferPool, DEFAULT_CHUNK_BYTES};
 use crate::catalog::Catalog;
@@ -17,6 +18,7 @@ use crate::metrics::{MetricId, Metrics, MetricsSnapshot};
 use crate::planner::{Plan, Planner};
 use crate::query::QueryProfile;
 use crate::query_log::QueryLog;
+use crate::wal::Wal;
 use autodbaas_telemetry::{SimTime, TimeSeries, MILLIS_PER_SEC};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -110,8 +112,8 @@ pub const REDO_REPLAY_BYTES_PER_MS: u64 = 96 * 1024;
 ///
 /// ```
 /// use autodbaas_simdb::{
-///     ApplyMode, Catalog, ConfigChange, DbFlavor, DiskKind, InstanceType,
-///     QueryKind, QueryProfile, SimDatabase, SubmitResult,
+///     ApplyMode, Backend, Catalog, ConfigChange, DbFlavor, DiskKind,
+///     InstanceType, QueryKind, QueryProfile, SimDatabase, SubmitResult,
 /// };
 ///
 /// let catalog = Catalog::synthetic(4, 100_000_000, 150, 1);
@@ -218,57 +220,6 @@ impl SimDatabase {
         }
     }
 
-    /// Switch to the split WAL/stats disk layout (§3.2's attribution
-    /// workaround). Loses no data; takes effect immediately.
-    pub fn use_split_disks(&mut self) {
-        self.disk = DiskSet::split(self.disk.data().kind());
-    }
-
-    /// Flavor of this instance.
-    pub fn flavor(&self) -> DbFlavor {
-        self.flavor
-    }
-
-    /// VM plan.
-    pub fn instance(&self) -> InstanceType {
-        self.instance
-    }
-
-    /// Knob profile.
-    pub fn profile(&self) -> &KnobProfile {
-        &self.profile
-    }
-
-    /// Current configuration.
-    pub fn knobs(&self) -> &KnobSet {
-        &self.knobs
-    }
-
-    /// The planner (the TDE re-plans sampled queries through this).
-    pub fn planner(&self) -> &Planner {
-        &self.planner
-    }
-
-    /// Catalog served.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
-    /// Live metrics.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Snapshot the metric vector.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
-    /// Disk set (latency / IOPS series for the monitoring agent).
-    pub fn disks(&self) -> &DiskSet {
-        &self.disk
-    }
-
     /// Background-process bundle (checkpoint counters for the detector).
     pub fn bg(&self) -> &BgWriter {
         &self.bg
@@ -279,80 +230,9 @@ impl SimDatabase {
         &mut self.bg
     }
 
-    /// Current sim time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Recent query log (streaming-log stand-in for the TDE).
-    pub fn query_log(&self) -> &QueryLog {
-        &self.query_log
-    }
-
-    /// Throughput series: completed queries per second, sampled per tick.
-    pub fn throughput_series(&self) -> &TimeSeries {
-        &self.throughput_series
-    }
-
-    /// Working-set gauge (delegates to the buffer pool's epoch counter).
-    pub fn working_set_bytes(&mut self, reset: bool) -> u64 {
-        self.pool.working_set_bytes(reset)
-    }
-
-    /// Active connection count (drives per-connection memory budgeting).
-    pub fn set_active_connections(&mut self, n: u32) {
-        self.active_connections = n.max(1);
-    }
-
-    /// Current active-connection count.
-    pub fn active_connections(&self) -> u32 {
-        self.active_connections
-    }
-
-    /// True while the instance is hard-down.
-    pub fn is_down(&self) -> bool {
-        self.now < self.down_until
-    }
-
-    /// Plan a query under the current configuration without executing it —
-    /// the `EXPLAIN` path the TDE's re-planning of sampled queries uses.
-    pub fn plan(&self, q: &QueryProfile) -> Plan {
-        self.planner.plan(q, &self.knobs, &self.catalog)
-    }
-
-    /// Submit `count` identical queries.
-    pub fn submit(&mut self, q: &QueryProfile, count: u64) -> SubmitResult {
-        if self.now < self.down_until {
-            return SubmitResult::Refused;
-        }
-        if self.now < self.stall_until {
-            // Socket holds the connection; request executes after restart.
-            if self.backlog.len() < 4_096 {
-                self.backlog.push((q.clone(), count));
-            }
-            return SubmitResult::Queued;
-        }
-        match self.run_now(q, count) {
-            Some(outcome) => SubmitResult::Done(outcome),
-            None => SubmitResult::Saturated { dropped: count },
-        }
-    }
-
-    /// Latency multiplier from memory oversubscription: a configuration
-    /// whose §4 budget `A+B+C+D` exceeds the instance cap pushes the OS
-    /// into swap — §3.1's reason that "increasing working memory
-    /// continuously" forces "decreasing other knobs (to make room)". The
-    /// control plane does *not* silently rescale a tuner's recommendation;
-    /// a bad recommendation is allowed to hurt, which is what the tuners
-    /// must learn (and what corrupted tuners get wrong).
-    pub fn swap_factor(&self) -> f64 {
-        let budget = self.knobs.memory_budget_used(&self.profile);
-        let cap = self.instance.db_mem_cap();
-        if budget <= cap {
-            1.0
-        } else {
-            (1.0 + 4.0 * (budget / cap - 1.0)).min(12.0)
-        }
+    /// Seedable jitter used by harnesses that want per-db phase offsets.
+    pub fn rng(&mut self) -> &mut impl Rng {
+        &mut self.rng
     }
 
     fn run_now(&mut self, q: &QueryProfile, count: u64) -> Option<ExecOutcome> {
@@ -419,11 +299,105 @@ impl SimDatabase {
         self.completed_this_window += exec_count;
         Some(outcome)
     }
+}
+
+impl Backend for SimDatabase {
+    fn flavor(&self) -> DbFlavor {
+        self.flavor
+    }
+    fn instance(&self) -> InstanceType {
+        self.instance
+    }
+    fn profile(&self) -> &KnobProfile {
+        &self.profile
+    }
+    fn knobs(&self) -> &KnobSet {
+        &self.knobs
+    }
+    fn planner(&self) -> &Planner {
+        &self.planner
+    }
+    fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+    fn metrics_snapshot(&self) -> MetricsSnapshot {
+        self.metrics.snapshot()
+    }
+    fn disks(&self) -> &DiskSet {
+        &self.disk
+    }
+    fn wal(&self) -> &Wal {
+        self.bg.wal()
+    }
+    fn checkpoints_done(&self) -> u64 {
+        self.bg.checkpoints_done()
+    }
+    fn now(&self) -> SimTime {
+        self.now
+    }
+    fn query_log(&self) -> &QueryLog {
+        &self.query_log
+    }
+    fn throughput_series(&self) -> &TimeSeries {
+        &self.throughput_series
+    }
+    fn working_set_bytes(&mut self, reset: bool) -> u64 {
+        self.pool.working_set_bytes(reset)
+    }
+    fn active_connections(&self) -> u32 {
+        self.active_connections
+    }
+    fn set_active_connections(&mut self, n: u32) {
+        self.active_connections = n.max(1);
+    }
+    fn is_down(&self) -> bool {
+        self.now < self.down_until
+    }
+    fn plan(&self, q: &QueryProfile) -> Plan {
+        self.planner.plan(q, &self.knobs, &self.catalog)
+    }
+
+    fn submit(&mut self, q: &QueryProfile, count: u64) -> SubmitResult {
+        if self.now < self.down_until {
+            return SubmitResult::Refused;
+        }
+        if self.now < self.stall_until {
+            // Socket holds the connection; request executes after restart.
+            if self.backlog.len() < 4_096 {
+                self.backlog.push((q.clone(), count));
+            }
+            return SubmitResult::Queued;
+        }
+        match self.run_now(q, count) {
+            Some(outcome) => SubmitResult::Done(outcome),
+            None => SubmitResult::Saturated { dropped: count },
+        }
+    }
+
+    /// Latency multiplier from memory oversubscription: a configuration
+    /// whose §4 budget `A+B+C+D` exceeds the instance cap pushes the OS
+    /// into swap — §3.1's reason that "increasing working memory
+    /// continuously" forces "decreasing other knobs (to make room)". The
+    /// control plane does *not* silently rescale a tuner's recommendation;
+    /// a bad recommendation is allowed to hurt, which is what the tuners
+    /// must learn (and what corrupted tuners get wrong).
+    fn swap_factor(&self) -> f64 {
+        let budget = self.knobs.memory_budget_used(&self.profile);
+        let cap = self.instance.db_mem_cap();
+        if budget <= cap {
+            1.0
+        } else {
+            (1.0 + 4.0 * (budget / cap - 1.0)).min(12.0)
+        }
+    }
 
     /// Advance the instance by `dt_ms`: background processes run, the disk
     /// settles, gauges update, the per-tick worker pool resets, and any
     /// socket-activation backlog drains.
-    pub fn tick(&mut self, dt_ms: u64) {
+    fn tick(&mut self, dt_ms: u64) {
         self.now += dt_ms;
         self.workers.begin_tick();
         self.tick_busy_ms = 0.0;
@@ -471,8 +445,7 @@ impl SimDatabase {
         }
     }
 
-    /// Apply a configuration with §4 semantics.
-    pub fn apply_config(&mut self, changes: &[ConfigChange], mode: ApplyMode) -> ApplyReport {
+    fn apply_config(&mut self, changes: &[ConfigChange], mode: ApplyMode) -> ApplyReport {
         let mut applied = Vec::new();
         let mut deferred = Vec::new();
         let restart_class = matches!(mode, ApplyMode::Restart | ApplyMode::SocketActivation);
@@ -540,7 +513,7 @@ impl SimDatabase {
     /// un-checkpointed WAL — and the instance comes back with a cold buffer
     /// pool and an end-of-recovery checkpoint. Staged restart-bound knobs
     /// land, exactly as on a graceful restart.
-    pub fn crash(&mut self) -> RecoveryReport {
+    fn crash(&mut self) -> RecoveryReport {
         // Volatile state dies with the process.
         self.backlog.clear();
         self.stall_until = 0;
@@ -581,7 +554,7 @@ impl SimDatabase {
     /// Degrade performance for `duration_ms` by latency factor `factor`
     /// (≥ 1.0) — the disk-stall / noisy-neighbor fault model. Overlapping
     /// degradations max-merge rather than stack.
-    pub fn degrade(&mut self, duration_ms: u64, factor: f64) {
+    fn degrade(&mut self, duration_ms: u64, factor: f64) {
         let until = self.now + duration_ms;
         if self.now < self.jitter_until {
             self.jitter_factor = self.jitter_factor.max(factor.max(1.0));
@@ -592,14 +565,13 @@ impl SimDatabase {
         }
     }
 
-    /// Knob values currently staged for the next restart.
-    pub fn staged_changes(&self) -> &[ConfigChange] {
+    fn staged_changes(&self) -> &[ConfigChange] {
         &self.staged
     }
 
     /// Direct knob write for test/bench setup (bypasses apply semantics but
     /// keeps clamping and the instance cap).
-    pub fn set_knob_direct(&mut self, knob: KnobId, value: f64) {
+    fn set_knob_direct(&mut self, knob: KnobId, value: f64) {
         self.knobs.set(&self.profile, knob, value);
         if self.profile.spec(knob).restart_required {
             let pool_bytes = self.knobs.get(self.planner.roles().buffer_pool) as u64;
@@ -607,9 +579,10 @@ impl SimDatabase {
         }
     }
 
-    /// Seedable jitter used by harnesses that want per-db phase offsets.
-    pub fn rng(&mut self) -> &mut impl Rng {
-        &mut self.rng
+    /// Switch to the split WAL/stats disk layout (§3.2's attribution
+    /// workaround). Loses no data; takes effect immediately.
+    fn use_split_disks(&mut self) {
+        self.disk = DiskSet::split(self.disk.data().kind());
     }
 }
 

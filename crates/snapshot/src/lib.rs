@@ -67,7 +67,10 @@ pub const MAGIC: [u8; 8] = *b"ADBSNAP1";
 ///   `chaos` engine field (faults ride the interaction plan).
 /// * 6 — the TDE dropped its template store: no decision read it, so `Tde`
 ///   no longer encodes one.
-pub const VERSION: u32 = 6;
+/// * 7 — constants stopped posing as options: `TdeConfig`, `EntropyFilter`,
+///   `MdpEngine`, `RlConfig`, `FleetConfig` and `SafetyConfig` no longer
+///   encode the fixed values that became private consts.
+pub const VERSION: u32 = 7;
 
 /// Reserved tag closing every snapshot file; its payload is the running
 /// FNV-1a hash of all preceding bytes.

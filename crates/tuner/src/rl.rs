@@ -31,35 +31,35 @@ pub struct Transition {
     pub next_state: Vec<f64>,
 }
 
+/// Hidden width of both networks.
+const HIDDEN: usize = 32;
+
+/// Discount factor.
+const GAMMA: f64 = 0.9;
+
+/// Learning rate.
+const LR: f64 = 0.05;
+
+/// Candidate perturbations per actor-improvement step.
+const ACTOR_CANDIDATES: usize = 8;
+
 /// Hyper-parameters.
 #[derive(Debug, Clone)]
 pub struct RlConfig {
-    /// Hidden width of both networks.
-    pub hidden: usize,
-    /// Discount factor.
-    pub gamma: f64,
-    /// Learning rate.
-    pub lr: f64,
     /// Stddev of exploration noise added to recommendations.
     pub exploration_noise: f64,
     /// Replay-buffer capacity.
     pub buffer_capacity: usize,
     /// Minibatch size per training step.
     pub batch: usize,
-    /// Candidate perturbations per actor-improvement step.
-    pub actor_candidates: usize,
 }
 
 impl Default for RlConfig {
     fn default() -> Self {
         Self {
-            hidden: 32,
-            gamma: 0.9,
-            lr: 0.05,
             exploration_noise: 0.15,
             buffer_capacity: 4_096,
             batch: 32,
-            actor_candidates: 8,
         }
     }
 }
@@ -79,11 +79,8 @@ pub struct RlTuner {
 impl RlTuner {
     /// Agent over `state_dim` metrics and `action_dim` knobs.
     pub fn new(state_dim: usize, action_dim: usize, cfg: RlConfig, seed: u64) -> Self {
-        let actor = Mlp::new(&[state_dim, cfg.hidden, cfg.hidden, action_dim], seed);
-        let critic = Mlp::new(
-            &[state_dim + action_dim, cfg.hidden, cfg.hidden, 1],
-            seed ^ 0x9e37,
-        );
+        let actor = Mlp::new(&[state_dim, HIDDEN, HIDDEN, action_dim], seed);
+        let critic = Mlp::new(&[state_dim + action_dim, HIDDEN, HIDDEN, 1], seed ^ 0x9e37);
         Self {
             cfg,
             actor,
@@ -163,13 +160,13 @@ impl RlTuner {
         for &i in &idxs {
             let t = self.replay[i].clone();
             let next_a = self.exploit(&t.next_state);
-            let target = t.reward + self.cfg.gamma * self.critic_q(&t.next_state, &next_a);
+            let target = t.reward + GAMMA * self.critic_q(&t.next_state, &next_a);
             let mut input = t.state.clone();
             input.extend_from_slice(&t.action);
             xs.push(input);
             ys.push(vec![target.clamp(-50.0, 50.0)]);
         }
-        self.critic.train_batch(&xs, &ys, self.cfg.lr);
+        self.critic.train_batch(&xs, &ys, LR);
 
         // --- Actor: regress toward the critic's best perturbation ------
         let mut axs = Vec::with_capacity(idxs.len());
@@ -179,7 +176,7 @@ impl RlTuner {
             let base = self.exploit(&state);
             let mut best = base.clone();
             let mut best_q = self.critic_q(&state, &base);
-            for _ in 0..self.cfg.actor_candidates {
+            for _ in 0..ACTOR_CANDIDATES {
                 let cand: Vec<f64> = base
                     .iter()
                     .map(|&a| (a + self.rng.gen_range(-0.2..0.2)).clamp(0.0, 1.0))
@@ -201,7 +198,7 @@ impl RlTuner {
             axs.push(state);
             ays.push(target);
         }
-        self.actor.train_batch(&axs, &ays, self.cfg.lr * 0.5);
+        self.actor.train_batch(&axs, &ays, LR * 0.5);
     }
 }
 
@@ -215,13 +212,9 @@ snap_struct!(Transition {
 });
 
 snap_struct!(RlConfig {
-    hidden,
-    gamma,
-    lr,
     exploration_noise,
     buffer_capacity,
-    batch,
-    actor_candidates
+    batch
 });
 
 snap_struct!(RlTuner {
