@@ -12,6 +12,7 @@ use crate::plan::{InteractionPlan, PlanAction, PlanEngine, PlanEvent};
 use crate::safety::{SafetyConfig, SafetyGovernor};
 use crate::shard::{DriveStats, HotState, ShardPool};
 
+use autodbaas_core::BaselineMemo;
 use autodbaas_ctrlplane::{
     ApplyError, ConfigDirector, RecommendationMeter, ReconcileOutcome, Reconciler, ServiceId,
     ServiceOrchestrator, TunerKind, WindowStat,
@@ -924,6 +925,9 @@ impl FleetSim {
         let rollback = self.cfg.rollback;
         let mut windows = std::mem::take(&mut self.window_scratch);
         windows.clear();
+        // One memo per round: idle nodes share a signature, so consecutive
+        // baselines repeat, and a sample added below changes the key.
+        let mut memo = BaselineMemo::default();
         for idx in 0..self.nodes.len() {
             // Replaying a deferred node's window here, not in a pass of its
             // own, leaves the node in cache for its close.
@@ -975,7 +979,9 @@ impl FleetSim {
             // persisted config of record — otherwise the reconciler would
             // fight the TDE, rejecting each accepted probe as drift.
             let pre_tde = node.service.master().knobs().clone();
-            let report = node.tde.run(node.service.master_mut(), Some(&self.repo));
+            let report =
+                node.tde
+                    .run_in_round(node.service.master_mut(), Some(&self.repo), &mut memo);
             if report.plan_upgrade {
                 node.plan_upgrades += 1;
             }
@@ -1782,7 +1788,9 @@ mod tests {
     /// The deferral oracle. The reference is the same fleet with every
     /// deferral entry lowered before each step — the per-tick engine, with
     /// no second code path. A quiet fleet (no plan) mixes zero-rate
-    /// page-heap, LSM and HA nodes, zero-rate `Periodic` nodes whose
+    /// page-heap (PostgreSQL- and MySQL-flavour, shared and split disks:
+    /// the slave-less ones replay through `SimDatabase::tick_many`'s
+    /// closed form), LSM and HA nodes, zero-rate `Periodic` nodes whose
     /// requests time out (control actions) or land (deliveries) on
     /// deferred nodes mid-window, a zero-rate HA node whose lagging slave
     /// parks its apply for the control scan to retry, a zero-rate node
@@ -1815,7 +1823,7 @@ mod tests {
                 1,
             );
             let two_min = TuningPolicy::Periodic(2 * MILLIS_PER_MIN);
-            let nodes: [(DbFlavor, f64, TuningPolicy, usize); 10] = [
+            let nodes: [(DbFlavor, f64, TuningPolicy, usize); 12] = [
                 (DbFlavor::Postgres, ZERO, two_min, 0),
                 (DbFlavor::Lsm, ZERO, two_min, 0),
                 (DbFlavor::Postgres, ZERO, two_min, 1),
@@ -1826,6 +1834,8 @@ mod tests {
                 (DbFlavor::Lsm, TRICKLE, TuningPolicy::TdeDriven, 1),
                 (DbFlavor::Lsm, ZERO, TuningPolicy::TdeDriven, 0),
                 (DbFlavor::Postgres, ZERO, TuningPolicy::TdeDriven, 0), // crashed at boot
+                (DbFlavor::MySql, ZERO, two_min, 0),
+                (DbFlavor::Postgres, ZERO, two_min, 0), // split disks
             ];
             for (i, (flavor, qps, policy, slaves)) in nodes.into_iter().enumerate() {
                 let wl = tpcc(0.5);
@@ -1855,6 +1865,9 @@ mod tests {
                     }
                     9 => {
                         node.db_mut().crash();
+                    }
+                    11 => {
+                        node.db_mut().use_split_disks();
                     }
                     _ => {}
                 }

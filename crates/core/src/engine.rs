@@ -19,7 +19,7 @@
 //! A *tuning request* is emitted only when throttles fire — that event-
 //! driven break from periodic polling is exactly what Fig. 9 measures.
 
-use crate::bgwriter::{baseline_from_repo, BgwriterDetector};
+use crate::bgwriter::{BaselineMemo, BgwriterDetector};
 use crate::classify::ClassHistogram;
 use crate::filter::{EntropyFilter, FilterDecision};
 use crate::mdp::MdpEngine;
@@ -204,8 +204,21 @@ impl Tde {
     /// optionally consulting the tuner repository for the background-writer
     /// baseline.
     pub fn run<B: Backend>(&mut self, db: &mut B, repo: Option<&WorkloadRepository>) -> TdeReport {
+        self.run_in_round(db, repo, &mut BaselineMemo::default())
+    }
+
+    /// [`Tde::run`] as one of a fleet round's runs, all against the same
+    /// repository: `memo` carries the background-writer baseline from one
+    /// node's run to the next, so nodes with one signature map it once.
+    /// Pass the same memo to every run of one round and to no other.
+    pub fn run_in_round<B: Backend>(
+        &mut self,
+        db: &mut B,
+        repo: Option<&WorkloadRepository>,
+        memo: &mut BaselineMemo,
+    ) -> TdeReport {
         self.ingest(db);
-        self.detect(db, repo)
+        self.detect(db, repo, memo)
     }
 
     /// Step 1 of a run: fold the streaming log since the last run into the
@@ -228,7 +241,12 @@ impl Tde {
 
     /// Steps 2–5 of a run, over the window [`ingest`](Self::ingest) left in
     /// the reservoir and histogram.
-    fn detect<B: Backend>(&mut self, db: &mut B, repo: Option<&WorkloadRepository>) -> TdeReport {
+    fn detect<B: Backend>(
+        &mut self,
+        db: &mut B,
+        repo: Option<&WorkloadRepository>,
+        memo: &mut BaselineMemo,
+    ) -> TdeReport {
         let now = db.now();
         let mut report = TdeReport::default();
         let sampled = self.reservoir.items();
@@ -331,7 +349,7 @@ impl Tde {
         // The signature is the §3b snapshot, borrowed where it is stored:
         // nothing touches `db` between the two sections.
         if let Some(repo) = repo.filter(|r| r.total_samples() > 0) {
-            if let Some(baseline) = baseline_from_repo(repo, signature, BASELINE_WINDOW_S) {
+            if let Some(baseline) = memo.get(repo, signature, BASELINE_WINDOW_S) {
                 if self.bg_detector.detect(db, baseline).is_some() {
                     let knob = db.planner().roles().checkpoint_interval;
                     report.throttles.push(ThrottleSignal {
@@ -790,7 +808,7 @@ mod tests {
 
                     let report_s = streaming.run(&mut db_s, None);
                     oracle.ingest_oracle(&db_o);
-                    let report_o = oracle.detect(&mut db_o, None);
+                    let report_o = oracle.detect(&mut db_o, None, &mut BaselineMemo::default());
 
                     let ctx = format!("{flavor:?} seed {seed} window {w}");
                     assert_eq!(encode_to_vec(&report_s), encode_to_vec(&report_o), "{ctx}");

@@ -35,7 +35,7 @@ pub mod mdp;
 pub mod memory;
 pub mod reservoir;
 
-pub use bgwriter::{baseline_from_repo, BgBaseline, BgFinding, BgwriterDetector};
+pub use bgwriter::{BaselineMemo, BgBaseline, BgwriterDetector};
 pub use classify::{classify, ClassHistogram, QueryClass};
 pub use engine::{Tde, TdeConfig, TdeReport, ThrottleReason, ThrottleSignal, TuningPolicy};
 pub use filter::{EntropyFilter, FilterDecision};

@@ -185,6 +185,15 @@ pub trait Backend {
     fn swap_factor(&self) -> f64;
     /// Advance the instance by `dt_ms`.
     fn tick(&mut self, dt_ms: u64);
+    /// Advance the instance by `ticks` ticks of `dt_ms` with nothing
+    /// submitted in between. Must leave the backend exactly where `ticks`
+    /// calls of [`Backend::tick`] would; this loop is the reference an
+    /// adapter's closed form is held to.
+    fn tick_many(&mut self, ticks: u64, dt_ms: u64) {
+        for _ in 0..ticks {
+            self.tick(dt_ms);
+        }
+    }
     /// Apply a configuration with §4 semantics.
     fn apply_config(&mut self, changes: &[ConfigChange], mode: ApplyMode) -> ApplyReport;
     /// Crash the process now and run WAL crash recovery.
@@ -317,6 +326,9 @@ impl Backend for AnyBackend {
     }
     fn tick(&mut self, dt_ms: u64) {
         dispatch!(self, db => db.tick(dt_ms))
+    }
+    fn tick_many(&mut self, ticks: u64, dt_ms: u64) {
+        dispatch!(self, db => db.tick_many(ticks, dt_ms))
     }
     fn apply_config(&mut self, changes: &[ConfigChange], mode: ApplyMode) -> ApplyReport {
         dispatch!(self, db => db.apply_config(changes, mode))

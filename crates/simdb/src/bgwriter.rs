@@ -243,8 +243,21 @@ impl BgWriter {
 
         // Statistics writer: a small constant drip (isolated by the split-
         // disk layout when enabled).
-        disk.submit_write(2.0 * 1024.0 * dt_ms as f64 / 1000.0, WriteSource::Stats);
+        disk.submit_write(stats_drip_bytes(dt_ms), WriteSource::Stats);
     }
+
+    /// True when the next [`BgWriter::tick`] writes nothing but the
+    /// statistics drip, given a clean pool: no checkpoint is flushing and
+    /// vacuum has no dead tuples to rewrite. (A checkpoint cannot start
+    /// while the pool holds no dirty page.)
+    pub(crate) fn is_idle(&self) -> bool {
+        self.run.is_none() && self.dead_tuple_bytes == 0.0
+    }
+}
+
+/// Bytes the statistics writer drips per tick of `dt_ms`.
+pub(crate) fn stats_drip_bytes(dt_ms: u64) -> f64 {
+    2.0 * 1024.0 * dt_ms as f64 / 1000.0
 }
 
 // ------------------------------------------------------- snapshot support

@@ -52,11 +52,10 @@ impl WriteSource {
         WriteSource::TempSpill,
     ];
 
+    /// Slot in per-source arrays: the declaration order, which `ALL`
+    /// lists (a unit test holds the two together).
     fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&s| s == self)
-            .expect("source in ALL")
+        self as usize
     }
 }
 
@@ -218,6 +217,25 @@ impl DiskSet {
         }
     }
 
+    /// True when no IO is queued on either device.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.data.pending_ios == 0.0 && self.aux.as_ref().is_none_or(|a| a.pending_ios == 0.0)
+    }
+
+    /// Repeat, at `now`, a tick that started with no IO queued and then
+    /// took only `stats_bytes` of statistics drip: the drip is counted
+    /// where [`DiskSet::submit_write`] routes it, and each device records
+    /// the latency and IOPS that tick left, which the same load gives
+    /// again.
+    pub(crate) fn repeat_quiet_tick(&mut self, now: SimTime, stats_bytes: f64) {
+        let stats = self.aux.as_mut().unwrap_or(&mut self.data);
+        stats.written_by_source[WriteSource::Stats.index()] += stats_bytes.max(0.0);
+        for disk in std::iter::once(&mut self.data).chain(&mut self.aux) {
+            disk.latency_series.push(now, disk.current_latency_ms);
+            disk.iops_series.push(now, disk.current_iops);
+        }
+    }
+
     /// The data disk (what the TDE monitors).
     pub fn data(&self) -> &Disk {
         &self.data
@@ -245,6 +263,13 @@ autodbaas_snapshot::snap_struct!(DiskSet { data, aux });
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_lists_the_sources_in_declaration_order() {
+        for (i, source) in WriteSource::ALL.into_iter().enumerate() {
+            assert_eq!(source.index(), i, "{source:?}");
+        }
+    }
 
     #[test]
     fn idle_disk_sits_at_base_latency() {

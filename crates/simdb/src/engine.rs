@@ -7,7 +7,7 @@
 //! restart-bound knobs staged until a restart-class apply).
 
 use crate::backend::Backend;
-use crate::bgwriter::BgWriter;
+use crate::bgwriter::{stats_drip_bytes, BgWriter};
 use crate::bufferpool::{BufferPool, DEFAULT_CHUNK_BYTES};
 use crate::catalog::Catalog;
 use crate::disk::DiskSet;
@@ -299,6 +299,31 @@ impl SimDatabase {
         self.completed_this_window += exec_count;
         Some(outcome)
     }
+
+    /// Whether a tick from here is quiet: the instance is up, no socket
+    /// backlog waits, the pool holds no dirty page, the background writer
+    /// is idle (no checkpoint flushing, no dead tuples for vacuum) and no
+    /// IO is queued on either disk. Each term is one the tick's code
+    /// branches on; a quiet tick leaves the instance quiet.
+    fn quiet(&self) -> bool {
+        self.now >= self.down_until
+            && self.backlog.is_empty()
+            && self.pool.dirty_count() == 0
+            && self.bg.is_idle()
+            && self.disk.is_idle()
+    }
+
+    /// Push the throughput sample (queries/second) once a second or more
+    /// has passed since the last one.
+    fn close_throughput_window(&mut self) {
+        let window_ms = self.now - self.window_started;
+        if window_ms >= MILLIS_PER_SEC {
+            let qps = self.completed_this_window as f64 * 1000.0 / window_ms as f64;
+            self.throughput_series.push(self.now, qps);
+            self.completed_this_window = 0;
+            self.window_started = self.now;
+        }
+    }
 }
 
 impl Backend for SimDatabase {
@@ -435,13 +460,31 @@ impl Backend for SimDatabase {
         self.metrics
             .set(MetricId::DbSizeBytes, self.catalog.total_bytes() as f64);
 
-        // Throughput sample (queries/second over the closed window).
-        let window_ms = self.now - self.window_started;
-        if window_ms >= MILLIS_PER_SEC {
-            let qps = self.completed_this_window as f64 * 1000.0 / window_ms as f64;
-            self.throughput_series.push(self.now, qps);
-            self.completed_this_window = 0;
-            self.window_started = self.now;
+        self.close_throughput_window();
+    }
+
+    /// `ticks` ticks with nothing submitted. A tick that starts *quiet*
+    /// (see [`SimDatabase::quiet`]) runs the background processes for the
+    /// statistics drip alone and leaves the instance quiet, so after one
+    /// ordinary quiet tick every further one changes only the clock, the
+    /// drip's byte count, one latency and one IOPS sample per disk (the
+    /// values the first tick left) and the throughput window. Those are
+    /// repeated here; ticks before the instance is quiet run in full.
+    fn tick_many(&mut self, ticks: u64, dt_ms: u64) {
+        let mut left = ticks;
+        while left > 0 && !self.quiet() {
+            self.tick(dt_ms);
+            left -= 1;
+        }
+        if left == 0 {
+            return;
+        }
+        self.tick(dt_ms);
+        let drip = stats_drip_bytes(dt_ms);
+        for _ in 1..left {
+            self.now += dt_ms;
+            self.disk.repeat_quiet_tick(self.now, drip);
+            self.close_throughput_window();
         }
     }
 
@@ -667,6 +710,8 @@ impl autodbaas_snapshot::Snap for SimDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::AnyBackend;
+    use crate::planner::KnobRoles;
     use crate::query::QueryKind;
 
     const MIB: f64 = 1024.0 * 1024.0;
@@ -1107,5 +1152,206 @@ mod tests {
                 .written_by(crate::disk::WriteSource::Wal)
                 > 0.0
         );
+    }
+
+    /// A starting state for the `tick_many` property, built through the
+    /// backend surface so every flavour gets one.
+    type Recipe = fn(&mut AnyBackend);
+
+    /// Forty writes of `kind` across the four tables, each touching a
+    /// skewed-random chunk.
+    fn submit_writes(db: &mut AnyBackend, kind: QueryKind) {
+        for i in 0..40 {
+            let mut q = QueryProfile::new(kind, i % 4);
+            q.rows_examined = 10;
+            q.rows_written = 20;
+            db.submit(&q, 5);
+        }
+    }
+
+    fn set_role(db: &mut AnyBackend, role: fn(&KnobRoles) -> KnobId, value: f64) {
+        let knob = role(db.planner().roles());
+        db.set_knob_direct(knob, value);
+    }
+
+    /// The starting states, each with the quiet terms it breaks on the
+    /// page heap (so dropping any one term from `quiet` fails on some
+    /// state).
+    fn tick_many_states() -> Vec<(&'static str, Recipe, &'static [&'static str])> {
+        vec![
+            ("fresh", |_| {}, &[]),
+            (
+                "reads queued on the disk",
+                |db| {
+                    db.submit(&point_query(), 50);
+                },
+                &["pending_io"],
+            ),
+            (
+                "WAL queued, no page dirtied",
+                |db| {
+                    // Cache the smallest table whole, then log from a read
+                    // of it that dirties no page (a locking read): on the
+                    // split layout only the log disk has IO queued.
+                    let mut q = QueryProfile::new(QueryKind::PointSelect, 3);
+                    q.rows_examined = db.catalog().table(3).rows;
+                    db.submit(&q, 1);
+                    db.tick(1_000);
+                    q.rows_examined = 1;
+                    q.rows_written = 20;
+                    db.submit(&q, 50);
+                },
+                &["pending_io"],
+            ),
+            (
+                "throughput window open",
+                |db| {
+                    db.submit(&point_query(), 50);
+                    db.tick(250);
+                },
+                &[],
+            ),
+            (
+                "dirty pages",
+                |db| {
+                    set_role(db, |r| r.bg_clean_rate, 0.0);
+                    submit_writes(db, QueryKind::Insert);
+                    db.tick(1_000);
+                },
+                &["dirty"],
+            ),
+            (
+                "checkpoint flushing a clean pool",
+                |db| {
+                    set_role(db, |r| r.bg_clean_rate, 0.0);
+                    set_role(db, |r| r.checkpoint_interval, 0.0);
+                    set_role(db, |r| r.checkpoint_spread, 0.95);
+                    // A small pool, so the dirty-fraction trigger fires.
+                    set_role(db, |r| r.buffer_pool, 0.0);
+                    set_role(db, |r| r.wal_trigger, f64::MAX);
+                    let started = |db: &AnyBackend| {
+                        db.metrics().get(MetricId::CheckpointsTimed)
+                            + db.metrics().get(MetricId::CheckpointsReq)
+                            > 0.0
+                    };
+                    submit_writes(db, QueryKind::Insert);
+                    // The checkpoint timeout's floor is 30 s; the LSM
+                    // engine may never start one here.
+                    for _ in 0..40 {
+                        if started(db) {
+                            break;
+                        }
+                        db.tick(1_000);
+                    }
+                    set_role(db, |r| r.bg_clean_rate, f64::MAX);
+                    db.tick(1_000);
+                },
+                &["checkpoint"],
+            ),
+            (
+                "dead tuples pending vacuum",
+                |db| {
+                    set_role(db, |r| r.bg_clean_rate, f64::MAX);
+                    set_role(db, |r| r.checkpoint_interval, f64::MAX);
+                    set_role(db, |r| r.wal_trigger, f64::MAX);
+                    submit_writes(db, QueryKind::Update);
+                    for _ in 0..3 {
+                        db.tick(1_000);
+                    }
+                },
+                &["dead_tuples"],
+            ),
+            (
+                "restart downtime",
+                |db| {
+                    db.apply_config(&[], ApplyMode::Restart);
+                },
+                &["down"],
+            ),
+            (
+                "socket-activation stall with a backlog",
+                |db| {
+                    db.apply_config(&[], ApplyMode::SocketActivation);
+                    db.submit(&point_query(), 50);
+                },
+                &["backlog"],
+            ),
+        ]
+    }
+
+    /// The terms of `SimDatabase::quiet` that `db` breaks, by name.
+    fn broken_quiet_terms(db: &SimDatabase) -> Vec<&'static str> {
+        let mut out = Vec::new();
+        if db.now < db.down_until {
+            out.push("down");
+        }
+        if !db.backlog.is_empty() {
+            out.push("backlog");
+        }
+        if db.pool.dirty_count() > 0 {
+            out.push("dirty");
+        }
+        if db.bg.checkpoint_in_progress() {
+            out.push("checkpoint");
+        } else if !db.bg.is_idle() {
+            out.push("dead_tuples");
+        }
+        if !db.disk.is_idle() {
+            out.push("pending_io");
+        }
+        out
+    }
+
+    /// `tick_many(k, dt)` leaves every backend byte-for-byte where `k`
+    /// calls of `tick(dt)` do, from every starting state, for tick lengths
+    /// below, at and above the throughput window and run lengths around a
+    /// TDE window.
+    #[test]
+    fn tick_many_is_byte_identical_to_ticking_one_by_one() {
+        use autodbaas_snapshot::{decode_from_slice, encode_to_vec};
+        let catalog = Catalog::synthetic(4, 8_000_000, 150, 3);
+        let mut checked = 0;
+        for flavor in [DbFlavor::Postgres, DbFlavor::MySql, DbFlavor::Lsm] {
+            for split in [false, true] {
+                for (name, recipe, broken) in tick_many_states() {
+                    let mut db = AnyBackend::new(
+                        flavor,
+                        InstanceType::M4Large,
+                        DiskKind::Ssd,
+                        catalog.clone(),
+                        7,
+                    );
+                    if split {
+                        db.use_split_disks();
+                    }
+                    recipe(&mut db);
+                    if let AnyBackend::PageHeap(ph) = &db {
+                        assert_eq!(
+                            broken_quiet_terms(ph),
+                            broken.to_vec(),
+                            "{flavor:?} split={split} {name}: the state breaks other terms"
+                        );
+                        assert_eq!(ph.quiet(), broken.is_empty());
+                    }
+                    let start = encode_to_vec(&db);
+                    for dt in [250, 1_000, 1_500] {
+                        for k in [0, 1, 2, 59, 60, 61] {
+                            let mut many: AnyBackend = decode_from_slice(&start).unwrap();
+                            let mut one: AnyBackend = decode_from_slice(&start).unwrap();
+                            many.tick_many(k, dt);
+                            for _ in 0..k {
+                                one.tick(dt);
+                            }
+                            assert!(
+                                encode_to_vec(&many) == encode_to_vec(&one),
+                                "{flavor:?} split={split} {name}: tick_many({k}, {dt}) diverged"
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 3 * 2 * 9 * 3 * 6);
     }
 }

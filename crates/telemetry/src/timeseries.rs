@@ -1,11 +1,10 @@
 //! Bounded time series and peak detection.
 //!
 //! The background-writer throttle detector (§3.2) works on disk-latency
-//! series: it finds latency peaks (checkpoint write bursts), measures the
-//! spacing between consecutive peaks to estimate "checkpointing per unit
-//! time", and compares the peak-rate/latency ratio against a baseline mapped
-//! from the tuner's repository. [`TimeSeries`] is the storage and
-//! [`PeakDetector`] the peak finder both sides use.
+//! series: it averages the latency over its window and compares the
+//! checkpoint-rate/latency ratio against a baseline mapped from the tuner's
+//! repository. [`TimeSeries`] is the storage; [`PeakDetector`] finds the
+//! latency peaks (checkpoint write bursts) the Fig. 5 harness counts.
 
 use crate::SimTime;
 use std::collections::VecDeque;
@@ -163,20 +162,6 @@ impl PeakDetector {
         }
         out
     }
-
-    /// Mean spacing between consecutive peaks, in ms. `None` with <2 peaks.
-    ///
-    /// This is the paper's "time difference between peaks in disk latency …
-    /// averaged out for consecutive peaks", the basis of the
-    /// checkpointing-per-unit-time estimate.
-    pub fn mean_peak_spacing(&self, samples: &[Sample]) -> Option<f64> {
-        let peaks = self.peaks(samples);
-        if peaks.len() < 2 {
-            return None;
-        }
-        let total: u64 = peaks.windows(2).map(|p| p[1].at - p[0].at).sum();
-        Some(total as f64 / (peaks.len() - 1) as f64)
-    }
 }
 
 autodbaas_snapshot::snap_struct!(Sample { at, value });
@@ -306,8 +291,6 @@ mod tests {
         assert_eq!(peaks.len(), 2);
         assert_eq!(peaks[0].at, 20);
         assert_eq!(peaks[1].at, 50);
-        let spacing = det.mean_peak_spacing(&samples).unwrap();
-        assert!((spacing - 30.0).abs() < 1e-9);
     }
 
     #[test]
@@ -318,7 +301,6 @@ mod tests {
         let det = PeakDetector::new(5.0);
         let ts = series(&vals);
         assert!(det.peaks(&ts.window(0)).is_empty());
-        assert!(det.mean_peak_spacing(&ts.window(0)).is_none());
     }
 
     #[test]
