@@ -10,7 +10,7 @@
 
 use autodbaas_bench::{header, sparkline, Rig};
 use autodbaas_simdb::{ApplyMode, Backend, DbFlavor, InstanceType, MetricId};
-use autodbaas_telemetry::outln;
+use autodbaas_telemetry::{outln, TimeSeries};
 use autodbaas_workload::tpcc;
 
 fn run(mode: Option<ApplyMode>) -> (Vec<f64>, f64, f64) {
@@ -36,6 +36,9 @@ fn run(mode: Option<ApplyMode>) -> (Vec<f64>, f64, f64) {
     let start = rig.db.now();
     let start_snap = rig.db.metrics_snapshot();
     let secs = 15 * 60;
+    // The IOPS each tick left, sampled from the tick that ended at `start`.
+    let mut iops = TimeSeries::with_capacity(secs as usize + 1);
+    iops.push(start, rig.db.disks().data().current_iops());
     for s in 0..secs {
         if let Some(m) = mode {
             // A config signal every 20 seconds ("even with this high
@@ -57,13 +60,9 @@ fn run(mode: Option<ApplyMode>) -> (Vec<f64>, f64, f64) {
             let _ = rig.db.submit(&q, per);
         }
         rig.db.tick(1_000);
+        iops.push(rig.db.now(), rig.db.disks().data().current_iops());
     }
-    let iops = rig
-        .db
-        .disks()
-        .data()
-        .iops_series()
-        .resample(start, rig.db.now(), 45);
+    let iops = iops.resample(start, rig.db.now(), 45);
     let qps = rig.qps_since(&start_snap, secs);
     let delta = rig.db.metrics_snapshot().delta(&start_snap);
     let mean_latency =

@@ -152,20 +152,39 @@ impl BgwriterDetector {
     /// Run the detector over the window since the last run. Returns a
     /// finding when the live ratio exceeds the baseline's or the latency
     /// guard fires.
-    pub fn detect<B: Backend>(&mut self, db: &B, baseline: BgBaseline) -> Option<BgFinding> {
+    ///
+    /// The data disk's latency samples from before `now` are dropped once
+    /// read: the next run reads from `now` on, so the sample taken at `now`
+    /// stays. A run over an empty window returns before reading and drops
+    /// nothing, and neither does a skipped run, so a longer window stays
+    /// whole.
+    pub fn detect<B: Backend>(&mut self, db: &mut B, baseline: BgBaseline) -> Option<BgFinding> {
         let now = db.now();
-        let window_ms = now.saturating_sub(self.last_run_at);
-        if window_ms == 0 {
+        if now <= self.last_run_at {
             return None;
         }
-        let checkpoints_now = db.checkpoints_done();
-        let delta = checkpoints_now.saturating_sub(self.last_checkpoints);
-        let cpm = delta as f64 * MILLIS_PER_MIN as f64 / window_ms as f64;
         let latency = db
             .disks()
             .data()
             .latency_series()
             .mean_since(self.last_run_at);
+        db.disks_mut().forget_data_latency_before(now);
+        self.judge(now, db.checkpoints_done(), latency, baseline)
+    }
+
+    /// The rules over the window `(last run, now]`, given the checkpoint
+    /// counter at `now` and the mean disk latency read over the window;
+    /// the window then closes at `now`.
+    fn judge(
+        &mut self,
+        now: SimTime,
+        checkpoints_now: u64,
+        latency: f64,
+        baseline: BgBaseline,
+    ) -> Option<BgFinding> {
+        let window_ms = now - self.last_run_at;
+        let delta = checkpoints_now.saturating_sub(self.last_checkpoints);
+        let cpm = delta as f64 * MILLIS_PER_MIN as f64 / window_ms as f64;
         self.last_checkpoints = checkpoints_now;
         self.last_run_at = now;
         if latency <= 0.0 {
@@ -248,7 +267,7 @@ mod tests {
         d.set_knob_direct(p.lookup("bgwriter_lru_maxpages").unwrap(), 0.0);
         let mut det = BgwriterDetector::new();
         run_writes(&mut d, 300, 20);
-        let finding = det.detect(&d, tuned_baseline());
+        let finding = det.detect(&mut d, tuned_baseline());
         assert!(
             finding.is_some(),
             "30 s checkpoints must out-ratio a tuned baseline"
@@ -276,7 +295,104 @@ mod tests {
             checkpoints_per_min: 1.0,
             disk_latency_ms: 6.5,
         };
-        assert!(det.detect(&d, base).is_none());
+        assert!(det.detect(&mut d, base).is_none());
+    }
+
+    /// The detector before it dropped what it read: the same rules, over
+    /// the mean of a ring that nothing trims.
+    fn detect_untrimmed(
+        det: &mut BgwriterDetector,
+        db: &SimDatabase,
+        baseline: BgBaseline,
+    ) -> Option<BgFinding> {
+        let now = db.now();
+        if now <= det.last_run_at {
+            return None;
+        }
+        let series = db.disks().data().latency_series();
+        let latency = series.mean_since(det.last_run_at);
+        det.judge(now, db.checkpoints_done(), latency, baseline)
+    }
+
+    /// A finding's four numbers as bits, so equal means bit-identical.
+    fn finding_bits(f: Option<BgFinding>) -> Option<[u64; 4]> {
+        f.map(|f| {
+            [
+                f.checkpoints_per_min.to_bits(),
+                f.disk_latency_ms.to_bits(),
+                f.baseline.checkpoints_per_min.to_bits(),
+                f.baseline.disk_latency_ms.to_bits(),
+            ]
+        })
+    }
+
+    proptest! {
+        /// Dropping the latency samples a run has read changes no answer.
+        /// Two instances take the same random loads, tick lengths and quiet
+        /// stretches; runs come at random times, so some windows span many
+        /// skipped runs, some outgrow the ring's capacity (1 ms ticks), and
+        /// some are empty (a run right after a run, or before any tick).
+        /// Every `detect` on the trimmed instance returns, bit for bit,
+        /// what a twin detector returns from the mean of the untrimmed
+        /// instance's ring.
+        #[test]
+        fn trimming_read_latency_changes_no_finding(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let catalog = Catalog::synthetic(4, 8_000_000, 150, 3);
+            let make = || {
+                let mut d = SimDatabase::new(
+                    DbFlavor::Postgres,
+                    InstanceType::M4Large,
+                    DiskKind::Ssd,
+                    catalog.clone(),
+                    seed,
+                );
+                // The timeout's floor, so windows see checkpoints come and go.
+                let timeout = d.profile().lookup("checkpoint_timeout").unwrap();
+                d.set_knob_direct(timeout, 30_000.0);
+                d
+            };
+            let (mut db, mut untrimmed) = (make(), make());
+            let (mut det, mut reference) = (BgwriterDetector::new(), BgwriterDetector::new());
+            for _ in 0..12 {
+                match rng.gen_range(0..6) {
+                    0 | 1 => {
+                        let mut q = QueryProfile::new(QueryKind::Insert, rng.gen_range(0..4));
+                        q.rows_written = rng.gen_range(1..50);
+                        let count = rng.gen_range(1..300);
+                        let dt = [1, 250, 1_000][rng.gen_range(0..3)];
+                        for d in [&mut db, &mut untrimmed] {
+                            d.submit(&q, count);
+                            d.tick(dt);
+                        }
+                    }
+                    2 | 3 => {
+                        let (n, dt) = (rng.gen_range(0..200), [250, 1_000][rng.gen_range(0..2)]);
+                        for d in [&mut db, &mut untrimmed] {
+                            d.tick_many(n, dt);
+                        }
+                    }
+                    4 => {
+                        let n = rng.gen_range(16_000..20_000);
+                        for d in [&mut db, &mut untrimmed] {
+                            d.tick_many(n, 1);
+                        }
+                    }
+                    _ => {}
+                }
+                if rng.gen_bool(0.5) {
+                    for _ in 0..[1, 1, 1, 2][rng.gen_range(0..4)] {
+                        let baseline = BgBaseline {
+                            checkpoints_per_min: rng.gen_range(0.0..3.0),
+                            disk_latency_ms: rng.gen_range(0.05..8.0),
+                        };
+                        let want = detect_untrimmed(&mut reference, &untrimmed, baseline);
+                        let got = det.detect(&mut db, baseline);
+                        prop_assert_eq!(finding_bits(got), finding_bits(want), "seed {}", seed);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::planner::{Plan, Planner};
 use crate::query::{QueryKind, QueryProfile};
 use crate::query_log::QueryLog;
 use crate::wal::Wal;
-use autodbaas_telemetry::{SimTime, TimeSeries, MILLIS_PER_SEC};
+use autodbaas_telemetry::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -114,9 +114,6 @@ pub struct LsmDatabase {
     tick_capacity_ms: f64,
     // Observability.
     query_log: QueryLog,
-    throughput_series: TimeSeries,
-    completed_this_window: u64,
-    window_started: SimTime,
     active_connections: u32,
 }
 
@@ -178,9 +175,6 @@ impl LsmDatabase {
             tick_busy_ms: 0.0,
             tick_capacity_ms: instance.vcpus() as f64 * 1_000.0 * CAPACITY_CONCURRENCY,
             query_log: QueryLog::default(),
-            throughput_series: TimeSeries::with_capacity(16 * 1024),
-            completed_this_window: 0,
-            window_started: 0,
             active_connections: 16,
         }
     }
@@ -314,7 +308,6 @@ impl LsmDatabase {
             }
         }
         self.query_log.push(q, self.now, outcome.spilled.is_some());
-        self.completed_this_window += exec_count;
         Some(outcome)
     }
 
@@ -446,6 +439,9 @@ impl Backend for LsmDatabase {
     fn disks(&self) -> &DiskSet {
         &self.disk
     }
+    fn disks_mut(&mut self) -> &mut DiskSet {
+        &mut self.disk
+    }
     fn wal(&self) -> &Wal {
         &self.wal
     }
@@ -457,9 +453,6 @@ impl Backend for LsmDatabase {
     }
     fn query_log(&self) -> &QueryLog {
         &self.query_log
-    }
-    fn throughput_series(&self) -> &TimeSeries {
-        &self.throughput_series
     }
     fn working_set_bytes(&mut self, reset: bool) -> u64 {
         self.cache.working_set_bytes(reset)
@@ -532,14 +525,6 @@ impl Backend for LsmDatabase {
             .set(MetricId::ActiveConnections, self.active_connections as f64);
         self.metrics
             .set(MetricId::DbSizeBytes, self.catalog.total_bytes() as f64);
-
-        let window_ms = self.now - self.window_started;
-        if window_ms >= MILLIS_PER_SEC {
-            let qps = self.completed_this_window as f64 * 1000.0 / window_ms as f64;
-            self.throughput_series.push(self.now, qps);
-            self.completed_this_window = 0;
-            self.window_started = self.now;
-        }
     }
 
     fn apply_config(&mut self, changes: &[ConfigChange], mode: ApplyMode) -> ApplyReport {
@@ -716,9 +701,6 @@ impl autodbaas_snapshot::Snap for LsmDatabase {
         self.tick_busy_ms.encode(w);
         self.tick_capacity_ms.encode(w);
         self.query_log.encode(w);
-        self.throughput_series.encode(w);
-        self.completed_this_window.encode(w);
-        self.window_started.encode(w);
         self.active_connections.encode(w);
     }
     fn decode(
@@ -771,9 +753,6 @@ impl autodbaas_snapshot::Snap for LsmDatabase {
             tick_busy_ms: Snap::decode(r)?,
             tick_capacity_ms: Snap::decode(r)?,
             query_log: Snap::decode(r)?,
-            throughput_series: Snap::decode(r)?,
-            completed_this_window: Snap::decode(r)?,
-            window_started: Snap::decode(r)?,
             active_connections: Snap::decode(r)?,
         })
     }

@@ -34,7 +34,7 @@ use crate::planner::{Plan, Planner};
 use crate::query::QueryProfile;
 use crate::query_log::QueryLog;
 use crate::wal::Wal;
-use autodbaas_telemetry::{SimTime, TimeSeries};
+use autodbaas_telemetry::SimTime;
 
 /// Which engine family a backend belongs to. One kind can serve several
 /// [`DbFlavor`]s (the page heap backs both the PostgreSQL- and MySQL-style
@@ -155,8 +155,11 @@ pub trait Backend {
     fn metrics(&self) -> &Metrics;
     /// Snapshot the metric vector.
     fn metrics_snapshot(&self) -> MetricsSnapshot;
-    /// Disk set (latency / IOPS series for the monitoring agent).
+    /// Disk set (latency and IOPS for the monitoring agent).
     fn disks(&self) -> &DiskSet;
+    /// Mutable disk set: the bgwriter detector drops the latency samples
+    /// it has read.
+    fn disks_mut(&mut self) -> &mut DiskSet;
     /// Durability log: LSN accounting for replication and crash recovery.
     fn wal(&self) -> &Wal;
     /// Write-burst cycles completed: checkpoints on the page heap,
@@ -167,8 +170,6 @@ pub trait Backend {
     fn now(&self) -> SimTime;
     /// Recent query log (streaming-log stand-in for the TDE).
     fn query_log(&self) -> &QueryLog;
-    /// Throughput series: completed queries per second.
-    fn throughput_series(&self) -> &TimeSeries;
     /// Working-set gauge; `reset` starts a new epoch.
     fn working_set_bytes(&mut self, reset: bool) -> u64;
     /// Active connection count.
@@ -288,6 +289,9 @@ impl Backend for AnyBackend {
     fn disks(&self) -> &DiskSet {
         dispatch!(self, db => db.disks())
     }
+    fn disks_mut(&mut self) -> &mut DiskSet {
+        dispatch!(self, db => db.disks_mut())
+    }
     fn wal(&self) -> &Wal {
         dispatch!(self, db => Backend::wal(db))
     }
@@ -299,9 +303,6 @@ impl Backend for AnyBackend {
     }
     fn query_log(&self) -> &QueryLog {
         dispatch!(self, db => db.query_log())
-    }
-    fn throughput_series(&self) -> &TimeSeries {
-        dispatch!(self, db => db.throughput_series())
     }
     fn working_set_bytes(&mut self, reset: bool) -> u64 {
         dispatch!(self, db => db.working_set_bytes(reset))

@@ -71,7 +71,6 @@ pub struct Disk {
     current_latency_ms: f64,
     current_iops: f64,
     latency_series: TimeSeries,
-    iops_series: TimeSeries,
 }
 
 impl Disk {
@@ -84,7 +83,6 @@ impl Disk {
             current_latency_ms: kind.base_latency_ms(),
             current_iops: 0.0,
             latency_series: TimeSeries::with_capacity(16 * 1024),
-            iops_series: TimeSeries::with_capacity(16 * 1024),
         }
     }
 
@@ -129,7 +127,6 @@ impl Disk {
         self.current_latency_ms = latency;
         self.current_iops = iops.min(cap * 1.5); // device can't report more than it does
         self.latency_series.push(now, self.current_latency_ms);
-        self.iops_series.push(now, self.current_iops);
         self.pending_ios = 0.0;
     }
 
@@ -144,14 +141,12 @@ impl Disk {
         self.current_iops
     }
 
-    /// Full latency history.
+    /// Latency samples, one per tick, capacity-bounded. A data disk's
+    /// start at the bgwriter detector's last read (see
+    /// [`DiskSet::forget_data_latency_before`]); a disk it never read
+    /// holds them from the first tick.
     pub fn latency_series(&self) -> &TimeSeries {
         &self.latency_series
-    }
-
-    /// Full IOPS history.
-    pub fn iops_series(&self) -> &TimeSeries {
-        &self.iops_series
     }
 
     /// Cumulative bytes written by `source`.
@@ -225,15 +220,20 @@ impl DiskSet {
     /// Repeat, at `now`, a tick that started with no IO queued and then
     /// took only `stats_bytes` of statistics drip: the drip is counted
     /// where [`DiskSet::submit_write`] routes it, and each device records
-    /// the latency and IOPS that tick left, which the same load gives
-    /// again.
+    /// the latency that tick left, which the same load gives again.
     pub(crate) fn repeat_quiet_tick(&mut self, now: SimTime, stats_bytes: f64) {
         let stats = self.aux.as_mut().unwrap_or(&mut self.data);
         stats.written_by_source[WriteSource::Stats.index()] += stats_bytes.max(0.0);
         for disk in std::iter::once(&mut self.data).chain(&mut self.aux) {
             disk.latency_series.push(now, disk.current_latency_ms);
-            disk.iops_series.push(now, disk.current_iops);
         }
+    }
+
+    /// Drop the data disk's latency samples taken before `at`: the
+    /// bgwriter detector calls this right after reading its window, and
+    /// its next read asks only for samples at or after the time it read.
+    pub fn forget_data_latency_before(&mut self, at: SimTime) {
+        self.data.latency_series.forget_before(at);
     }
 
     /// The data disk (what the TDE monitors).
@@ -256,7 +256,6 @@ autodbaas_snapshot::snap_struct!(Disk {
     current_latency_ms,
     current_iops,
     latency_series,
-    iops_series,
 });
 autodbaas_snapshot::snap_struct!(DiskSet { data, aux });
 
@@ -348,6 +347,5 @@ mod tests {
             d.tick(t * 1000, 1000);
         }
         assert_eq!(d.latency_series().len(), 5);
-        assert_eq!(d.iops_series().len(), 5);
     }
 }

@@ -19,7 +19,7 @@ use crate::planner::{Plan, Planner};
 use crate::query::QueryProfile;
 use crate::query_log::QueryLog;
 use crate::wal::Wal;
-use autodbaas_telemetry::{SimTime, TimeSeries, MILLIS_PER_SEC};
+use autodbaas_telemetry::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -161,9 +161,6 @@ pub struct SimDatabase {
     tick_capacity_ms: f64,
     // Observability.
     query_log: QueryLog,
-    throughput_series: TimeSeries,
-    completed_this_window: u64,
-    window_started: SimTime,
     active_connections: u32,
 }
 
@@ -213,9 +210,6 @@ impl SimDatabase {
             tick_busy_ms: 0.0,
             tick_capacity_ms: instance.vcpus() as f64 * 1_000.0 * CAPACITY_CONCURRENCY,
             query_log: QueryLog::default(),
-            throughput_series: TimeSeries::with_capacity(16 * 1024),
-            completed_this_window: 0,
-            window_started: 0,
             active_connections: 16,
         }
     }
@@ -296,7 +290,6 @@ impl SimDatabase {
             }
         }
         self.query_log.push(q, self.now, outcome.spilled.is_some());
-        self.completed_this_window += exec_count;
         Some(outcome)
     }
 
@@ -311,18 +304,6 @@ impl SimDatabase {
             && self.pool.dirty_count() == 0
             && self.bg.is_idle()
             && self.disk.is_idle()
-    }
-
-    /// Push the throughput sample (queries/second) once a second or more
-    /// has passed since the last one.
-    fn close_throughput_window(&mut self) {
-        let window_ms = self.now - self.window_started;
-        if window_ms >= MILLIS_PER_SEC {
-            let qps = self.completed_this_window as f64 * 1000.0 / window_ms as f64;
-            self.throughput_series.push(self.now, qps);
-            self.completed_this_window = 0;
-            self.window_started = self.now;
-        }
     }
 }
 
@@ -354,6 +335,9 @@ impl Backend for SimDatabase {
     fn disks(&self) -> &DiskSet {
         &self.disk
     }
+    fn disks_mut(&mut self) -> &mut DiskSet {
+        &mut self.disk
+    }
     fn wal(&self) -> &Wal {
         self.bg.wal()
     }
@@ -365,9 +349,6 @@ impl Backend for SimDatabase {
     }
     fn query_log(&self) -> &QueryLog {
         &self.query_log
-    }
-    fn throughput_series(&self) -> &TimeSeries {
-        &self.throughput_series
     }
     fn working_set_bytes(&mut self, reset: bool) -> u64 {
         self.pool.working_set_bytes(reset)
@@ -459,17 +440,15 @@ impl Backend for SimDatabase {
             .set(MetricId::ActiveConnections, self.active_connections as f64);
         self.metrics
             .set(MetricId::DbSizeBytes, self.catalog.total_bytes() as f64);
-
-        self.close_throughput_window();
     }
 
     /// `ticks` ticks with nothing submitted. A tick that starts *quiet*
     /// (see [`SimDatabase::quiet`]) runs the background processes for the
     /// statistics drip alone and leaves the instance quiet, so after one
     /// ordinary quiet tick every further one changes only the clock, the
-    /// drip's byte count, one latency and one IOPS sample per disk (the
-    /// values the first tick left) and the throughput window. Those are
-    /// repeated here; ticks before the instance is quiet run in full.
+    /// drip's byte count and one latency sample per disk (the value the
+    /// first tick left). Those are repeated here; ticks before the
+    /// instance is quiet run in full.
     fn tick_many(&mut self, ticks: u64, dt_ms: u64) {
         let mut left = ticks;
         while left > 0 && !self.quiet() {
@@ -484,7 +463,6 @@ impl Backend for SimDatabase {
         for _ in 1..left {
             self.now += dt_ms;
             self.disk.repeat_quiet_tick(self.now, drip);
-            self.close_throughput_window();
         }
     }
 
@@ -659,9 +637,6 @@ impl autodbaas_snapshot::Snap for SimDatabase {
         self.tick_busy_ms.encode(w);
         self.tick_capacity_ms.encode(w);
         self.query_log.encode(w);
-        self.throughput_series.encode(w);
-        self.completed_this_window.encode(w);
-        self.window_started.encode(w);
         self.active_connections.encode(w);
     }
     fn decode(
@@ -699,9 +674,6 @@ impl autodbaas_snapshot::Snap for SimDatabase {
             tick_busy_ms: Snap::decode(r)?,
             tick_capacity_ms: Snap::decode(r)?,
             query_log: Snap::decode(r)?,
-            throughput_series: Snap::decode(r)?,
-            completed_this_window: Snap::decode(r)?,
-            window_started: Snap::decode(r)?,
             active_connections: Snap::decode(r)?,
         })
     }
@@ -744,7 +716,6 @@ mod tests {
             d.tick(1_000);
         }
         assert!(d.metrics().get(MetricId::QueriesExecuted) >= 1_000.0);
-        assert!(d.throughput_series().len() >= 9);
     }
 
     #[test]
@@ -964,23 +935,23 @@ mod tests {
     }
 
     #[test]
-    fn throughput_series_tracks_offered_load_changes() {
+    fn executed_queries_track_offered_load_changes() {
         let mut d = db();
         let q = point_query();
+        let executed = |d: &SimDatabase| d.metrics().get(MetricId::QueriesExecuted);
         for _ in 0..10 {
             d.submit(&q, 500);
             d.tick(1_000);
         }
-        let high = d.throughput_series().mean_since(0);
-        let mark = d.now();
+        let high = executed(&d);
         for _ in 0..10 {
             d.submit(&q, 50);
             d.tick(1_000);
         }
-        let low = d.throughput_series().mean_since(mark);
+        let low = executed(&d) - high;
         assert!(
             high > low * 3.0,
-            "series must reflect the load drop ({high:.0} vs {low:.0})"
+            "throughput must reflect the load drop ({high:.0} vs {low:.0} queries per 10 s)"
         );
     }
 
@@ -1204,7 +1175,7 @@ mod tests {
                 &["pending_io"],
             ),
             (
-                "throughput window open",
+                "reads served in a quarter-second tick",
                 |db| {
                     db.submit(&point_query(), 50);
                     db.tick(250);
@@ -1304,8 +1275,7 @@ mod tests {
 
     /// `tick_many(k, dt)` leaves every backend byte-for-byte where `k`
     /// calls of `tick(dt)` do, from every starting state, for tick lengths
-    /// below, at and above the throughput window and run lengths around a
-    /// TDE window.
+    /// below, at and above one second and run lengths around a TDE window.
     #[test]
     fn tick_many_is_byte_identical_to_ticking_one_by_one() {
         use autodbaas_snapshot::{decode_from_slice, encode_to_vec};

@@ -70,7 +70,12 @@ pub const MAGIC: [u8; 8] = *b"ADBSNAP1";
 /// * 7 — constants stopped posing as options: `TdeConfig`, `EntropyFilter`,
 ///   `MdpEngine`, `RlConfig`, `FleetConfig` and `SafetyConfig` no longer
 ///   encode the fixed values that became private consts.
-pub const VERSION: u32 = 7;
+/// * 8 — the engines keep only the monitoring the TDE reads: `Disk` dropped
+///   its IOPS series, both engines their throughput series and its window
+///   fields (`completed_this_window`, `window_started`), and the data
+///   disk's latency series holds only what the bgwriter detector has not
+///   read yet.
+pub const VERSION: u32 = 8;
 
 /// Reserved tag closing every snapshot file; its payload is the running
 /// FNV-1a hash of all preceding bytes.

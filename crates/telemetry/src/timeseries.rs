@@ -18,10 +18,13 @@ pub struct Sample {
     pub value: f64,
 }
 
-/// A bounded, append-only series of [`Sample`]s.
+/// A bounded series of [`Sample`]s, appended at the back and trimmed at
+/// the front.
 ///
 /// Capacity-bounded so that a multi-day fleet simulation holds a constant
-/// amount of monitoring state per database, like a real agent's ring buffer.
+/// amount of monitoring state per database, like a real agent's ring buffer;
+/// a reader that never looks back past some time drops what came before it
+/// with [`TimeSeries::forget_before`].
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
     samples: VecDeque<Sample>,
@@ -69,17 +72,19 @@ impl TimeSeries {
         self.samples.iter()
     }
 
-    /// Most recent sample.
-    pub fn last(&self) -> Option<Sample> {
-        self.samples.back().copied()
-    }
-
     /// Retained samples with `at >= since`, oldest first. Timestamps are
     /// non-decreasing, so they are a suffix of the ring: found by binary
     /// search, not by filtering the whole ring.
     fn since(&self, since: SimTime) -> impl Iterator<Item = &Sample> {
         let start = self.samples.partition_point(|s| s.at < since);
         self.samples.range(start..)
+    }
+
+    /// Drop the samples taken before `at`, keeping those at `at` and
+    /// later: every window query with `since >= at` answers as before.
+    pub fn forget_before(&mut self, at: SimTime) {
+        let keep_from = self.samples.partition_point(|s| s.at < at);
+        self.samples.drain(..keep_from);
     }
 
     /// Samples with `at >= since`, oldest first.
@@ -186,7 +191,6 @@ mod tests {
         let values = |w: Vec<Sample>| w.iter().map(|s| s.value).collect::<Vec<_>>();
         assert_eq!(values(ts.window(15)), vec![3.0, 4.0]);
         assert!((ts.mean_since(10) - 3.0).abs() < 1e-12);
-        assert_eq!(ts.last().unwrap().value, 4.0);
     }
 
     /// The filter over the whole ring that `window` and `mean_since`
@@ -230,6 +234,20 @@ mod tests {
                 prop_assert_eq!(ts.window(q), filtered(&ts, q), "since {}", q);
                 prop_assert_eq!(
                     ts.mean_since(q).to_bits(),
+                    filtered_mean(&ts, q).to_bits(),
+                    "since {}",
+                    q
+                );
+            }
+            // Trimmed before `since`, the series answers every query from
+            // `since` on as the untrimmed one does, and holds nothing older.
+            let mut trimmed = ts.clone();
+            trimmed.forget_before(since);
+            prop_assert!(trimmed.iter().all(|s| s.at >= since));
+            for q in [since, since + 1, at, at + 1, u64::MAX].into_iter().filter(|&q| q >= since) {
+                prop_assert_eq!(trimmed.window(q), filtered(&ts, q), "since {}", q);
+                prop_assert_eq!(
+                    trimmed.mean_since(q).to_bits(),
                     filtered_mean(&ts, q).to_bits(),
                     "since {}",
                     q

@@ -140,13 +140,21 @@ fn fleet_simulation_is_deterministic_under_seed() {
     assert_ne!(run(5).1, run(6).1, "different seeds must differ");
 }
 
+/// Snapshot size at minute `from` and at minute `to`.
+fn snapshot_bytes_between(sim: &mut FleetSim, from: u64, to: u64) -> (f64, f64) {
+    sim.run_for(from * MILLIS_PER_MIN);
+    let before = sim.snapshot_bytes().len() as f64;
+    sim.run_for((to - from) * MILLIS_PER_MIN);
+    (before, sim.snapshot_bytes().len() as f64)
+}
+
 #[test]
 fn loaded_fleet_snapshot_size_is_flat() {
     // Leak gate: workload literals never repeat, so any per-literal state
     // in the TDE grows the snapshot by kilobytes per node-minute forever.
-    // Everything a loaded node legitimately keeps is a ring or a summary;
-    // the longest rings (16 384 one-second monitoring samples) are full
-    // after 273 minutes, and from then on the size must stand still.
+    // Everything a loaded node legitimately keeps is a ring or a summary,
+    // and the monitoring ring holds only the window the TDE has not read,
+    // so the size stands still from the first half hour on.
     let mut sim = FleetSim::new(FleetConfig::default(), 2);
     for i in 0..4 {
         sim.add_node(
@@ -154,12 +162,68 @@ fn loaded_fleet_snapshot_size_is_flat() {
             &format!("db-{i}"),
         );
     }
-    sim.run_for(300 * MILLIS_PER_MIN);
-    let before = sim.snapshot_bytes().len() as f64;
-    sim.run_for(60 * MILLIS_PER_MIN);
-    let after = sim.snapshot_bytes().len() as f64;
+    let (before, after) = snapshot_bytes_between(&mut sim, 30, 90);
     assert!(
         (after / before - 1.0).abs() < 0.05,
-        "snapshot grew from {before} B to {after} B over minutes 300..360"
+        "snapshot grew from {before} B to {after} B over minutes 30..90"
     );
+}
+
+#[test]
+fn idle_fleet_snapshot_size_is_flat() {
+    // The long tail, seeded as the `fleet_idle` benchmark seeds it: one
+    // tenant trickles queries, seven send none. An idle node still ticks
+    // its disk every second, and what it keeps of that must not grow with
+    // the hours it has been idle. (The bytes include the tuner repository,
+    // which the trickling tenant's throttled windows add samples to.)
+    let mut sim = FleetSim::new(
+        FleetConfig {
+            seed: 42,
+            ..FleetConfig::default()
+        },
+        2,
+    );
+    for i in 0..8u64 {
+        let base = tpcc(0.5);
+        sim.add_node(
+            ManagedDatabase::new(
+                DbFlavor::Postgres,
+                InstanceType::M4Large,
+                DiskKind::Ssd,
+                base.catalog().clone(),
+                Box::new(base),
+                ArrivalProcess::Constant(if i == 0 { 2.0 } else { 0.0 }),
+                TuningPolicy::TdeDriven,
+                WorkloadId(0),
+                TdeConfig::default(),
+                42 ^ (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            ),
+            &format!("db-{i}"),
+        );
+    }
+    let (before, after) = snapshot_bytes_between(&mut sim, 30, 240);
+    assert!(
+        (after / before - 1.0).abs() < 0.05,
+        "snapshot grew from {before} B to {after} B over minutes 30..240"
+    );
+}
+
+#[test]
+fn master_latency_ring_holds_one_unread_window() {
+    // The bgwriter detector drops the latency samples it has read, so
+    // after any number of TDE windows a master keeps at most the window
+    // since the last run plus the sample taken at that run.
+    let mut sim = fleet(TuningPolicy::TdeDriven, true, 42);
+    let cfg = FleetConfig::default();
+    let window = (cfg.tde_period_ms / cfg.tick_ms) as usize;
+    for minute in 1..=20 {
+        sim.run_for(MILLIS_PER_MIN);
+        for (i, n) in sim.nodes.iter().enumerate() {
+            let held = n.service.master().disks().data().latency_series().len();
+            assert!(
+                held <= window + 1,
+                "db-{i} holds {held} latency samples at minute {minute}, window is {window}"
+            );
+        }
+    }
 }

@@ -159,7 +159,7 @@ fn snapshot_layout_is_pinned() {
     let hash = autodbaas_snapshot::fnv1a(autodbaas_snapshot::fnv1a_start(), &bytes);
     assert_eq!(
         (bytes.len(), hash),
-        (968_192, 0x5375_0bc6_45ee_44f8),
+        (921_888, 0x1ab7_9580_b7e2_2f51),
         "snapshot layout moved without a VERSION bump"
     );
 }
