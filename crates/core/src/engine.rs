@@ -4,8 +4,9 @@
 //! The TDE "gets periodically executed on the database master VM (like a
 //! plugin)". Each run it:
 //!
-//! 1. ingests the streaming query log into the class histogram and a
-//!    reservoir sample of the window's query instances;
+//! 1. takes the window the engine summarised as its queries ran — per-class
+//!    counts for the class histogram and a uniform sample of the window's
+//!    query instances;
 //! 2. re-plans the sampled queries to find work-area **spills** (memory
 //!    detector), passing repeated throttles through the **entropy filter**
 //!    to separate mis-tuned knobs from undersized instances;
@@ -24,12 +25,11 @@ use crate::classify::ClassHistogram;
 use crate::filter::{EntropyFilter, FilterDecision};
 use crate::mdp::MdpEngine;
 use crate::memory::{check_working_set, detect_spills, knob_at_cap, WorkingSetFinding};
-use crate::reservoir::Reservoir;
-use autodbaas_simdb::{Backend, KnobClass, KnobId, MetricId, QueryProfile, SpillKind};
+use autodbaas_simdb::{Backend, KnobClass, KnobId, MetricId, QueryWindow, SpillKind};
 use autodbaas_telemetry::{SimTime, MILLIS_PER_MIN};
 use autodbaas_tuner::WorkloadRepository;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// Why a throttle fired.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,7 +90,7 @@ const HIT_RATIO_FLOOR: f64 = 0.45;
 /// TDE configuration.
 #[derive(Debug, Clone)]
 pub struct TdeConfig {
-    /// Reservoir sample size per observation window.
+    /// Sampled queries per observation window.
     pub reservoir_capacity: usize,
     /// Toggle for the filter (ablation).
     pub enable_entropy_filter: bool,
@@ -130,13 +130,12 @@ impl Default for TdeConfig {
 #[derive(Debug)]
 pub struct Tde {
     cfg: TdeConfig,
-    reservoir: Reservoir<QueryProfile>,
+    window: QueryWindow,
     hist: ClassHistogram,
     filter: EntropyFilter,
     bg_detector: BgwriterDetector,
     mdp: MdpEngine,
     mdp_last_run: SimTime,
-    last_ingested_at: SimTime,
     rng: StdRng,
     class_counts: [u64; 3],
     ws_run_counter: u32,
@@ -150,14 +149,13 @@ impl Tde {
     /// Build a TDE for a database's knob profile.
     pub fn new(profile: &autodbaas_simdb::KnobProfile, cfg: TdeConfig, seed: u64) -> Self {
         Self {
-            reservoir: Reservoir::new(cfg.reservoir_capacity),
+            window: QueryWindow::new(cfg.reservoir_capacity, seed),
             hist: ClassHistogram::new(),
             filter: EntropyFilter::default(),
             bg_detector: BgwriterDetector::new(),
             mdp: MdpEngine::new(profile),
             cfg,
             mdp_last_run: 0,
-            last_ingested_at: 0,
             rng: StdRng::seed_from_u64(seed),
             class_counts: [0; 3],
             ws_run_counter: 0,
@@ -221,26 +219,21 @@ impl Tde {
         self.detect(db, repo, memo)
     }
 
-    /// Step 1 of a run: fold the streaming log since the last run into the
-    /// class histogram and the reservoir. Entries are read in place from
-    /// the backend's ring; only a query the reservoir admits is copied.
-    fn ingest<B: Backend>(&mut self, db: &B) {
+    /// Step 1 of a run: take the window the engine summarised since the
+    /// last run, seeding the next one, and add its class counts to the
+    /// histogram. The sample covers the *current* observation window only —
+    /// a stale sample would keep indicting queries that stopped arriving.
+    fn ingest<B: Backend>(&mut self, db: &mut B) {
         // Decay the histogram so the window tracks the *current* pattern
         // (Fig. 14's point is quick reaction to workload change).
         self.hist.decay_half();
-        // The reservoir samples the *current* observation window, not the
-        // whole history — a stale sample would keep indicting queries that
-        // stopped arriving.
-        self.reservoir.clear();
-        for l in db.query_log().since(self.last_ingested_at) {
-            self.hist.record(&l.query);
-            self.reservoir.offer_with(|| l.query.clone(), &mut self.rng);
-        }
-        self.last_ingested_at = db.now();
+        let seed = self.rng.next_u64();
+        self.window = db.take_query_window(self.cfg.reservoir_capacity, seed);
+        self.hist.add_counts(self.window.counts());
     }
 
-    /// Steps 2–5 of a run, over the window [`ingest`](Self::ingest) left in
-    /// the reservoir and histogram.
+    /// Steps 2–5 of a run, over the window [`ingest`](Self::ingest) took
+    /// and the histogram it fed.
     fn detect<B: Backend>(
         &mut self,
         db: &mut B,
@@ -249,13 +242,13 @@ impl Tde {
     ) -> TdeReport {
         let now = db.now();
         let mut report = TdeReport::default();
-        let sampled = self.reservoir.items();
+        let sampled = self.window.sample();
 
         // --- 2. Memory detector + entropy filtration --------------------
         let spills = detect_spills(db, sampled);
         // Oversubscription: work areas were pushed past the instance's
         // memory; there may be no spills left, but the machine is swapping.
-        let swapping = db.swap_factor() > 1.05 && self.reservoir.seen() > 0;
+        let swapping = db.swap_factor() > 1.05 && self.window.seen() > 0;
         let throttled = !spills.is_empty() || swapping;
         let any_at_cap = swapping || spills.iter().any(|f| knob_at_cap(db, f.knob));
         let decision = if self.cfg.enable_entropy_filter {
@@ -436,13 +429,12 @@ snap_struct!(TdeConfig {
 
 snap_struct!(Tde {
     cfg,
-    reservoir,
+    window,
     hist,
     filter,
     bg_detector,
     mdp,
     mdp_last_run,
-    last_ingested_at,
     rng,
     class_counts,
     ws_run_counter,
@@ -527,7 +519,10 @@ snap_struct!(TdeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autodbaas_simdb::{Catalog, DbFlavor, DiskKind, InstanceType, QueryKind, SimDatabase};
+    use autodbaas_simdb::{
+        Catalog, DbFlavor, DiskKind, InstanceType, QueryKind, QueryProfile, SimDatabase,
+        SubmitResult,
+    };
     use autodbaas_snapshot::encode_to_vec;
     use rand::Rng;
 
@@ -700,21 +695,30 @@ mod tests {
         let mut tde = Tde::new(&d.profile().clone(), cfg, 6);
         let mut q = QueryProfile::new(QueryKind::RangeSelect, 0);
         q.rows_examined = 200_000;
-        // First run at t≈5s: MDP fires (cadence from 0).
         run_queries(&mut d, &q, 50);
         let _ = tde.run(&mut d, None);
+        // The cadence counts from 0, so a run at t≈5s does not step it.
+        assert_eq!(tde.mdp_last_run, 0);
+        while d.now() < 2 * MILLIS_PER_MIN {
+            run_queries(&mut d, &q, 10);
+        }
+        let _ = tde.run(&mut d, None);
         let first_mdp_time = d.now();
+        assert_eq!(
+            tde.mdp_last_run, first_mdp_time,
+            "the MDP missed its cadence"
+        );
         // Second run immediately after: cadence not yet elapsed.
         run_queries(&mut d, &q, 5);
         let _ = tde.run(&mut d, None);
         assert!(d.now() - first_mdp_time < 2 * MILLIS_PER_MIN);
-        // The engine tracked exactly one MDP invocation's worth of steps so
-        // far; advance past the cadence and confirm a second fires.
+        assert_eq!(tde.mdp_last_run, first_mdp_time, "the MDP ran early");
+        // Advance past the cadence and confirm a second fires.
         while d.now() < first_mdp_time + 2 * MILLIS_PER_MIN {
             run_queries(&mut d, &q, 10);
         }
         let _ = tde.run(&mut d, None);
-        // Indirect check: visited history grows only on MDP runs.
+        assert_eq!(tde.mdp_last_run, d.now(), "the MDP missed its cadence");
         assert!(tde.mdp().knob_count() > 0);
     }
 
@@ -735,38 +739,18 @@ mod tests {
         assert!(periodic.should_request(&report_empty, 5 * MILLIS_PER_MIN, 0));
     }
 
-    impl Tde {
-        /// The ingest this engine shipped with — filter the whole ring,
-        /// clone the window, clone again into the reservoir — kept as the
-        /// reference `Tde::ingest` is tested against.
-        fn ingest_oracle<B: Backend>(&mut self, db: &B) {
-            self.hist.decay_half();
-            self.reservoir.clear();
-            let new_queries: Vec<QueryProfile> = db
-                .query_log()
-                .since(0)
-                .filter(|l| l.at >= self.last_ingested_at)
-                .map(|l| l.query.clone())
-                .collect();
-            self.last_ingested_at = db.now();
-            for q in &new_queries {
-                self.hist.record(q);
-                self.reservoir.offer(q.clone(), &mut self.rng);
-            }
-        }
-    }
-
-    /// Submit `n` queries with seeded kinds and hardly-ever-repeating literals,
-    /// eight per 100 ms tick; the last few stay at the clock the next TDE
-    /// run reads, so they sit exactly on the next window's boundary.
-    fn drive_window<B: Backend>(d: &mut B, gen: &mut StdRng, n: usize) {
+    /// Submit `n` queries with seeded kinds and demands, eight per 100 ms
+    /// tick; the last few stay at the clock the next TDE run reads, so they
+    /// sit exactly on the next window's boundary. Returns how many executed
+    /// (the capacity model sheds the rest).
+    fn drive_window<B: Backend>(d: &mut B, gen: &mut StdRng, n: usize) -> u64 {
+        let mut executed = 0;
         for i in 0..n {
             let kind = QueryKind::ALL[gen.gen_range(0..QueryKind::ALL.len())];
             let mut q = QueryProfile::new(kind, gen.gen_range(0..6));
             q.rows_examined = gen.gen_range(1..5_000);
             q.sort_bytes = gen.gen_range(0..96) * MIB;
-            q.literals = [gen.gen_range(-500_000..500_000), gen.gen_range(-500..500)];
-            d.submit(&q, 1);
+            executed += u64::from(matches!(d.submit(&q, 1), SubmitResult::Done(_)));
             if i % 8 == 7 {
                 d.tick(100);
             }
@@ -774,72 +758,34 @@ mod tests {
         if n == 0 {
             d.tick(100);
         }
+        executed
     }
 
     #[test]
-    fn streaming_ingest_is_bit_identical_to_the_collect_filter_clone_oracle() {
-        use autodbaas_simdb::{AnyBackend, QueryLog};
-        // Window sizes: under the reservoir, over it, empty, over the ring.
-        let windows = [50, 0, 3_000, 700, 0, 0, 64, 2_500, 1, 300];
-        for flavor in [DbFlavor::Postgres, DbFlavor::Lsm] {
-            for seed in [11u64, 12, 13] {
-                let mk = || {
-                    let catalog = Catalog::synthetic(6, 2_000_000_000, 150, 2);
-                    AnyBackend::new(flavor, InstanceType::M4XLarge, DiskKind::Ssd, catalog, seed)
-                };
-                let (mut db_s, mut db_o) = (mk(), mk());
-                let cfg = TdeConfig {
-                    mdp_interval_ms: MILLIS_PER_MIN / 2,
-                    ..TdeConfig::default()
-                };
-                let mut streaming = Tde::new(&db_s.profile().clone(), cfg.clone(), seed);
-                let mut oracle = Tde::new(&db_o.profile().clone(), cfg, seed);
-                let (mut gen_s, mut gen_o) =
-                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-                let mut overflowed = false;
-                let (mut on_boundary, mut empty) = (false, false);
-                for (w, &n) in windows.iter().enumerate() {
-                    // Logged at the clock the last run read: `at ==
-                    // last_ingested_at`, so this window takes them again.
-                    on_boundary |= db_s.query_log().since(db_s.now()).len() > 0;
-                    drive_window(&mut db_s, &mut gen_s, n);
-                    drive_window(&mut db_o, &mut gen_o, n);
-                    overflowed |= db_s.query_log().since(0).len() == QueryLog::CAPACITY;
-
-                    let report_s = streaming.run(&mut db_s, None);
-                    oracle.ingest_oracle(&db_o);
-                    let report_o = oracle.detect(&mut db_o, None, &mut BaselineMemo::default());
-
-                    let ctx = format!("{flavor:?} seed {seed} window {w}");
-                    assert_eq!(encode_to_vec(&report_s), encode_to_vec(&report_o), "{ctx}");
-                    assert_eq!(streaming.hist.counts(), oracle.hist.counts(), "{ctx}");
-                    assert_eq!(
-                        streaming.reservoir.items(),
-                        oracle.reservoir.items(),
-                        "{ctx}"
-                    );
-                    assert_eq!(streaming.reservoir.seen(), oracle.reservoir.seen(), "{ctx}");
-                    assert_eq!(
-                        encode_to_vec(&streaming.rng),
-                        encode_to_vec(&oracle.rng),
-                        "{ctx}"
-                    );
-                    // Everything else the run touched, MDP knob moves included.
-                    assert_eq!(encode_to_vec(&streaming), encode_to_vec(&oracle), "{ctx}");
-                    assert_eq!(encode_to_vec(&db_s), encode_to_vec(&db_o), "{ctx}");
-                    empty |= streaming.reservoir.seen() == 0;
-                }
-                assert!(overflowed, "a window must overflow the ring");
-                assert!(on_boundary, "a window must start on logged entries");
-                assert!(empty, "a window must be empty");
-            }
+    fn a_query_at_the_run_clock_is_counted_in_exactly_one_window() {
+        let mut d = db();
+        let mut tde = Tde::new(&d.profile().clone(), TdeConfig::default(), 3);
+        let mut gen = StdRng::seed_from_u64(3);
+        let mut on_boundary = false;
+        for &n in &[5usize, 0, 700, 63, 64, 65] {
+            // 8 per tick: the last n % 8 land at the clock the run reads.
+            let executed = drive_window(&mut d, &mut gen, n);
+            on_boundary |= n % 8 != 0 && executed > 0;
+            let _ = tde.run(&mut d, None);
+            assert_eq!(tde.window.seen(), executed, "window of {n}");
+            assert_eq!(tde.window.counts().iter().sum::<u64>(), executed);
+            assert_eq!(tde.window.sample().len() as u64, executed.min(64));
+            // A run at the same clock finds nothing left to count again.
+            let _ = tde.run(&mut d, None);
+            assert_eq!(tde.window.seen(), 0, "window of {n} counted twice");
         }
+        assert!(on_boundary, "a window must end on queries at the run clock");
     }
 
     #[test]
     fn tde_state_is_flat_on_a_loaded_node() {
-        // A loaded node sees a few hundred never-repeating literal pairs per
-        // window; the engine's persistent state must not remember them.
+        // A loaded node's windows each hold a few hundred queries; the
+        // engine's persistent state must not grow with them.
         let mut d = db();
         let mut tde = Tde::new(&d.profile().clone(), TdeConfig::default(), 8);
         let mut gen = StdRng::seed_from_u64(8);

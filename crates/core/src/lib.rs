@@ -14,8 +14,9 @@
 //! log; this TDE samples and re-plans query instances instead, so there is
 //! no template store:
 //!
-//! * [`reservoir`] — Vitter Algorithm R sampling of the stream;
-//! * [`mod@classify`] — per-knob query classes and the class histogram;
+//! * [`mod@classify`] — per-knob query classes (re-exported from `simdb`,
+//!   whose engines count them and sample the window as queries run) and
+//!   the class histogram;
 //! * [`memory`] — plan-based spill detection + working-set gauging;
 //! * [`filter`] — the 8-consecutive-throttle entropy filtration separating
 //!   mis-tuned knobs from undersized instances;
@@ -33,7 +34,6 @@ pub mod filter;
 pub mod learned;
 pub mod mdp;
 pub mod memory;
-pub mod reservoir;
 
 pub use bgwriter::{BaselineMemo, BgBaseline, BgwriterDetector};
 pub use classify::{classify, ClassHistogram, QueryClass};
@@ -42,4 +42,3 @@ pub use filter::{EntropyFilter, FilterDecision};
 pub use learned::{LearnedDetector, LearnedScores};
 pub use mdp::{MdpAction, MdpEngine, MdpOutcome};
 pub use memory::{check_working_set, detect_spills, knob_at_cap, SpillFinding, WorkingSetFinding};
-pub use reservoir::Reservoir;

@@ -6,13 +6,13 @@
 //! paper models this as a sequential decision problem: per knob, an
 //! automaton holds action probabilities for *increase* and *decrease*;
 //! every 2–4 minutes it perturbs the knob by a unit step, evaluates the
-//! planner cost of the reservoir-sampled queries under the old and the new
+//! planner cost of the window's sampled queries under the old and the new
 //! value, and applies a linear reward–penalty update. A *profit* both
 //! rewards the action and raises a throttle — the knob is demonstrably
 //! sub-optimal, so the tuner should be asked for a real recommendation.
 //!
-//! The MDP 5-tuple {Q, A, B, N, H}: `Q` is the set of knob values visited
-//! (tracked per automaton), `A` = {increase, decrease}, `B` the cost/benefit
+//! The MDP 5-tuple {Q, A, B, N, H}: `Q` is the set of knob values (the
+//! knob's spec range; the automaton keeps only the current one), `A` = {increase, decrease}, `B` the cost/benefit
 //! response, `N` the value transition (apply the step), `H` the probability
 //! update below.
 //!
@@ -52,7 +52,6 @@ struct KnobAutomaton {
     knob: KnobId,
     p_increase: f64,
     step: f64,
-    visited: Vec<f64>,
 }
 
 /// Reward learning rate (α of L_R-P).
@@ -94,7 +93,6 @@ impl MdpEngine {
                     knob: id,
                     p_increase: 0.5,
                     step: (spec.max - spec.min) / 20.0,
-                    visited: Vec::new(),
                 }
             })
             .collect();
@@ -186,8 +184,7 @@ impl MdpEngine {
                 MdpAction::Increase => old + a.step,
                 MdpAction::Decrease => old - a.step,
             };
-            let new = knobs.set(&profile, a.knob, proposed);
-            a.visited.push(new);
+            knobs.set(&profile, a.knob, proposed);
             let new_cost = Self::evaluate_cost(db, knobs, sampled);
             let profit = if base_cost > 0.0 {
                 (base_cost - new_cost) / base_cost
@@ -247,8 +244,7 @@ use autodbaas_snapshot::snap_struct;
 snap_struct!(KnobAutomaton {
     knob,
     p_increase,
-    step,
-    visited
+    step
 });
 
 snap_struct!(MdpEngine {

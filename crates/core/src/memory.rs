@@ -2,7 +2,7 @@
 //!
 //! Two signals:
 //!
-//! * **Work-area spills** — the reservoir's sampled query instances are
+//! * **Work-area spills** — the window's sampled query instances are
 //!   re-planned (`EXPLAIN`-style, no execution) under the current knobs
 //!   (the paper re-plans templates; see DESIGN.md); "if any of
 //!   the selected templates … uses disk while execution, signifies that the

@@ -43,7 +43,7 @@ use crate::knobs::{DbFlavor, KnobId, KnobProfile, KnobSet};
 use crate::metrics::{MetricId, Metrics, MetricsSnapshot};
 use crate::planner::{Plan, Planner};
 use crate::query::{QueryKind, QueryProfile};
-use crate::query_log::QueryLog;
+use crate::query_window::QueryWindow;
 use crate::wal::Wal;
 use autodbaas_telemetry::SimTime;
 use rand::rngs::StdRng;
@@ -113,7 +113,7 @@ pub struct LsmDatabase {
     tick_busy_ms: f64,
     tick_capacity_ms: f64,
     // Observability.
-    query_log: QueryLog,
+    query_window: QueryWindow,
     active_connections: u32,
 }
 
@@ -174,7 +174,7 @@ impl LsmDatabase {
             staged: Vec::new(),
             tick_busy_ms: 0.0,
             tick_capacity_ms: instance.vcpus() as f64 * 1_000.0 * CAPACITY_CONCURRENCY,
-            query_log: QueryLog::default(),
+            query_window: QueryWindow::first(seed),
             active_connections: 16,
         }
     }
@@ -307,7 +307,7 @@ impl LsmDatabase {
                 self.dead_bytes += bytes;
             }
         }
-        self.query_log.push(q, self.now, outcome.spilled.is_some());
+        self.query_window.push(q);
         Some(outcome)
     }
 
@@ -451,8 +451,8 @@ impl Backend for LsmDatabase {
     fn now(&self) -> SimTime {
         self.now
     }
-    fn query_log(&self) -> &QueryLog {
-        &self.query_log
+    fn take_query_window(&mut self, capacity: usize, seed: u64) -> QueryWindow {
+        std::mem::replace(&mut self.query_window, QueryWindow::new(capacity, seed))
     }
     fn working_set_bytes(&mut self, reset: bool) -> u64 {
         self.cache.working_set_bytes(reset)
@@ -700,7 +700,7 @@ impl autodbaas_snapshot::Snap for LsmDatabase {
         self.staged.encode(w);
         self.tick_busy_ms.encode(w);
         self.tick_capacity_ms.encode(w);
-        self.query_log.encode(w);
+        self.query_window.encode(w);
         self.active_connections.encode(w);
     }
     fn decode(
@@ -752,7 +752,7 @@ impl autodbaas_snapshot::Snap for LsmDatabase {
             staged: Snap::decode(r)?,
             tick_busy_ms: Snap::decode(r)?,
             tick_capacity_ms: Snap::decode(r)?,
-            query_log: Snap::decode(r)?,
+            query_window: Snap::decode(r)?,
             active_connections: Snap::decode(r)?,
         })
     }

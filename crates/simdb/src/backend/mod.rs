@@ -32,7 +32,7 @@ use crate::knobs::{DbFlavor, KnobId, KnobProfile, KnobSet};
 use crate::metrics::{MetricId, Metrics, MetricsSnapshot};
 use crate::planner::{Plan, Planner};
 use crate::query::QueryProfile;
-use crate::query_log::QueryLog;
+use crate::query_window::QueryWindow;
 use crate::wal::Wal;
 use autodbaas_telemetry::SimTime;
 
@@ -168,8 +168,9 @@ pub trait Backend {
     fn checkpoints_done(&self) -> u64;
     /// Current sim time.
     fn now(&self) -> SimTime;
-    /// Recent query log (streaming-log stand-in for the TDE).
-    fn query_log(&self) -> &QueryLog;
+    /// Hand over the window of queries executed since the last take and
+    /// start a new one sampling at most `capacity` queries from `seed`.
+    fn take_query_window(&mut self, capacity: usize, seed: u64) -> QueryWindow;
     /// Working-set gauge; `reset` starts a new epoch.
     fn working_set_bytes(&mut self, reset: bool) -> u64;
     /// Active connection count.
@@ -301,8 +302,8 @@ impl Backend for AnyBackend {
     fn now(&self) -> SimTime {
         dispatch!(self, db => db.now())
     }
-    fn query_log(&self) -> &QueryLog {
-        dispatch!(self, db => db.query_log())
+    fn take_query_window(&mut self, capacity: usize, seed: u64) -> QueryWindow {
+        dispatch!(self, db => db.take_query_window(capacity, seed))
     }
     fn working_set_bytes(&mut self, reset: bool) -> u64 {
         dispatch!(self, db => db.working_set_bytes(reset))

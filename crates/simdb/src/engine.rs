@@ -17,7 +17,7 @@ use crate::knobs::{DbFlavor, KnobId, KnobProfile, KnobSet};
 use crate::metrics::{MetricId, Metrics, MetricsSnapshot};
 use crate::planner::{Plan, Planner};
 use crate::query::QueryProfile;
-use crate::query_log::QueryLog;
+use crate::query_window::QueryWindow;
 use crate::wal::Wal;
 use autodbaas_telemetry::SimTime;
 use rand::rngs::StdRng;
@@ -160,7 +160,7 @@ pub struct SimDatabase {
     tick_busy_ms: f64,
     tick_capacity_ms: f64,
     // Observability.
-    query_log: QueryLog,
+    query_window: QueryWindow,
     active_connections: u32,
 }
 
@@ -209,7 +209,7 @@ impl SimDatabase {
             staged: Vec::new(),
             tick_busy_ms: 0.0,
             tick_capacity_ms: instance.vcpus() as f64 * 1_000.0 * CAPACITY_CONCURRENCY,
-            query_log: QueryLog::default(),
+            query_window: QueryWindow::first(seed),
             active_connections: 16,
         }
     }
@@ -289,7 +289,7 @@ impl SimDatabase {
                 self.bg.note_dead_tuples(bytes);
             }
         }
-        self.query_log.push(q, self.now, outcome.spilled.is_some());
+        self.query_window.push(q);
         Some(outcome)
     }
 
@@ -347,8 +347,8 @@ impl Backend for SimDatabase {
     fn now(&self) -> SimTime {
         self.now
     }
-    fn query_log(&self) -> &QueryLog {
-        &self.query_log
+    fn take_query_window(&mut self, capacity: usize, seed: u64) -> QueryWindow {
+        std::mem::replace(&mut self.query_window, QueryWindow::new(capacity, seed))
     }
     fn working_set_bytes(&mut self, reset: bool) -> u64 {
         self.pool.working_set_bytes(reset)
@@ -636,7 +636,7 @@ impl autodbaas_snapshot::Snap for SimDatabase {
         self.staged.encode(w);
         self.tick_busy_ms.encode(w);
         self.tick_capacity_ms.encode(w);
-        self.query_log.encode(w);
+        self.query_window.encode(w);
         self.active_connections.encode(w);
     }
     fn decode(
@@ -673,7 +673,7 @@ impl autodbaas_snapshot::Snap for SimDatabase {
             staged: Snap::decode(r)?,
             tick_busy_ms: Snap::decode(r)?,
             tick_capacity_ms: Snap::decode(r)?,
-            query_log: Snap::decode(r)?,
+            query_window: Snap::decode(r)?,
             active_connections: Snap::decode(r)?,
         })
     }
@@ -863,18 +863,17 @@ mod tests {
     }
 
     #[test]
-    fn query_log_retains_recent_queries_with_spill_flags() {
+    fn take_query_window_hands_over_the_window_and_starts_a_new_one() {
         let mut d = db();
         let mut q = QueryProfile::new(QueryKind::OrderBy, 0);
         q.rows_examined = 10_000;
         q.sort_bytes = 512 * 1024 * 1024;
         d.submit(&q, 1);
-        let logged: Vec<_> = d.query_log().since(0).collect();
-        assert_eq!(logged.len(), 1);
-        assert!(
-            logged[0].spilled,
-            "512 MiB sort must spill at default work_mem"
-        );
+        let w = d.take_query_window(8, 1);
+        assert_eq!(w.seen(), 1);
+        assert_eq!(w.sample(), [q]);
+        assert_eq!(w.counts()[crate::QueryClass::WorkMem.index()], 1);
+        assert_eq!(d.take_query_window(8, 2).seen(), 0);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod knobs;
 pub mod metrics;
 pub mod planner;
 pub mod query;
-pub mod query_log;
+pub mod query_window;
 pub mod replication;
 pub mod wal;
 
@@ -50,7 +50,7 @@ pub use instance::{DiskKind, InstanceType};
 pub use knobs::{DbFlavor, KnobClass, KnobId, KnobProfile, KnobSet, KnobSpec, KnobUnit};
 pub use metrics::{MetricId, Metrics, MetricsSnapshot};
 pub use planner::{AccessPath, KnobRoles, Plan, Planner, SpillKind};
-pub use query::{QueryKind, QueryProfile};
-pub use query_log::{LoggedQuery, QueryLog};
+pub use query::{classify, QueryClass, QueryKind, QueryProfile};
+pub use query_window::QueryWindow;
 pub use replication::ReplicationSlot;
 pub use wal::{Lsn, Wal};

@@ -8,6 +8,7 @@
 //! query text (§3.1); ours acts on these features directly, so no SQL is
 //! rendered anywhere.
 
+use crate::knobs::KnobClass;
 use std::fmt;
 
 /// Kind of SQL statement, at the granularity the paper's classifier uses
@@ -112,10 +113,6 @@ pub struct QueryProfile {
     /// a small hot set (TPCC's recent orders ≈ 6; YCSB zipf ≈ 2;
     /// Wikipedia's long tail ≈ 1.2 ≈ near-uniform).
     pub locality: f64,
-    /// Literal parameters. No decision reads them; only the trace format
-    /// and the snapshot carry them. Dropping them changes every generator's
-    /// draw order, so it waits for a deliberate digest re-pin.
-    pub literals: [i64; 2],
 }
 
 impl QueryProfile {
@@ -132,7 +129,6 @@ impl QueryProfile {
             temp_bytes: 0,
             parallelizable: false,
             locality: 2.0,
-            literals: [0, 0],
         }
     }
 
@@ -140,6 +136,90 @@ impl QueryProfile {
     pub fn total_memory_demand(&self) -> u64 {
         self.sort_bytes + self.maintenance_bytes + self.temp_bytes
     }
+}
+
+/// Per-knob query classes (§3.1): "the classification of queries is done
+/// based on the trigger of throttle from knobs … we create individual class
+/// for each given knob."
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum QueryClass {
+    /// Sort/hash/join working-memory users (`work_mem` class).
+    WorkMem,
+    /// Index builds, bulk deletes, alters (`maintenance_work_mem` class).
+    Maintenance,
+    /// Temp-table users (`temp_buffers` class).
+    TempBuf,
+    /// Write traffic that pressures the background writer.
+    WriteHeavy,
+    /// Large parallelizable scans (async/planner class).
+    Parallel,
+    /// Everything else (point reads and small scans).
+    Other,
+}
+
+impl QueryClass {
+    /// All classes in stable order — the histogram layout.
+    pub const ALL: [QueryClass; 6] = [
+        QueryClass::WorkMem,
+        QueryClass::Maintenance,
+        QueryClass::TempBuf,
+        QueryClass::WriteHeavy,
+        QueryClass::Parallel,
+        QueryClass::Other,
+    ];
+
+    /// Stable index: the position in [`Self::ALL`], which lists the
+    /// variants in declaration order.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The knob class this query class throttles.
+    pub fn knob_class(self) -> Option<KnobClass> {
+        match self {
+            QueryClass::WorkMem | QueryClass::Maintenance | QueryClass::TempBuf => {
+                Some(KnobClass::Memory)
+            }
+            QueryClass::WriteHeavy => Some(KnobClass::BackgroundWriter),
+            QueryClass::Parallel => Some(KnobClass::AsyncPlanner),
+            QueryClass::Other => None,
+        }
+    }
+}
+
+/// Classify one query instance.
+pub fn classify(q: &QueryProfile) -> QueryClass {
+    // Temp-table demand wins (it implies aggregation over the temp table
+    // too, but the throttle lands on the temp knob).
+    if q.temp_bytes > 0 || q.kind == QueryKind::TempTable {
+        return QueryClass::TempBuf;
+    }
+    if q.maintenance_bytes > 0
+        || matches!(
+            q.kind,
+            QueryKind::CreateIndex | QueryKind::AlterTable | QueryKind::Delete
+        )
+    {
+        return QueryClass::Maintenance;
+    }
+    if q.sort_bytes > 0
+        || matches!(
+            q.kind,
+            QueryKind::Join
+                | QueryKind::Aggregate
+                | QueryKind::OrderBy
+                | QueryKind::ComplexAggregate
+        )
+    {
+        return QueryClass::WorkMem;
+    }
+    if q.kind.is_write() {
+        return QueryClass::WriteHeavy;
+    }
+    if q.parallelizable || q.rows_examined > 100_000 {
+        return QueryClass::Parallel;
+    }
+    QueryClass::Other
 }
 
 // ------------------------------------------------------- snapshot support
@@ -170,12 +250,75 @@ autodbaas_snapshot::snap_struct!(QueryProfile {
     temp_bytes,
     parallelizable,
     locality,
-    literals,
 });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn q(kind: QueryKind) -> QueryProfile {
+        QueryProfile::new(kind, 0)
+    }
+
+    #[test]
+    fn class_index_is_the_position_in_all() {
+        for (i, c) in QueryClass::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?}");
+        }
+    }
+
+    #[test]
+    fn kind_based_classification() {
+        assert_eq!(
+            classify(&q(QueryKind::ComplexAggregate)),
+            QueryClass::WorkMem
+        );
+        assert_eq!(classify(&q(QueryKind::OrderBy)), QueryClass::WorkMem);
+        assert_eq!(
+            classify(&q(QueryKind::CreateIndex)),
+            QueryClass::Maintenance
+        );
+        assert_eq!(classify(&q(QueryKind::Delete)), QueryClass::Maintenance);
+        assert_eq!(classify(&q(QueryKind::TempTable)), QueryClass::TempBuf);
+        assert_eq!(classify(&q(QueryKind::Insert)), QueryClass::WriteHeavy);
+        assert_eq!(classify(&q(QueryKind::PointSelect)), QueryClass::Other);
+    }
+
+    #[test]
+    fn demand_overrides_kind() {
+        // A range select carrying sort demand classifies as WorkMem.
+        let mut rs = q(QueryKind::RangeSelect);
+        rs.sort_bytes = 1024;
+        assert_eq!(classify(&rs), QueryClass::WorkMem);
+        // Temp demand wins over sort demand.
+        let mut tt = q(QueryKind::Aggregate);
+        tt.temp_bytes = 1024;
+        assert_eq!(classify(&tt), QueryClass::TempBuf);
+    }
+
+    #[test]
+    fn big_parallel_scans_classify_async() {
+        let mut big = q(QueryKind::RangeSelect);
+        big.rows_examined = 1_000_000;
+        assert_eq!(classify(&big), QueryClass::Parallel);
+        let mut par = q(QueryKind::RangeSelect);
+        par.parallelizable = true;
+        assert_eq!(classify(&par), QueryClass::Parallel);
+    }
+
+    #[test]
+    fn classes_map_to_knob_classes() {
+        assert_eq!(QueryClass::WorkMem.knob_class(), Some(KnobClass::Memory));
+        assert_eq!(
+            QueryClass::WriteHeavy.knob_class(),
+            Some(KnobClass::BackgroundWriter)
+        );
+        assert_eq!(
+            QueryClass::Parallel.knob_class(),
+            Some(KnobClass::AsyncPlanner)
+        );
+        assert_eq!(QueryClass::Other.knob_class(), None);
+    }
 
     #[test]
     fn kind_index_is_the_position_in_all() {

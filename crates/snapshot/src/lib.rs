@@ -75,7 +75,13 @@ pub const MAGIC: [u8; 8] = *b"ADBSNAP1";
 ///   fields (`completed_this_window`, `window_started`), and the data
 ///   disk's latency series holds only what the bgwriter detector has not
 ///   read yet.
-pub const VERSION: u32 = 8;
+/// * 9 — the TDE summarises the window where queries run: both engines
+///   encode a `QueryWindow` (per-class counts and an Algorithm-L sample)
+///   where they encoded the 2,048-entry query log, and the `Tde` encodes it
+///   where it encoded its reservoir, without `last_ingested_at`.
+///   `QueryProfile` dropped its two literals and the MDP automaton its
+///   write-only `visited` history.
+pub const VERSION: u32 = 9;
 
 /// Reserved tag closing every snapshot file; its payload is the running
 /// FNV-1a hash of all preceding bytes.

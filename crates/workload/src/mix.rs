@@ -2,9 +2,7 @@
 //!
 //! Every benchmark (TPCC, YCSB, …) reduces to a weighted set of
 //! [`TemplateSpec`]s — query shapes with parameter ranges — plus a catalog
-//! layout and a default request rate. [`MixWorkload`] samples from the mix;
-//! each instance also draws two literals, which only the trace format
-//! and the snapshot carry.
+//! layout and a default request rate. [`MixWorkload`] samples from the mix.
 
 use crate::arrival::ArrivalProcess;
 use autodbaas_simdb::{Catalog, QueryKind, QueryProfile};
@@ -198,10 +196,6 @@ impl MixWorkload {
         q.temp_bytes = log_uniform(rng, t.temp_bytes.0, t.temp_bytes.1);
         q.parallelizable = t.parallelizable;
         q.locality = t.locality;
-        q.literals = [
-            rng.gen::<i64>().rem_euclid(1_000_000),
-            rng.gen::<i64>().rem_euclid(1_000),
-        ];
         q
     }
 }
@@ -298,15 +292,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let q = w.next_query(&mut rng);
         assert!(q.table >= 100 && q.table < 104);
-    }
-
-    #[test]
-    fn literals_vary_between_instances() {
-        let w = toy();
-        let mut rng = StdRng::seed_from_u64(6);
-        let a = w.next_query(&mut rng);
-        let b = w.next_query(&mut rng);
-        assert_ne!(a.literals, b.literals);
     }
 
     #[test]

@@ -125,14 +125,14 @@ impl Trace {
     }
 
     /// Export as CSV in a [`Bytes`] buffer. Columns:
-    /// `at,kind,table,count,rows,writes,sort,maint,temp,par,loc,lit0,lit1`.
+    /// `at,kind,table,count,rows,writes,sort,maint,temp,par,loc`.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.events.len() * 56 + 72);
-        buf.put_slice(b"at,kind,table,count,rows,writes,sort,maint,temp,par,loc,lit0,lit1\n");
+        let mut buf = BytesMut::with_capacity(self.events.len() * 48 + 64);
+        buf.put_slice(b"at,kind,table,count,rows,writes,sort,maint,temp,par,loc\n");
         for e in &self.events {
             let q = &e.query;
             let line = format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+                "{},{},{},{},{},{},{},{},{},{},{}\n",
                 e.at,
                 q.kind.index(),
                 q.table,
@@ -144,8 +144,6 @@ impl Trace {
                 q.temp_bytes,
                 u8::from(q.parallelizable),
                 q.locality,
-                q.literals[0],
-                q.literals[1],
             );
             buf.put_slice(line.as_bytes());
         }
@@ -159,7 +157,7 @@ impl Trace {
         for (i, line) in text.lines().enumerate().skip(1) {
             let line_no = i + 1;
             let fields: Vec<&str> = line.split(',').collect();
-            if fields.len() != 13 {
+            if fields.len() != 11 {
                 return Err(TraceParseError::BadFieldCount { line: line_no });
             }
             let num = |idx: usize, field: &'static str| -> Result<u64, TraceParseError> {
@@ -190,15 +188,6 @@ impl Trace {
                     line: line_no,
                     field: "loc",
                 })?;
-            for (slot, (idx, field)) in q.literals.iter_mut().zip([(11usize, "lit0"), (12, "lit1")])
-            {
-                *slot = fields[idx]
-                    .parse::<i64>()
-                    .map_err(|_| TraceParseError::BadField {
-                        line: line_no,
-                        field,
-                    })?;
-            }
             events.push(TraceEvent {
                 at: num(0, "at")?,
                 query: q,
@@ -281,7 +270,7 @@ mod tests {
             Err(TraceParseError::BadFieldCount { line: 2 })
         );
         assert_eq!(
-            Trace::from_bytes(&Bytes::from_static(b"h\n1,99,0,1,1,0,0,0,0,0,2.0,0,0\n")),
+            Trace::from_bytes(&Bytes::from_static(b"h\n1,99,0,1,1,0,0,0,0,0,2.0\n")),
             Err(TraceParseError::BadField {
                 line: 2,
                 field: "kind"

@@ -11,14 +11,15 @@
 //!
 //! * [`simdb`] — the simulated relational DBMS substrate (knobs, buffer
 //!   pool, planner with spills, background writer/checkpointer, disk
-//!   model, metrics, apply semantics);
+//!   model, metrics, apply semantics), whose engines summarise each TDE
+//!   window as its queries run: per-class counts and a uniform sample;
 //! * [`workload`] — TPCC/YCSB/Wikipedia/Twitter/TPCH/CH-bench generators,
 //!   the adulterated TPCC of §3.1, and the synthetic 33-day production
 //!   trace of §5;
 //! * [`tuner`] — OtterTune-style GP/BO and CDBTune-style actor–critic RL
 //!   tuners with the shared workload repository;
-//! * [`core`](tde) — the TDE: reservoir sampling, per-knob query
-//!   classes, the memory/bgwriter/MDP detectors, and entropy filtration;
+//! * [`core`](tde) — the TDE: the class histogram over those windows,
+//!   the memory/bgwriter/MDP detectors, and entropy filtration;
 //! * [`ctrlplane`] — config director, service orchestrator, DFA adapters,
 //!   reconciler, and maintenance-window logic;
 //! * [`cloudsim`] — the fleet simulator reproducing the §5 topology.

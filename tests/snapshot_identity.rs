@@ -159,7 +159,7 @@ fn snapshot_layout_is_pinned() {
     let hash = autodbaas_snapshot::fnv1a(autodbaas_snapshot::fnv1a_start(), &bytes);
     assert_eq!(
         (bytes.len(), hash),
-        (921_888, 0x1ab7_9580_b7e2_2f51),
+        (114_454, 0x2f54_c7d6_4f9e_4d8b),
         "snapshot layout moved without a VERSION bump"
     );
 }
