@@ -2,7 +2,7 @@
 
 use autodbaas_cloudsim::{FleetConfig, FleetSim};
 use autodbaas_core::{TdeConfig, TuningPolicy};
-use autodbaas_simdb::{AnyBackend, Backend, Catalog, DbFlavor, DiskKind, InstanceType, MetricId};
+use autodbaas_simdb::{Backend, Catalog, DbFlavor, DiskKind, InstanceType, MetricId, SimDatabase};
 use autodbaas_telemetry::outln;
 use autodbaas_tuner::{normalize_config, Sample, SampleQuality, WorkloadId, WorkloadRepository};
 use autodbaas_workload::{tpcc, ArrivalProcess, MixWorkload, QuerySource};
@@ -33,8 +33,8 @@ pub fn sparkline(label: &str, series: &[f64]) {
 
 /// A standard single-database rig for figure experiments.
 pub struct Rig {
-    /// The database under test (any backend adapter).
-    pub db: AnyBackend,
+    /// The database under test (either storage engine).
+    pub db: SimDatabase,
     /// RNG for workload sampling.
     pub rng: StdRng,
 }

@@ -4,7 +4,7 @@
 use autodbaas_core::{Tde, TdeConfig, TdeReport, TuningPolicy};
 use autodbaas_ctrlplane::ReplicaSet;
 use autodbaas_simdb::{
-    AnyBackend, Backend, Catalog, DbFlavor, DiskKind, InstanceType, KnobSet, MetricsSnapshot,
+    Backend, Catalog, DbFlavor, DiskKind, InstanceType, KnobSet, MetricsSnapshot, SimDatabase,
     SubmitResult,
 };
 use autodbaas_telemetry::SimTime;
@@ -202,14 +202,14 @@ impl ManagedDatabase {
         self
     }
 
-    /// The master node (where traffic and tuning act). Any [`AnyBackend`]
-    /// adapter — page-heap and LSM masters coexist in one fleet.
-    pub fn db(&self) -> &AnyBackend {
+    /// The master node (where traffic and tuning act). Page-heap and LSM
+    /// masters coexist in one fleet.
+    pub fn db(&self) -> &SimDatabase {
         self.service.master()
     }
 
     /// Mutable master.
-    pub fn db_mut(&mut self) -> &mut AnyBackend {
+    pub fn db_mut(&mut self) -> &mut SimDatabase {
         self.service.master_mut()
     }
 

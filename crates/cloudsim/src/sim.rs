@@ -17,7 +17,7 @@ use autodbaas_ctrlplane::{
     ApplyError, ConfigDirector, RecommendationMeter, ReconcileOutcome, Reconciler, ServiceId,
     ServiceOrchestrator, TunerKind, WindowStat,
 };
-use autodbaas_simdb::{AnyBackend, ApplyMode, Backend, ConfigChange, MetricId};
+use autodbaas_simdb::{ApplyMode, Backend, ConfigChange, MetricId, SimDatabase};
 use autodbaas_telemetry::{EventLog, SimTime};
 use autodbaas_tuner::{
     assess_quality, denormalize_config, normalize_config, BoConfig, BoTuner, RlConfig, RlTuner,
@@ -453,7 +453,7 @@ impl FleetSim {
             .register(format!("{}-offline", workload.name()), true);
         let profile = autodbaas_simdb::KnobProfile::for_flavor(flavor);
         for s in 0..n_samples {
-            let mut db = AnyBackend::new(
+            let mut db = SimDatabase::new(
                 flavor,
                 autodbaas_simdb::InstanceType::M4XLarge,
                 autodbaas_simdb::DiskKind::Ssd,

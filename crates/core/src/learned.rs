@@ -14,8 +14,9 @@
 //! them, it produces a calibrated score that degrades gracefully on
 //! workloads the rules were never written for.
 //!
-//! The `ablation_learned_tde` bench binary measures agreement and
-//! per-class recall against the rule engine on held-out workloads.
+//! Ablation 5 of the `ablations` bench binary distils it online over an
+//! adulterated TPC-C run and asserts that its recent agreement with the
+//! rule engine climbs above 0.6.
 
 use crate::engine::TdeReport;
 use autodbaas_simdb::{KnobClass, KnobProfile, KnobSet};

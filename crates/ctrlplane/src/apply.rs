@@ -11,8 +11,8 @@
 //! implements the slave-first protocol with fault injection for tests.
 
 use autodbaas_simdb::{
-    AnyBackend, ApplyMode, ApplyReport, Backend, Catalog, ConfigChange, DbFlavor, DiskKind,
-    InstanceType, ReplicationSlot,
+    ApplyMode, ApplyReport, Backend, Catalog, ConfigChange, DbFlavor, DiskKind, InstanceType,
+    ReplicationSlot, SimDatabase,
 };
 
 /// Why an apply was rejected.
@@ -64,8 +64,8 @@ pub struct FailoverReport {
 /// A replicated database service: one master, N read slaves.
 #[derive(Debug)]
 pub struct ReplicaSet {
-    master: AnyBackend,
-    slaves: Vec<AnyBackend>,
+    master: SimDatabase,
+    slaves: Vec<SimDatabase>,
     /// Per-slave replication stream state.
     slots: Vec<ReplicationSlot>,
     /// Fault injection: the next apply crashes this slave.
@@ -89,10 +89,10 @@ impl ReplicaSet {
         n_slaves: usize,
         seed: u64,
     ) -> Self {
-        let master = AnyBackend::new(flavor, instance, disk, catalog.clone(), seed);
-        let slaves: Vec<AnyBackend> = (0..n_slaves)
+        let master = SimDatabase::new(flavor, instance, disk, catalog.clone(), seed);
+        let slaves: Vec<SimDatabase> = (0..n_slaves)
             .map(|i| {
-                AnyBackend::new(
+                SimDatabase::new(
                     flavor,
                     instance,
                     disk,
@@ -114,22 +114,22 @@ impl ReplicaSet {
     }
 
     /// The master node.
-    pub fn master(&self) -> &AnyBackend {
+    pub fn master(&self) -> &SimDatabase {
         &self.master
     }
 
     /// Mutable master (query traffic goes here).
-    pub fn master_mut(&mut self) -> &mut AnyBackend {
+    pub fn master_mut(&mut self) -> &mut SimDatabase {
         &mut self.master
     }
 
     /// The slaves.
-    pub fn slaves(&self) -> &[AnyBackend] {
+    pub fn slaves(&self) -> &[SimDatabase] {
         &self.slaves
     }
 
     /// Mutable access to slave `i` (fault injection, crash recovery).
-    pub fn slave_mut(&mut self, i: usize) -> &mut AnyBackend {
+    pub fn slave_mut(&mut self, i: usize) -> &mut SimDatabase {
         &mut self.slaves[i]
     }
 
@@ -185,7 +185,7 @@ impl ReplicaSet {
     /// Returns the new slave's index.
     pub fn add_slave(&mut self, seed: u64) -> usize {
         let m = &self.master;
-        let mut slave = AnyBackend::new(
+        let mut slave = SimDatabase::new(
             m.flavor(),
             m.instance(),
             m.disks().data().kind(),

@@ -95,9 +95,9 @@ fn finding(
 /// Entry points whose transitive call tree must be panic-free: the
 /// control plane and gateway public surface (plus gateway binaries'
 /// `main`), the `ShardPool` worker entry points that PR 5's persistent
-/// fleet shards run on, and the backend adapters' `Backend` trait
-/// `tick`/`apply_config` impls — the per-tick hot path every fleet node
-/// runs, where one panic takes the whole drive down.
+/// fleet shards run on, and simdb's `Backend` trait `tick`/`apply_config`
+/// impls, in whatever file they live — the per-tick hot path every fleet
+/// node runs, where one panic takes the whole drive down.
 fn is_entry(files: &[FileAst], n: &crate::callgraph::FnNode) -> bool {
     if n.in_test || n.body.is_none() {
         return false;
@@ -109,7 +109,7 @@ fn is_entry(files: &[FileAst], n: &crate::callgraph::FnNode) -> bool {
         "cloudsim" if f.path.ends_with("shard.rs") => {
             n.name == "worker_main" || (n.impl_ty.as_deref() == Some("ShardPool") && n.is_pub)
         }
-        "simdb" if f.path.contains("/backend/") => {
+        "simdb" => {
             n.trait_impl.as_deref() == Some("Backend")
                 && matches!(n.name.as_str(), "tick" | "apply_config")
         }
@@ -583,6 +583,23 @@ mod tests {
         assert_eq!(ids(&f), vec!["R003"]);
         assert_eq!(f[0].chain.len(), 2);
         assert!(f[0].message.contains("worker_main"));
+    }
+
+    #[test]
+    fn r003_roots_simdb_backend_impls_in_any_file() {
+        let files = vec![file(
+            "crates/simdb/src/engine.rs",
+            "simdb",
+            "impl Backend for SimDatabase {\n\
+                 fn tick(&mut self, dt_ms: u64) { settle(dt_ms); }\n\
+                 fn now(&self) -> u64 { self.clock.unwrap() }\n\
+             }\n\
+             fn settle(dt_ms: u64) { slot.expect(\"slot\"); }",
+        )];
+        let f = run_flow(files);
+        assert_eq!(ids(&f), vec!["R003"], "{f:#?}");
+        assert_eq!(f[0].chain.len(), 2);
+        assert!(f[0].message.contains("tick"), "{}", f[0].message);
     }
 
     #[test]

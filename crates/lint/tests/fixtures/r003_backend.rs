@@ -4,9 +4,9 @@
 //! directory is excluded from the real workspace walk, so this file
 //! never fails the gate on its own.
 //!
-//! `tick` here is a `Backend` trait impl inside a `backend/` file, i.e.
-//! an R003 entry point since the substrate refactor: the per-tick hot
-//! path of a fleet node. Its chain crosses a private helper before
+//! `tick` here is a `Backend` trait impl inside the `simdb` crate, i.e.
+//! an R003 entry point wherever its file lives: the per-tick hot path of
+//! a fleet node. Its chain crosses a private helper before
 //! reaching a panic; the plain inherent method with the same body must
 //! NOT be treated as an entry on its own.
 

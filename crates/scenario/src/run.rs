@@ -13,7 +13,7 @@ use crate::profile::Profile;
 use autodbaas_cloudsim::{FleetConfig, FleetSim, InteractionPlan, ManagedDatabase, RollbackPolicy};
 use autodbaas_core::{TdeConfig, TuningPolicy};
 use autodbaas_ctrlplane::TunerKind;
-use autodbaas_simdb::{AnyBackend, DbFlavor, DiskKind, InstanceType};
+use autodbaas_simdb::{DbFlavor, DiskKind, InstanceType};
 use autodbaas_telemetry::MILLIS_PER_MIN;
 use autodbaas_tuner::{SampleQuality, WorkloadId};
 use autodbaas_workload::{tpcc, ArrivalProcess};
@@ -176,10 +176,7 @@ pub fn run_plan(
         .nodes
         .iter()
         .enumerate()
-        .filter_map(|(i, n)| match n.db() {
-            AnyBackend::Lsm(db) => Some((i, db.write_stalled_ms() as f64 / run_ms)),
-            AnyBackend::PageHeap(_) => None,
-        })
+        .filter_map(|(i, n)| Some((i, n.db().write_stalled_ms()? as f64 / run_ms)))
         .collect();
     let mut outcome = RunOutcome {
         availability: serial.availability(),

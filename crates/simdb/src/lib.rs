@@ -18,11 +18,12 @@
 //! * the [`engine::SimDatabase`] facade with §4 apply semantics
 //!   (reload / socket-activation / restart, staged restart-only knobs).
 //!
-//! The [`backend`] module is the engine seam: the [`backend::Backend`]
-//! trait is the surface every upstream layer consumes, `SimDatabase` is
-//! its page-heap adapter, [`backend::LsmDatabase`] a second engine family
-//! (memtable + levelled compaction), and [`backend::AnyBackend`] the
-//! static dispatcher mixed fleets hold.
+//! `SimDatabase` is the one database type, for every flavor: the flavor
+//! picks its storage engine — the page heap above, or the LSM tree
+//! (memtable + levelled compaction) in `backend/lsm.rs` — and the §4
+//! service shell around it is written once. The [`backend::Backend`] trait
+//! is the surface every upstream layer consumes, and
+//! [`backend::BackendKind`] names the engine family.
 
 pub mod backend;
 pub mod bgwriter;
@@ -40,7 +41,7 @@ pub mod query_window;
 pub mod replication;
 pub mod wal;
 
-pub use backend::{AnyBackend, Backend, BackendDescriptor, BackendKind, LsmDatabase};
+pub use backend::{Backend, BackendKind};
 pub use catalog::{Catalog, Table, PAGE_BYTES};
 pub use engine::{
     ApplyMode, ApplyReport, ConfigChange, RecoveryReport, SimDatabase, SubmitResult,

@@ -81,7 +81,11 @@ pub const MAGIC: [u8; 8] = *b"ADBSNAP1";
 ///   where it encoded its reservoir, without `last_ingested_at`.
 ///   `QueryProfile` dropped its two literals and the MDP automaton its
 ///   write-only `visited` history.
-pub const VERSION: u32 = 9;
+/// * 10 — one database type for both storage engines: a `SimDatabase`
+///   encodes its flavor first and its engine part (the page heap's
+///   `BgWriter`, or the LSM tree's WAL, memtable, L0 and compaction state)
+///   where the page heap encoded `bg`; the `u16` engine tag goes.
+pub const VERSION: u32 = 10;
 
 /// Reserved tag closing every snapshot file; its payload is the running
 /// FNV-1a hash of all preceding bytes.

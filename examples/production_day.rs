@@ -100,8 +100,8 @@ fn main() {
     );
     println!(
         "WAL segments recycled: {}, checkpoints: {}",
-        db.bg().wal().recycled_segments(),
-        db.bg().checkpoints_done()
+        db.wal().recycled_segments(),
+        db.checkpoints_done()
     );
     assert!(
         (8..=11).contains(&peak_hour),

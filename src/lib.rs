@@ -70,9 +70,8 @@ pub mod prelude {
         ConfigDirector, DataFederationAgent, ReplicaSet, ServiceOrchestrator, TunerKind,
     };
     pub use autodbaas_simdb::{
-        AnyBackend, ApplyMode, Backend, BackendDescriptor, BackendKind, Catalog, ConfigChange,
-        DbFlavor, DiskKind, InstanceType, KnobClass, KnobProfile, LsmDatabase, QueryKind,
-        QueryProfile, SimDatabase, SubmitResult,
+        ApplyMode, Backend, BackendKind, Catalog, ConfigChange, DbFlavor, DiskKind, InstanceType,
+        KnobClass, KnobProfile, QueryKind, QueryProfile, SimDatabase, SubmitResult,
     };
     pub use autodbaas_tuner::{BoConfig, BoTuner, RlConfig, RlTuner, WorkloadRepository};
     pub use autodbaas_workload::{

@@ -111,7 +111,7 @@ fn wal_trigger_controls_checkpoint_cadence() {
         db.set_knob_direct(p.lookup("max_wal_size").unwrap(), max_wal_gb * GIB as f64);
         let mut rng = StdRng::seed_from_u64(6);
         drive_mix(&mut db, &wl, &mut rng, 10 * 60, 2_000);
-        db.bg().checkpoints_done()
+        db.checkpoints_done()
     };
     let small_wal = run(0.05);
     let big_wal = run(16.0);
