@@ -692,8 +692,13 @@ impl Backend for SimDatabase {
     /// a cold buffer pool. Staged restart-bound knobs land, exactly as on a
     /// graceful restart.
     fn crash(&mut self) -> RecoveryReport {
-        // Volatile state dies with the process.
-        self.backlog.clear();
+        // Volatile state dies with the process. The socket backlog was
+        // counted as submitted when it queued, so its batches count as
+        // dropped.
+        let lost: u64 = self.backlog.drain(..).map(|(_, count)| count).sum();
+        if lost > 0 {
+            self.metrics.inc(MetricId::QueriesDropped, lost as f64);
+        }
         self.stall_until = 0;
         self.jitter_until = 0;
         self.jitter_factor = 1.0;

@@ -434,3 +434,29 @@ fn a_full_socket_backlog_sheds_and_counts_the_batch() {
         );
     }
 }
+
+#[test]
+fn a_crash_during_a_stall_counts_the_lost_backlog_as_dropped() {
+    for flavor in FLAVORS {
+        let mut db = mk(flavor, 99);
+        db.apply_config(&[], ApplyMode::SocketActivation);
+        let executed = db.metrics().get(MetricId::QueriesExecuted);
+        let dropped = db.metrics().get(MetricId::QueriesDropped);
+        assert!(matches!(
+            db.submit(&point_query(), 50),
+            SubmitResult::Queued
+        ));
+        db.crash();
+        for _ in 0..15 {
+            db.tick(1_000);
+        }
+        let executed = db.metrics().get(MetricId::QueriesExecuted) - executed;
+        let dropped = db.metrics().get(MetricId::QueriesDropped) - dropped;
+        assert_eq!(
+            executed + dropped,
+            50.0,
+            "{flavor}: every queued query runs or counts as dropped \
+             ({executed} executed, {dropped} dropped)"
+        );
+    }
+}
