@@ -396,17 +396,21 @@ fn resolve_method_call(
     let Some(candidates) = by_name.get(name) else {
         return Resolution::External;
     };
+    let on_self = recv == "self" || recv.starts_with("self.");
+    // A call on another receiver is not the caller recursing: a method
+    // wrapping a same-named inner one (`bg.tick(..)` in `fn tick`) must
+    // reach the inner one, not end the walk at itself.
     let assoc: Vec<usize> = candidates
         .iter()
         .copied()
-        .filter(|&c| fns[c].impl_ty.is_some())
+        .filter(|&c| fns[c].impl_ty.is_some() && (on_self || c != caller))
         .collect();
     if assoc.is_empty() {
         return Resolution::External;
     }
     // `self.method()` — the caller's own impl type is strong evidence and
     // bypasses the common-name guard.
-    if recv == "self" || recv.starts_with("self.") {
+    if on_self {
         if let Some(ty) = &fns[caller].impl_ty {
             let own: Vec<usize> = assoc
                 .iter()
@@ -584,6 +588,34 @@ mod tests {
              struct T; impl T { fn inner(&self) {} }",
         )]);
         assert!(edge(&g, "S::outer", "S::inner"));
+    }
+
+    #[test]
+    fn method_on_another_receiver_skips_the_caller() {
+        let files = vec![
+            file(
+                "crates/simdb/src/engine.rs",
+                "simdb",
+                "pub struct Db; impl Db { \
+                   pub fn tick(&mut self, bg: &mut BgWriter) { bg.tick(); } } \
+                 pub enum Storage { Lsm } impl Storage { \
+                   fn background(&mut self, tree: &mut LsmTree) { tree.background(); } }",
+            ),
+            file(
+                "crates/simdb/src/bgwriter.rs",
+                "simdb",
+                "pub struct BgWriter; impl BgWriter { pub fn tick(&mut self) {} }",
+            ),
+            file(
+                "crates/simdb/src/lsm.rs",
+                "simdb",
+                "pub struct LsmTree; impl LsmTree { pub fn background(&mut self) {} }",
+            ),
+        ];
+        let g = CallGraph::build(&files);
+        assert!(edge(&g, "Db::tick", "BgWriter::tick"));
+        assert!(edge(&g, "Storage::background", "LsmTree::background"));
+        assert!(!edge(&g, "Db::tick", "Db::tick"));
     }
 
     #[test]
