@@ -133,32 +133,21 @@ impl BgWriter {
         if self.run.is_none() {
             let dirty = pool.dirty_count() as u64;
             let wal_trigger = knobs.get(roles.wal_trigger);
-            let (timed, requested) = match self.flavor {
-                DbFlavor::Postgres => {
-                    let timeout = knobs.get(roles.checkpoint_interval) as u64;
-                    (
-                        now.saturating_sub(self.last_checkpoint_at) >= timeout.max(1),
-                        self.wal.bytes_since_checkpoint() as f64 >= wal_trigger,
-                    )
-                }
-                DbFlavor::MySql => {
-                    let pct = knobs.get(roles.checkpoint_interval);
-                    let dirty_frac = dirty as f64 / pool.capacity().max(1) as f64 * 100.0;
-                    (
-                        dirty_frac >= pct,
-                        self.wal.bytes_since_checkpoint() as f64 >= wal_trigger,
-                    )
-                }
-                DbFlavor::Lsm => {
-                    // An LSM instance runs its own flush/compaction engine
-                    // and builds no BgWriter; this arm keeps it usable
-                    // under the flavor:
-                    // "timed" = the memtable budget filled, "requested" =
-                    // enough memtables accumulated to hit the L0 trigger.
-                    let memtable = knobs.get(roles.checkpoint_interval).max(1.0);
-                    let written = self.wal.bytes_since_checkpoint() as f64;
-                    (written >= memtable, written >= memtable * wal_trigger)
-                }
+            // Only the page-heap flavors build a `BgWriter`: an LSM instance
+            // runs its own flush/compaction engine.
+            let (timed, requested) = if self.flavor == DbFlavor::MySql {
+                let pct = knobs.get(roles.checkpoint_interval);
+                let dirty_frac = dirty as f64 / pool.capacity().max(1) as f64 * 100.0;
+                (
+                    dirty_frac >= pct,
+                    self.wal.bytes_since_checkpoint() as f64 >= wal_trigger,
+                )
+            } else {
+                let timeout = knobs.get(roles.checkpoint_interval) as u64;
+                (
+                    now.saturating_sub(self.last_checkpoint_at) >= timeout.max(1),
+                    self.wal.bytes_since_checkpoint() as f64 >= wal_trigger,
+                )
             };
             if (timed || requested) && dirty > 0 {
                 // Spread the flush across the completion window. PostgreSQL
@@ -166,23 +155,18 @@ impl BgWriter {
                 // interval` — and when WAL volume triggers checkpoints early
                 // the *actual* interval, not the timeout knob, is what the
                 // spread is based on.
-                let window_ms = match self.flavor {
-                    DbFlavor::Postgres => {
-                        let timeout = knobs.get(roles.checkpoint_interval);
-                        let elapsed = now.saturating_sub(self.last_checkpoint_at) as f64;
-                        let interval = if requested && !timed {
-                            elapsed.min(timeout)
-                        } else {
-                            timeout
-                        };
-                        (interval * knobs.get(roles.checkpoint_spread)).max(1_000.0)
-                    }
+                let window_ms = if self.flavor == DbFlavor::MySql {
                     // innodb_flush_neighbors ∈ {0,1,2}: higher = burstier.
-                    DbFlavor::MySql => {
-                        10_000.0 / (1.0 + knobs.get(roles.checkpoint_spread)).max(1.0)
-                    }
-                    // compaction_spread ∈ [0.1, 0.95]: higher = smoother.
-                    DbFlavor::Lsm => (20_000.0 * knobs.get(roles.checkpoint_spread)).max(1_000.0),
+                    10_000.0 / (1.0 + knobs.get(roles.checkpoint_spread)).max(1.0)
+                } else {
+                    let timeout = knobs.get(roles.checkpoint_interval);
+                    let elapsed = now.saturating_sub(self.last_checkpoint_at) as f64;
+                    let interval = if requested && !timed {
+                        elapsed.min(timeout)
+                    } else {
+                        timeout
+                    };
+                    (interval * knobs.get(roles.checkpoint_spread)).max(1_000.0)
                 };
                 self.run = Some(CheckpointRun {
                     remaining: dirty,
