@@ -56,16 +56,6 @@ struct Frame {
     chunk: ChunkId,
     referenced: bool,
     dirty: bool,
-    valid: bool,
-}
-
-impl Frame {
-    const EMPTY: Frame = Frame {
-        chunk: 0,
-        referenced: false,
-        dirty: false,
-        valid: false,
-    };
 }
 
 /// Counters the metrics layer exports (`blks_hit`, `blks_read`,
@@ -87,6 +77,11 @@ pub struct PoolStats {
 #[derive(Debug, Clone)]
 pub struct BufferPool {
     chunk_bytes: u64,
+    /// Frames the pool may hold.
+    capacity: usize,
+    /// Resident frames only. A frame is never invalidated (only `resize`
+    /// rebuilds the pool), so they fill `[0, capacity)` in order, and the
+    /// clock sweep starts once the last one is taken.
     frames: Vec<Frame>,
     map: HashMap<ChunkId, u32, ChunkBuild>,
     hand: usize,
@@ -94,7 +89,7 @@ pub struct BufferPool {
     /// Dirty-frame count maintained incrementally — the background writer
     /// polls it every tick, so it must not cost a frame scan.
     dirty_frames: usize,
-    /// Lower bound on the smallest dirty frame index (`frames.len()` when
+    /// Lower bound on the smallest dirty frame index (`capacity` when
     /// none): [`BufferPool::clean_dirty`] cleans in ascending frame order,
     /// so starting the scan here skips the long clean prefix a mostly-idle
     /// pool accumulates. Every frame below this index is clean.
@@ -116,9 +111,11 @@ impl BufferPool {
         let n = (capacity_bytes / chunk_bytes).max(1) as usize;
         Self {
             chunk_bytes,
-            frames: vec![Frame::EMPTY; n],
-            // Grows with residency: a pool that is never queried must not
-            // carry a table sized for every frame.
+            capacity: n,
+            // Frames and map grow with residency: a pool that is never
+            // queried must not carry an array or a table sized for every
+            // frame.
+            frames: Vec::new(),
             map: HashMap::default(),
             hand: 0,
             stats: PoolStats::default(),
@@ -131,7 +128,7 @@ impl BufferPool {
 
     /// Pool capacity in frames.
     pub fn capacity(&self) -> usize {
-        self.frames.len()
+        self.capacity
     }
 
     /// Chunk granularity in bytes.
@@ -157,24 +154,30 @@ impl BufferPool {
             return true;
         }
         self.stats.misses += 1;
-        let victim = self.find_victim();
-        let old = self.frames[victim];
-        if old.valid {
+        // New frames start unreferenced (PostgreSQL-style usage counting):
+        // only a *re*-access earns a second chance, so one-shot scans don't
+        // flush the hot set.
+        let frame = Frame {
+            chunk,
+            referenced: false,
+            dirty: write,
+        };
+        let victim = if self.frames.len() < self.capacity {
+            // Filling: the hand always rests on the next free frame, which
+            // is where the sweep would stop.
+            self.frames.push(frame);
+            self.hand = self.frames.len() % self.capacity;
+            self.frames.len() - 1
+        } else {
+            let victim = self.find_victim();
+            let old = std::mem::replace(&mut self.frames[victim], frame);
             self.map.remove(&old.chunk);
             self.stats.evictions += 1;
             if old.dirty {
                 self.stats.backend_writes += 1;
                 self.dirty_frames -= 1;
             }
-        }
-        // New frames start unreferenced (PostgreSQL-style usage counting):
-        // only a *re*-access earns a second chance, so one-shot scans don't
-        // flush the hot set.
-        self.frames[victim] = Frame {
-            chunk,
-            referenced: false,
-            dirty: write,
-            valid: true,
+            victim
         };
         self.map.insert(chunk, victim as u32);
         if write {
@@ -204,15 +207,12 @@ impl BufferPool {
     }
 
     fn find_victim(&mut self) -> usize {
-        // Clock sweep: clear reference bits until an unreferenced frame (or
-        // an invalid one) is found. Bounded by 2 full sweeps.
+        // Clock sweep over a full pool: clear reference bits until an
+        // unreferenced frame is found. Bounded by 2 full sweeps.
         for _ in 0..self.frames.len() * 2 {
             let idx = self.hand;
             self.hand = (self.hand + 1) % self.frames.len();
             let f = &mut self.frames[idx];
-            if !f.valid {
-                return idx;
-            }
             if f.referenced {
                 f.referenced = false;
             } else {
@@ -247,7 +247,7 @@ impl BufferPool {
         let mut idx = self.dirty_low;
         while idx < self.frames.len() && cleaned < max {
             let f = &mut self.frames[idx];
-            if f.valid && f.dirty {
+            if f.dirty {
                 f.dirty = false;
                 cleaned += 1;
             }
@@ -255,7 +255,7 @@ impl BufferPool {
         }
         self.dirty_frames -= cleaned;
         self.dirty_low = if self.dirty_frames == 0 {
-            self.frames.len()
+            self.capacity
         } else {
             idx
         };
@@ -263,7 +263,7 @@ impl BufferPool {
         // to re-check the incrementally-maintained counter against truth.
         debug_assert_eq!(
             self.dirty_frames,
-            self.frames.iter().filter(|f| f.valid && f.dirty).count(),
+            self.frames.iter().filter(|f| f.dirty).count(),
             "incremental dirty counter diverged from frame state"
         );
         cleaned
@@ -308,8 +308,7 @@ impl BufferPool {
 autodbaas_snapshot::snap_struct!(Frame {
     chunk,
     referenced,
-    dirty,
-    valid
+    dirty
 });
 autodbaas_snapshot::snap_struct!(PoolStats {
     hits,
@@ -319,13 +318,14 @@ autodbaas_snapshot::snap_struct!(PoolStats {
 });
 
 /// The chunk map and the epoch words use a custom hasher, so the blanket
-/// hash-container impls don't apply: the map is rebuilt from the frame
-/// array (it is a pure index), and the epoch set encodes as the ascending
+/// hash-container impls don't apply: the map is rebuilt from the resident
+/// frames (it is a pure index), and the epoch set encodes as the ascending
 /// list of touched chunk ids — words sorted by key, bits expanded low to
 /// high — the same bytes a sorted `Vec<ChunkId>` encodes to.
 impl autodbaas_snapshot::Snap for BufferPool {
     fn encode(&self, w: &mut autodbaas_snapshot::SnapWriter) {
         self.chunk_bytes.encode(w);
+        self.capacity.encode(w);
         self.frames.encode(w);
         self.hand.encode(w);
         self.stats.encode(w);
@@ -347,32 +347,40 @@ impl autodbaas_snapshot::Snap for BufferPool {
         r: &mut autodbaas_snapshot::SnapReader<'_>,
     ) -> Result<Self, autodbaas_snapshot::SnapError> {
         let chunk_bytes = u64::decode(r)?;
+        let capacity = usize::decode(r)?;
         let frames = Vec::<Frame>::decode(r)?;
         let hand = usize::decode(r)?;
         let stats = PoolStats::decode(r)?;
         let dirty_frames = usize::decode(r)?;
         let dirty_low = usize::decode(r)?;
         let touched = Vec::<ChunkId>::decode(r)?;
-        // `new`, the clock sweep and `clean_dirty` trust these scalars; one
-        // no pool could hold is refused here, not at the next access.
+        // `new`, the fill, the clock sweep and `clean_dirty` trust these
+        // scalars; one no pool could hold is refused here, not at the next
+        // access.
         use autodbaas_snapshot::SnapError::Malformed;
-        if chunk_bytes == 0 || frames.is_empty() || hand >= frames.len() {
+        if chunk_bytes == 0 || capacity == 0 {
             return Err(Malformed("buffer pool geometry"));
         }
-        let resident = frames.iter().filter(|f| f.valid).count();
-        let mut map = HashMap::with_capacity_and_hasher(resident, ChunkBuild::default());
-        let (mut dirty, mut first_dirty) = (0, frames.len());
+        if frames.len() > capacity {
+            return Err(Malformed("buffer pool frames past capacity"));
+        }
+        if hand >= capacity {
+            return Err(Malformed("buffer pool clock hand past capacity"));
+        }
+        if frames.len() < capacity && hand != frames.len() {
+            return Err(Malformed("buffer pool clock hand off the fill point"));
+        }
+        let mut map = HashMap::with_capacity_and_hasher(frames.len(), ChunkBuild::default());
+        let (mut dirty, mut first_dirty) = (0, capacity);
         for (idx, f) in frames.iter().enumerate() {
-            if f.valid {
-                // A chunk two frames hold would map to only one of them,
-                // and evicting the other would unmap it.
-                if map.insert(f.chunk, idx as u32).is_some() {
-                    return Err(Malformed("buffer pool chunk held by two frames"));
-                }
-                if f.dirty {
-                    dirty += 1;
-                    first_dirty = first_dirty.min(idx);
-                }
+            // A chunk two frames hold would map to only one of them, and
+            // evicting the other would unmap it.
+            if map.insert(f.chunk, idx as u32).is_some() {
+                return Err(Malformed("buffer pool chunk held by two frames"));
+            }
+            if f.dirty {
+                dirty += 1;
+                first_dirty = first_dirty.min(idx);
             }
         }
         if dirty_frames != dirty || dirty_low > first_dirty {
@@ -389,6 +397,7 @@ impl autodbaas_snapshot::Snap for BufferPool {
             HashMap::with_capacity_and_hasher(keys.min(touched.len()), ChunkBuild::default());
         let mut pool = Self {
             chunk_bytes,
+            capacity,
             frames,
             map,
             hand,
@@ -499,7 +508,7 @@ mod tests {
 
     #[test]
     fn dirty_counter_matches_frame_scan() {
-        let scan = |p: &BufferPool| p.frames.iter().filter(|f| f.valid && f.dirty).count();
+        let scan = |p: &BufferPool| p.frames.iter().filter(|f| f.dirty).count();
         let mut p = pool(4);
         // Misses (some evicting dirty frames), hits, re-dirtying hits.
         for c in 0..10u64 {
@@ -524,19 +533,20 @@ mod tests {
 
     use autodbaas_snapshot::{decode_from_slice, encode_to_vec, SnapError};
 
-    /// Encode a four-frame pool (frames 1 and 3 dirty, `dirty_low` 1, or
-    /// nothing dirty) after `edit` set its scalars, and restore it. A pool
-    /// that decodes anyway is driven through what a restored database does
-    /// first, so each edit fails where it used to: at the operation it
-    /// breaks, or at the closing panic.
-    fn assert_restore_is_malformed(dirty: bool, edit: impl FnOnce(&mut BufferPool)) {
+    /// Encode a full four-frame pool (frames 1 and 3 dirty, `dirty_low` 1,
+    /// or nothing dirty) after `edit` set its scalars, and restore it:
+    /// decode must refuse it as `Malformed(what)`. A pool that decodes
+    /// anyway is driven through what a restored database does first, so
+    /// each edit fails where it used to: at the operation it breaks, or at
+    /// the closing panic.
+    fn assert_restore_is_malformed(dirty: bool, what: &str, edit: impl FnOnce(&mut BufferPool)) {
         let mut p = pool(4);
         for c in 0..4u64 {
             p.access(c, dirty && c % 2 == 1);
         }
         edit(&mut p);
         match decode_from_slice::<BufferPool>(&encode_to_vec(&p)) {
-            Err(e) => assert!(matches!(e, SnapError::Malformed(_)), "{e:?}"),
+            Err(e) => assert!(matches!(e, SnapError::Malformed(m) if m == what), "{e:?}"),
             Ok(mut back) => {
                 back.clean_dirty(usize::MAX);
                 assert_eq!(back.dirty_count(), 0, "a full clean left dirty frames");
@@ -549,60 +559,94 @@ mod tests {
 
     #[test]
     fn legitimate_scalars_round_trip() {
-        for dirty in [false, true] {
-            let mut p = pool(4);
-            for c in 0..6u64 {
-                p.access(c, dirty && c % 2 == 1);
+        // Filling (2 of 4 frames), just full, and wrapped.
+        for accesses in [2, 4, 6u64] {
+            for dirty in [false, true] {
+                let mut p = pool(4);
+                for c in 0..accesses {
+                    p.access(c, dirty && c % 2 == 1);
+                }
+                let bytes = encode_to_vec(&p);
+                let back: BufferPool = decode_from_slice(&bytes).unwrap();
+                assert_eq!(encode_to_vec(&back), bytes);
             }
-            let bytes = encode_to_vec(&p);
-            let back: BufferPool = decode_from_slice(&bytes).unwrap();
-            assert_eq!(encode_to_vec(&back), bytes);
         }
     }
 
     #[test]
-    fn zero_chunk_bytes_is_malformed() {
-        assert_restore_is_malformed(true, |p| p.chunk_bytes = 0);
+    fn a_never_queried_pool_encodes_no_frames() {
+        let small = encode_to_vec(&pool(1));
+        let large = encode_to_vec(&pool(10_000));
+        assert_eq!(small.len(), large.len());
+        let back: BufferPool = decode_from_slice(&large).unwrap();
+        assert_eq!(back.capacity(), 10_000);
+        assert_eq!(encode_to_vec(&back), large);
     }
 
     #[test]
-    fn empty_frame_array_is_malformed() {
-        assert_restore_is_malformed(false, |p| {
+    fn zero_chunk_bytes_is_malformed() {
+        assert_restore_is_malformed(true, "buffer pool geometry", |p| p.chunk_bytes = 0);
+    }
+
+    #[test]
+    fn zero_capacity_is_malformed() {
+        assert_restore_is_malformed(false, "buffer pool geometry", |p| {
+            p.capacity = 0;
             p.frames.clear();
             p.dirty_low = 0;
         });
     }
 
     #[test]
+    fn more_frames_than_capacity_is_malformed() {
+        assert_restore_is_malformed(true, "buffer pool frames past capacity", |p| p.capacity = 3);
+    }
+
+    #[test]
     fn clock_hand_past_the_end_is_malformed() {
-        assert_restore_is_malformed(true, |p| p.hand = 4);
+        assert_restore_is_malformed(true, "buffer pool clock hand past capacity", |p| p.hand = 4);
+    }
+
+    #[test]
+    fn filling_pool_hand_off_the_fill_point_is_malformed() {
+        // Four frames of five: the next miss takes frame 4, so the hand
+        // must rest there.
+        assert_restore_is_malformed(true, "buffer pool clock hand off the fill point", |p| {
+            p.capacity = 5
+        });
     }
 
     #[test]
     fn dirty_count_unlike_the_frames_is_malformed() {
-        assert_restore_is_malformed(true, |p| p.dirty_frames = 1);
-        assert_restore_is_malformed(true, |p| p.dirty_frames = 3);
+        for n in [1, 3] {
+            assert_restore_is_malformed(true, "buffer pool dirty tracking", |p| p.dirty_frames = n);
+        }
     }
 
     #[test]
     fn dirty_bound_past_a_dirty_frame_or_the_end_is_malformed() {
-        assert_restore_is_malformed(true, |p| p.dirty_low = 2);
-        assert_restore_is_malformed(false, |p| p.dirty_low = 5);
+        let what = "buffer pool dirty tracking";
+        assert_restore_is_malformed(true, what, |p| p.dirty_low = 2);
+        assert_restore_is_malformed(false, what, |p| p.dirty_low = 5);
     }
 
     #[test]
     fn two_valid_frames_on_one_chunk_is_malformed() {
         for dirty in [false, true] {
-            assert_restore_is_malformed(dirty, |p| p.frames[1].chunk = p.frames[0].chunk);
+            assert_restore_is_malformed(dirty, "buffer pool chunk held by two frames", |p| {
+                p.frames[1].chunk = p.frames[0].chunk
+            });
         }
     }
 }
 
-/// Reference oracle for the working-set gauge: the same clock pool with the
-/// epoch set held as a plain set of touched chunk ids. The set is a
-/// `BTreeSet` (detlint's D003 covers test code too), so its encoding needs
-/// no sort. Random access streams (chunk ids across word boundaries, reads
-/// and writes, epoch resets, snapshot round trips) must give the same
+/// Reference oracle for the working-set gauge and the lazy frame array: the
+/// clock pool with an up-front array of `capacity` frames (an empty one is
+/// `None`) and the epoch set held as a plain set of touched chunk ids. The
+/// set is a `BTreeSet` (detlint's D003 covers test code too), so its
+/// encoding needs no sort. Random access streams (chunk ids across word
+/// boundaries, reads and writes, cleaning, epoch resets, snapshot round
+/// trips, while the pool fills and after it wraps) must give the same
 /// hit/miss results, the same `working_set_bytes` and the same encoded
 /// bytes at every step.
 #[cfg(test)]
@@ -616,10 +660,10 @@ mod gauge_oracle {
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
 
-    /// The pool with a set-of-chunks epoch set.
+    /// The pool with a full frame array and a set-of-chunks epoch set.
     struct RefPool {
         chunk_bytes: u64,
-        frames: Vec<Frame>,
+        frames: Vec<Option<Frame>>,
         map: HashMap<ChunkId, u32>,
         hand: usize,
         stats: PoolStats,
@@ -633,7 +677,7 @@ mod gauge_oracle {
             let n = (capacity_bytes / chunk_bytes).max(1) as usize;
             Self {
                 chunk_bytes,
-                frames: vec![Frame::EMPTY; n],
+                frames: vec![None; n],
                 map: HashMap::new(),
                 hand: 0,
                 stats: PoolStats::default(),
@@ -646,7 +690,9 @@ mod gauge_oracle {
         fn access(&mut self, chunk: ChunkId, write: bool) -> bool {
             self.epoch_touched.insert(chunk);
             if let Some(&idx) = self.map.get(&chunk) {
-                let f = &mut self.frames[idx as usize];
+                let f = self.frames[idx as usize]
+                    .as_mut()
+                    .expect("mapped frame is valid");
                 f.referenced = true;
                 if write && !f.dirty {
                     f.dirty = true;
@@ -658,8 +704,7 @@ mod gauge_oracle {
             }
             self.stats.misses += 1;
             let victim = self.find_victim();
-            let old = self.frames[victim];
-            if old.valid {
+            if let Some(old) = self.frames[victim] {
                 self.map.remove(&old.chunk);
                 self.stats.evictions += 1;
                 if old.dirty {
@@ -667,12 +712,11 @@ mod gauge_oracle {
                     self.dirty_frames -= 1;
                 }
             }
-            self.frames[victim] = Frame {
+            self.frames[victim] = Some(Frame {
                 chunk,
                 referenced: false,
                 dirty: write,
-                valid: true,
-            };
+            });
             self.map.insert(chunk, victim as u32);
             if write {
                 self.dirty_frames += 1;
@@ -685,10 +729,9 @@ mod gauge_oracle {
             for _ in 0..self.frames.len() * 2 {
                 let idx = self.hand;
                 self.hand = (self.hand + 1) % self.frames.len();
-                let f = &mut self.frames[idx];
-                if !f.valid {
+                let Some(f) = &mut self.frames[idx] else {
                     return idx;
-                }
+                };
                 if f.referenced {
                     f.referenced = false;
                 } else {
@@ -700,6 +743,30 @@ mod gauge_oracle {
             idx
         }
 
+        fn clean_dirty(&mut self, max: usize) -> usize {
+            if self.dirty_frames == 0 || max == 0 {
+                return 0;
+            }
+            let mut cleaned = 0;
+            let mut idx = self.dirty_low;
+            while idx < self.frames.len() && cleaned < max {
+                if let Some(f) = &mut self.frames[idx] {
+                    if f.dirty {
+                        f.dirty = false;
+                        cleaned += 1;
+                    }
+                }
+                idx += 1;
+            }
+            self.dirty_frames -= cleaned;
+            self.dirty_low = if self.dirty_frames == 0 {
+                self.frames.len()
+            } else {
+                idx
+            };
+            cleaned
+        }
+
         fn working_set_bytes(&mut self, reset: bool) -> u64 {
             let ws = self.epoch_touched.len() as u64 * self.chunk_bytes;
             if reset {
@@ -708,10 +775,22 @@ mod gauge_oracle {
             ws
         }
 
-        /// Everything the encoding holds before the epoch list.
+        fn resident(&self) -> usize {
+            self.frames.iter().filter(|f| f.is_some()).count()
+        }
+
+        /// Everything the encoding holds before the epoch list: the valid
+        /// frames are written as a prefix, so they must be one.
         fn encode_head(&self, w: &mut SnapWriter) {
+            let prefix: Vec<Frame> = self.frames.iter().map_while(|f| *f).collect();
+            assert_eq!(
+                prefix.len(),
+                self.resident(),
+                "valid frames are not a prefix"
+            );
             self.chunk_bytes.encode(w);
-            self.frames.encode(w);
+            self.frames.len().encode(w);
+            prefix.encode(w);
             self.hand.encode(w);
             self.stats.encode(w);
             self.dirty_frames.encode(w);
@@ -727,18 +806,20 @@ mod gauge_oracle {
         }
         fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
             let chunk_bytes = u64::decode(r)?;
-            let frames = Vec::<Frame>::decode(r)?;
+            let capacity = usize::decode(r)?;
+            let prefix = Vec::<Frame>::decode(r)?;
             let hand = usize::decode(r)?;
             let stats = PoolStats::decode(r)?;
             let dirty_frames = usize::decode(r)?;
             let dirty_low = usize::decode(r)?;
             let touched = Vec::<ChunkId>::decode(r)?;
-            let map = frames
+            let map = prefix
                 .iter()
                 .enumerate()
-                .filter(|(_, f)| f.valid)
                 .map(|(idx, f)| (f.chunk, idx as u32))
                 .collect();
+            let mut frames: Vec<Option<Frame>> = prefix.into_iter().map(Some).collect();
+            frames.resize(capacity, None);
             Ok(Self {
                 chunk_bytes,
                 frames,
@@ -776,13 +857,31 @@ mod gauge_oracle {
         }
     }
 
+    /// Round-trip both pools through their bytes.
+    fn round_trip(pool: &mut BufferPool, reference: &mut RefPool) {
+        *pool = decode_from_slice(&encode_to_vec(&*pool)).expect("pool bytes decode");
+        *reference =
+            decode_from_slice(&encode_to_vec(&*reference)).expect("reference bytes decode");
+    }
+
     /// Drive `pool` and `reference` through `steps` random operations,
-    /// asserting agreement after every one.
-    fn drive(pool: &mut BufferPool, reference: &mut RefPool, rng: &mut StdRng, steps: usize) {
+    /// asserting agreement after every one. Accesses draw their chunk from
+    /// `chunks` when it is given (a step with an empty list round-trips
+    /// instead), else from [`draw_chunk`].
+    fn drive(
+        pool: &mut BufferPool,
+        reference: &mut RefPool,
+        rng: &mut StdRng,
+        steps: usize,
+        chunks: Option<&[ChunkId]>,
+    ) {
         for step in 0..steps {
             match rng.gen_range(0..100) {
-                0..=79 => {
-                    let chunk = draw_chunk(rng);
+                0..=74 if chunks != Some(&[]) => {
+                    let chunk = match chunks {
+                        Some(few) => few[rng.gen_range(0..few.len())],
+                        None => draw_chunk(rng),
+                    };
                     let write = rng.gen_bool(0.3);
                     assert_eq!(
                         pool.access(chunk, write),
@@ -790,16 +889,20 @@ mod gauge_oracle {
                         "hit/miss of chunk {chunk} at step {step}"
                     );
                 }
-                80..=89 => assert_eq!(
+                75..=84 => assert_eq!(
                     pool.working_set_bytes(true),
                     reference.working_set_bytes(true),
                     "working set at the reset of step {step}"
                 ),
-                _ => {
-                    *pool = decode_from_slice(&encode_to_vec(&*pool)).expect("pool bytes decode");
-                    *reference = decode_from_slice(&encode_to_vec(&*reference))
-                        .expect("reference bytes decode");
+                85..=89 => {
+                    let max = rng.gen_range(0..4);
+                    assert_eq!(
+                        pool.clean_dirty(max),
+                        reference.clean_dirty(max),
+                        "frames cleaned at step {step}"
+                    );
                 }
+                _ => round_trip(pool, reference),
             }
             assert_eq!(
                 pool.working_set_bytes(false),
@@ -821,7 +924,17 @@ mod gauge_oracle {
             let capacity = frames * DEFAULT_CHUNK_BYTES;
             let mut pool = BufferPool::new(capacity, DEFAULT_CHUNK_BYTES);
             let mut reference = RefPool::new(capacity, DEFAULT_CHUNK_BYTES);
-            drive(&mut pool, &mut reference, &mut rng, 200);
+            // Fill partway: at most `frames - 1` distinct chunks can never
+            // fill the pool, so every round trip here is of a filling one.
+            let few: Vec<ChunkId> = (1..frames).map(|_| draw_chunk(&mut rng)).collect();
+            drive(&mut pool, &mut reference, &mut rng, 60, Some(&few));
+            round_trip(&mut pool, &mut reference);
+            prop_assert!(reference.resident() < reference.frames.len());
+            prop_assert_eq!(pool.frames.len(), reference.resident());
+            // Then the open stream, which fills the pool and wraps it.
+            drive(&mut pool, &mut reference, &mut rng, 200, None);
+            prop_assert_eq!(pool.frames.len(), pool.capacity());
+            prop_assert!(pool.stats().evictions > 0, "the clock never wrapped");
         }
 
         #[test]
@@ -844,7 +957,7 @@ mod gauge_oracle {
             let mut reference: RefPool = decode_from_slice(&bytes).expect("unsorted list decodes");
             prop_assert_eq!(pool.working_set_bytes(false), reference.working_set_bytes(false));
             prop_assert_eq!(encode_to_vec(&pool), encode_to_vec(&reference));
-            drive(&mut pool, &mut reference, &mut rng, 50);
+            drive(&mut pool, &mut reference, &mut rng, 50, None);
         }
     }
 }

@@ -85,7 +85,11 @@ pub const MAGIC: [u8; 8] = *b"ADBSNAP1";
 ///   encodes its flavor first and its engine part (the page heap's
 ///   `BgWriter`, or the LSM tree's WAL, memtable, L0 and compaction state)
 ///   where the page heap encoded `bg`; the `u16` engine tag goes.
-pub const VERSION: u32 = 10;
+/// * 11 — a buffer pool holds only the frames it has filled: `BufferPool`
+///   encodes its capacity, then only its resident frames (each `chunk,
+///   referenced, dirty`, without the `valid` flag) where it encoded the
+///   whole frame array.
+pub const VERSION: u32 = 11;
 
 /// Reserved tag closing every snapshot file; its payload is the running
 /// FNV-1a hash of all preceding bytes.

@@ -159,7 +159,7 @@ fn snapshot_layout_is_pinned() {
     let hash = autodbaas_snapshot::fnv1a(autodbaas_snapshot::fnv1a_start(), &bytes);
     assert_eq!(
         (bytes.len(), hash),
-        (114_446, 0x6ed8_ce65_d56b_b4b8),
+        (101_182, 0x6219_cf32_811a_804a),
         "snapshot layout moved without a VERSION bump"
     );
 }
