@@ -1,8 +1,10 @@
 //! Property tests for the snapshot codec: encode∘decode = id for every
 //! value shape, decode totality on byte soup, and corruption detection at
 //! the frame layer for arbitrary frame sets. The frame layer is also held
-//! to a byte-identity oracle: a straightforward two-walk writer and reader
-//! (seal pass, then a separate whole-file pass) kept here as reference.
+//! to a byte-identity oracle: a writer and reader kept here, built straight
+//! from the format's definition (each seal folded from words assembled a
+//! byte at a time, the trailer recomputed from the header and the seals
+//! collected along the way).
 
 use autodbaas_snapshot::{
     decode_from_slice, encode_to_vec, fnv1a, fnv1a_start, FrameReader, FrameWriter, Snap,
@@ -11,28 +13,60 @@ use autodbaas_snapshot::{
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-/// Reference writer: each frame hashed on its own, the whole file hashed
-/// again by `finish`.
+/// A frame's seal by definition: start from the FNV-1a offset xor the
+/// length, then for each 8-byte group, its bytes placed little-endian in a
+/// word with missing bytes left zero, `h = (h ^ w) * 0x9e3779b97f4a7c15`
+/// and `h ^= h >> 32`.
+fn ref_seal(bytes: &[u8]) -> u64 {
+    let mut h = fnv1a_start() ^ bytes.len() as u64;
+    let mut at = 0;
+    while at < bytes.len() {
+        let mut w = 0u64;
+        for k in 0..8 {
+            if at + k < bytes.len() {
+                w |= u64::from(bytes[at + k]) << (8 * k);
+            }
+        }
+        h = (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^= h >> 32;
+        at += 8;
+    }
+    h
+}
+
+/// The trailer by definition: FNV-1a over the 12 header bytes, then each
+/// frame's 8 seal bytes in order.
+fn ref_trailer(header: &[u8], seals: &[u64]) -> u64 {
+    seals.iter().fold(fnv1a(fnv1a_start(), header), |h, s| {
+        fnv1a(h, &s.to_le_bytes())
+    })
+}
+
+/// Reference writer: each frame assembled and sealed on its own, the
+/// trailer computed by `finish` from the header and the collected seals.
 struct RefWriter {
     out: Vec<u8>,
+    seals: Vec<u64>,
 }
 
 impl RefWriter {
     fn new() -> Self {
         let mut out = MAGIC.to_vec();
         out.extend_from_slice(&VERSION.to_le_bytes());
-        Self { out }
+        Self {
+            out,
+            seals: Vec::new(),
+        }
     }
 
     fn frame(&mut self, tag: u16, payload: &[u8]) {
-        let mut h = fnv1a(fnv1a_start(), &tag.to_le_bytes());
-        h = fnv1a(h, &(payload.len() as u64).to_le_bytes());
-        h = fnv1a(h, payload);
-        self.out.extend_from_slice(&tag.to_le_bytes());
-        self.out
-            .extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        self.out.extend_from_slice(payload);
-        self.out.extend_from_slice(&h.to_le_bytes());
+        let mut sealed = tag.to_le_bytes().to_vec();
+        sealed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        sealed.extend_from_slice(payload);
+        let seal = ref_seal(&sealed);
+        self.out.extend_from_slice(&sealed);
+        self.out.extend_from_slice(&seal.to_le_bytes());
+        self.seals.push(seal);
     }
 
     fn frame_snap<T: Snap>(&mut self, tag: u16, value: &T) {
@@ -40,19 +74,18 @@ impl RefWriter {
     }
 
     fn finish(mut self) -> Vec<u8> {
-        let file_hash = fnv1a(fnv1a_start(), &self.out);
-        let mut trailer = RefWriter { out: Vec::new() };
-        trailer.frame(TRAILER_TAG, &file_hash.to_le_bytes());
-        self.out.extend_from_slice(&trailer.out);
+        let file_hash = ref_trailer(&self.out[..12], &self.seals);
+        self.frame(TRAILER_TAG, &file_hash.to_le_bytes());
         self.out
     }
 }
 
-/// Reference reader: every seal checked on its own, the trailer checked
-/// by rehashing everything before it.
+/// Reference reader: every seal recomputed on its own, the trailer checked
+/// against a fresh hash of the header and the seals of the frames before it.
 struct RefReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    seals: Vec<u64>,
     finished: bool,
 }
 
@@ -74,6 +107,7 @@ impl<'a> RefReader<'a> {
         Ok(Self {
             buf: data,
             pos: 12,
+            seals: Vec::new(),
             finished: false,
         })
     }
@@ -94,12 +128,10 @@ impl<'a> RefReader<'a> {
         }
         let payload = &self.buf[at + 10..at + 10 + len];
         let stored = u64::from_le_bytes(self.buf[at + 10 + len..at + 18 + len].try_into().unwrap());
-        let mut h = fnv1a(fnv1a_start(), &tag.to_le_bytes());
-        h = fnv1a(h, &(len as u64).to_le_bytes());
-        h = fnv1a(h, payload);
-        if h != stored {
+        if ref_seal(&self.buf[at..at + 10 + len]) != stored {
             return Err(SnapError::ChecksumMismatch { tag });
         }
+        self.seals.push(stored);
         self.pos += 18 + len;
         Ok((tag, payload))
     }
@@ -108,7 +140,6 @@ impl<'a> RefReader<'a> {
         if self.finished {
             return Ok(None);
         }
-        let body_end = self.pos;
         let (tag, payload) = self.read_raw_frame()?;
         if tag != TRAILER_TAG {
             return Ok(Some((tag, payload)));
@@ -117,7 +148,8 @@ impl<'a> RefReader<'a> {
             return Err(SnapError::Malformed("trailer payload"));
         }
         let stored = u64::from_le_bytes(payload.try_into().unwrap());
-        if stored != fnv1a(fnv1a_start(), &self.buf[..body_end]) {
+        let body_seals = &self.seals[..self.seals.len() - 1];
+        if stored != ref_trailer(&self.buf[..12], body_seals) {
             return Err(SnapError::TrailerMismatch);
         }
         if self.pos != self.buf.len() {
@@ -345,7 +377,7 @@ proptest! {
         prop_assert!(outcome.is_err(), "truncation at {} went undetected", cut);
     }
 
-    /// Byte-identity oracle, writer side: the single-walk writer produces
+    /// Byte-identity oracle, writer side: the library's writer produces
     /// exactly the reference writer's bytes for any mix of raw and typed
     /// frames.
     #[test]
@@ -360,7 +392,7 @@ proptest! {
 
     /// Byte-identity oracle, reader side: under every single-byte XOR,
     /// every truncation point and bytes appended after the trailer, the
-    /// single-walk reader yields the same frames and stops with the same
+    /// library's reader yields the same frames and stops with the same
     /// error as the reference reader.
     #[test]
     fn reader_matches_reference_under_damage(

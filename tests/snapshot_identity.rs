@@ -159,12 +159,12 @@ fn snapshot_layout_is_pinned() {
     let hash = autodbaas_snapshot::fnv1a(autodbaas_snapshot::fnv1a_start(), &bytes);
     assert_eq!(
         (bytes.len(), hash),
-        (101_182, 0x6219_cf32_811a_804a),
+        (101_182, 0x276c_ec59_10a8_ab25),
         "snapshot layout moved without a VERSION bump"
     );
 }
 
-/// A valid seal proves nothing about the payload: FNV is not a MAC, so
+/// A valid seal proves nothing about the payload: the seal is not a MAC, so
 /// anyone can re-seal edited bytes. Overwrite 1–3 payload bytes of a
 /// page-heap + LSM fleet, re-seal, and restore: every outcome must be a
 /// fleet or a typed `SnapError`, never a panic or an abort.

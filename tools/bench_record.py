@@ -4,7 +4,8 @@
 append PR DIR...  fold each DIR's result-<workload>-0.json (run.sh's result line, or a
                   run's whole stdout) into one new line, measured on `git rev-parse HEAD`
 check             every line names exactly BENCHMARK.json's workloads and end-to-end
-                  metrics, and the last line's base is an ancestor of HEAD
+                  metrics as q1 <= median <= q3, `pr` strictly increases line to line,
+                  and the last line's base is an ancestor of HEAD
 """
 import json, os, re, statistics, subprocess, sys
 
@@ -41,11 +42,14 @@ def append(pr, dirs):
 def check():
     lines = [json.loads(l) for l in open(RECORD) if l.strip()]
     assert lines, "BENCH_observatory.jsonl is empty"
-    for l in lines:
+    for prev, l in zip([None] + lines, lines):
+        assert prev is None or l["pr"] > prev["pr"], f"PR {l['pr']} follows PR {prev['pr']}: want strictly increasing"
         assert sorted(l["workloads"]) == WORKLOADS, f"PR {l['pr']}: workloads differ from BENCHMARK.json"
         for w, ms in l["workloads"].items():
             assert sorted(set(ms) - {"sim_digest"}) == METRICS, f"PR {l['pr']} {w}: metrics differ from BENCHMARK.json"
             assert all(len(ms[m]) == 3 for m in METRICS), f"PR {l['pr']} {w}: want [q1, median, q3]"
+            for m in METRICS:
+                assert ms[m][0] <= ms[m][1] <= ms[m][2], f"PR {l['pr']} {w} {m}: {ms[m]} is not q1 <= median <= q3"
     base = lines[-1]["base"]
     assert git("merge-base", "--is-ancestor", base, "HEAD").returncode == 0, f"{base} is not an ancestor of HEAD"
     print(f"BENCH_observatory.jsonl: {len(lines)} line(s) ok; PR {lines[-1]['pr']} measured on {base[:7]}")
