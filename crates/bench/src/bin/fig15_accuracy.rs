@@ -11,7 +11,7 @@
 
 use autodbaas_bench::{header, seed_offline, Rig};
 use autodbaas_core::{Tde, TdeConfig};
-use autodbaas_simdb::{Backend, DbFlavor, InstanceType, KnobClass, KnobProfile};
+use autodbaas_simdb::{DbFlavor, InstanceType, KnobClass, KnobProfile};
 use autodbaas_telemetry::outln;
 use autodbaas_tuner::{rank_knobs, WorkloadRepository};
 use autodbaas_workload::by_name;

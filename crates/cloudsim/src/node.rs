@@ -269,7 +269,7 @@ impl ManagedDatabase {
     /// [`ManagedDatabase::drive`] calls back to back would: a deferrable
     /// node draws no arrivals and stays up, so each of them only counts
     /// the tick and ticks the service. A slave-less service hands the
-    /// whole run to [`Backend::tick_many`]; replication ticks per tick.
+    /// whole run to [`SimDatabase::tick_many`]; replication ticks per tick.
     pub(crate) fn replay(&mut self, ticks: u64, tick_ms: u64) {
         debug_assert!(
             ticks == 0 || self.may_defer(),

@@ -13,7 +13,7 @@
 //! cadence) because a too-*rare*-but-huge checkpoint also degrades service
 //! and the paper's Fig. 5 plots exactly that contrast.
 
-use autodbaas_simdb::{Backend, MetricId};
+use autodbaas_simdb::{Backend, MetricId, SimDatabase};
 use autodbaas_telemetry::{SimTime, MILLIS_PER_MIN};
 use autodbaas_tuner::{map_workload, WorkloadRepository};
 
@@ -158,7 +158,7 @@ impl BgwriterDetector {
     /// stays. A run over an empty window returns before reading and drops
     /// nothing, and neither does a skipped run, so a longer window stays
     /// whole.
-    pub fn detect<B: Backend>(&mut self, db: &mut B, baseline: BgBaseline) -> Option<BgFinding> {
+    pub fn detect(&mut self, db: &mut SimDatabase, baseline: BgBaseline) -> Option<BgFinding> {
         let now = db.now();
         if now <= self.last_run_at {
             return None;

@@ -25,7 +25,7 @@ use crate::classify::ClassHistogram;
 use crate::filter::{EntropyFilter, FilterDecision};
 use crate::mdp::MdpEngine;
 use crate::memory::{check_working_set, detect_spills, knob_at_cap, WorkingSetFinding};
-use autodbaas_simdb::{Backend, KnobClass, KnobId, MetricId, QueryWindow, SpillKind};
+use autodbaas_simdb::{Backend, KnobClass, KnobId, MetricId, QueryWindow, SimDatabase, SpillKind};
 use autodbaas_telemetry::{SimTime, MILLIS_PER_MIN};
 use autodbaas_tuner::WorkloadRepository;
 use rand::rngs::StdRng;
@@ -198,10 +198,10 @@ impl Tde {
         &self.hist
     }
 
-    /// One periodic TDE run against `db` (any [`Backend`] adapter),
+    /// One periodic TDE run against `db` (any flavor),
     /// optionally consulting the tuner repository for the background-writer
     /// baseline.
-    pub fn run<B: Backend>(&mut self, db: &mut B, repo: Option<&WorkloadRepository>) -> TdeReport {
+    pub fn run(&mut self, db: &mut SimDatabase, repo: Option<&WorkloadRepository>) -> TdeReport {
         self.run_in_round(db, repo, &mut BaselineMemo::default())
     }
 
@@ -209,9 +209,9 @@ impl Tde {
     /// repository: `memo` carries the background-writer baseline from one
     /// node's run to the next, so nodes with one signature map it once.
     /// Pass the same memo to every run of one round and to no other.
-    pub fn run_in_round<B: Backend>(
+    pub fn run_in_round(
         &mut self,
-        db: &mut B,
+        db: &mut SimDatabase,
         repo: Option<&WorkloadRepository>,
         memo: &mut BaselineMemo,
     ) -> TdeReport {
@@ -223,7 +223,7 @@ impl Tde {
     /// last run, seeding the next one, and add its class counts to the
     /// histogram. The sample covers the *current* observation window only —
     /// a stale sample would keep indicting queries that stopped arriving.
-    fn ingest<B: Backend>(&mut self, db: &mut B) {
+    fn ingest(&mut self, db: &mut SimDatabase) {
         // Decay the histogram so the window tracks the *current* pattern
         // (Fig. 14's point is quick reaction to workload change).
         self.hist.decay_half();
@@ -234,9 +234,9 @@ impl Tde {
 
     /// Steps 2–5 of a run, over the window [`ingest`](Self::ingest) took
     /// and the histogram it fed.
-    fn detect<B: Backend>(
+    fn detect(
         &mut self,
-        db: &mut B,
+        db: &mut SimDatabase,
         repo: Option<&WorkloadRepository>,
         memo: &mut BaselineMemo,
     ) -> TdeReport {
@@ -743,7 +743,7 @@ mod tests {
     /// tick; the last few stay at the clock the next TDE run reads, so they
     /// sit exactly on the next window's boundary. Returns how many executed
     /// (the capacity model sheds the rest).
-    fn drive_window<B: Backend>(d: &mut B, gen: &mut StdRng, n: usize) -> u64 {
+    fn drive_window(d: &mut SimDatabase, gen: &mut StdRng, n: usize) -> u64 {
         let mut executed = 0;
         for i in 0..n {
             let kind = QueryKind::ALL[gen.gen_range(0..QueryKind::ALL.len())];

@@ -21,7 +21,7 @@
 //! scheme but no rates, so α = 0.15, β = 0.05 and the 2 % profit that
 //! raises a throttle are this reproduction's fixed choices.
 
-use autodbaas_simdb::{Backend, KnobId, KnobProfile, KnobSet, QueryProfile};
+use autodbaas_simdb::{Backend, KnobId, KnobProfile, KnobSet, QueryProfile, SimDatabase};
 use rand::{Rng, RngCore};
 
 /// The automaton's two actions.
@@ -132,7 +132,7 @@ impl MdpEngine {
 
     /// Total planner cost of `queries` under `knobs` — the environment
     /// response `B`. Uses the current buffer hit ratio as ground truth.
-    pub fn evaluate_cost<B: Backend>(db: &B, knobs: &KnobSet, queries: &[QueryProfile]) -> f64 {
+    pub fn evaluate_cost(db: &SimDatabase, knobs: &KnobSet, queries: &[QueryProfile]) -> f64 {
         let planner = db.planner();
         let catalog = db.catalog();
         // Hit ratio approximated from metrics (blks_hit / total).
@@ -155,9 +155,9 @@ impl MdpEngine {
     /// Run one automaton step for every knob against the sampled queries.
     /// Knob values in `knobs` are mutated to the accepted new values
     /// (profit keeps the move, loss reverts it).
-    pub fn step<B: Backend>(
+    pub fn step(
         &mut self,
-        db: &B,
+        db: &SimDatabase,
         knobs: &mut KnobSet,
         sampled: &[QueryProfile],
         rng: &mut dyn RngCore,

@@ -13,7 +13,7 @@
 //!   the finding is *not* a tuning request; the config director accumulates
 //!   it for the scheduled maintenance window (§4).
 
-use autodbaas_simdb::{Backend, KnobId, QueryProfile, SpillKind};
+use autodbaas_simdb::{Backend, KnobId, QueryProfile, SimDatabase, SpillKind};
 
 /// One spill finding from re-planning a sampled query.
 #[derive(Debug, Clone)]
@@ -30,7 +30,7 @@ pub struct SpillFinding {
 
 /// Re-plan the `sampled` queries under the database's current configuration
 /// and report every spill.
-pub fn detect_spills<B: Backend>(db: &B, sampled: &[QueryProfile]) -> Vec<SpillFinding> {
+pub fn detect_spills(db: &SimDatabase, sampled: &[QueryProfile]) -> Vec<SpillFinding> {
     let roles = db.planner().roles();
     let mut findings = Vec::new();
     for q in sampled {
@@ -62,7 +62,7 @@ pub struct WorkingSetFinding {
 
 /// Compare the working-set gauge against the buffer-pool knob. `reset`
 /// starts a new gauging epoch (pass `true` on the TDE's periodic cadence).
-pub fn check_working_set<B: Backend>(db: &mut B, reset: bool) -> Option<WorkingSetFinding> {
+pub fn check_working_set(db: &mut SimDatabase, reset: bool) -> Option<WorkingSetFinding> {
     let knob = db.planner().roles().buffer_pool;
     let buffer_bytes = db.knobs().get(knob) as u64;
     let ws = db.working_set_bytes(reset);
@@ -84,7 +84,7 @@ const CAP_FRACTION: f64 = 0.95;
 /// sits within 5 % of its spec max, or when the instance's whole memory
 /// budget is saturated — both are the "underlying instance configuration
 /// limit is in-sufficient" situations of §3.1.
-pub fn knob_at_cap<B: Backend>(db: &B, knob: KnobId) -> bool {
+pub fn knob_at_cap(db: &SimDatabase, knob: KnobId) -> bool {
     let spec = db.profile().spec(knob);
     let v = db.knobs().get(knob);
     if v >= spec.max * CAP_FRACTION {

@@ -9,8 +9,8 @@
 //!   the config data repository (the Fig. 9 measurement point);
 //! * [`orchestrator`] — lifecycle, credentials, and the persistence storage
 //!   that makes tuned configs survive redeployments;
-//! * [`dfa`] — flavor adapters translating normalised recommendations into
-//!   knob changes, applied slave-first;
+//! * [`dfa`] — one function translating a normalised recommendation into
+//!   knob changes over the flavor's knob profile, applied slave-first;
 //! * [`apply`] — the replica-set apply protocol with fault injection;
 //! * [`reconciler`] — watcher-timeout reconciliation back to the persisted
 //!   config after partial failures;
@@ -26,7 +26,7 @@ pub mod orchestrator;
 pub mod reconciler;
 
 pub use apply::{ApplyError, FailoverReport, ReplicaSet};
-pub use dfa::{DataFederationAgent, DbAdapter, DfaError, MySqlAdapter, PostgresAdapter};
+pub use dfa::{apply_recommendation, DfaError};
 pub use director::{Assignment, ConfigDirector, TunerKind, TunerSlot, WindowStat};
 pub use maintenance::{plan_buffer_update, MaintenanceSchedule};
 pub use metering::{RecommendationMeter, TenantUsage, DEFAULT_TUNER_RATE_PER_HOUR};

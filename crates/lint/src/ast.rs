@@ -63,13 +63,10 @@ pub enum Item {
     Fn(FnDef),
     /// `impl Type { … }` / `impl Trait for Type { … }` /
     /// `trait Name { … }` (traits reuse the shape: `self_ty` is the trait
-    /// name and `trait_name` is `None`; default method bodies parse like
-    /// impl fns).
+    /// name; default method bodies parse like impl fns).
     Impl {
         /// The implementing type (or trait being declared).
         self_ty: String,
-        /// Trait implemented, for `impl Trait for Type`.
-        trait_name: Option<String>,
         /// Whole-item span.
         span: Span,
         /// Associated functions, in source order.
@@ -198,28 +195,23 @@ pub enum EventKind {
 /// path and enclosing impl type passed to the callback.
 pub fn walk_fns<'a, F>(items: &'a [Item], f: &mut F)
 where
-    F: FnMut(&[String], Option<&str>, Option<&str>, &'a FnDef),
+    F: FnMut(&[String], Option<&str>, &'a FnDef),
 {
     fn go<'a, F>(items: &'a [Item], mods: &mut Vec<String>, f: &mut F)
     where
-        F: FnMut(&[String], Option<&str>, Option<&str>, &'a FnDef),
+        F: FnMut(&[String], Option<&str>, &'a FnDef),
     {
         for item in items {
             match item {
-                Item::Fn(def) => f(mods, None, None, def),
+                Item::Fn(def) => f(mods, None, def),
                 Item::Mod { name, items, .. } => {
                     mods.push(name.clone());
                     go(items, mods, f);
                     mods.pop();
                 }
-                Item::Impl {
-                    self_ty,
-                    trait_name,
-                    fns,
-                    ..
-                } => {
+                Item::Impl { self_ty, fns, .. } => {
                     for def in fns {
-                        f(mods, Some(self_ty), trait_name.as_deref(), def);
+                        f(mods, Some(self_ty), def);
                     }
                 }
                 Item::Other { .. } => {}

@@ -53,8 +53,6 @@ pub struct FnNode {
     pub logical_path: Vec<String>,
     /// Enclosing `impl`/`trait` type, when associated.
     pub impl_ty: Option<String>,
-    /// Trait being implemented (`impl Trait for Type`), when any.
-    pub trait_impl: Option<String>,
     /// Declared `pub` in any form.
     pub is_pub: bool,
     /// Lexically inside test code (file- or region-level).
@@ -231,7 +229,7 @@ impl CallGraph {
             let file_test = file.crate_name == "tests"
                 || file.path.contains("/tests/")
                 || file.path.contains("/benches/");
-            walk_fns(&file.ast.items, &mut |mods, impl_ty, trait_name, def| {
+            walk_fns(&file.ast.items, &mut |mods, impl_ty, def| {
                 let in_test = file_test
                     || file
                         .test_regions
@@ -250,7 +248,6 @@ impl CallGraph {
                     qual,
                     logical_path: logical,
                     impl_ty: impl_ty.map(str::to_string),
-                    trait_impl: trait_name.map(str::to_string),
                     is_pub: def.is_pub,
                     in_test,
                     span: def.span,

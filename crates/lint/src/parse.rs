@@ -340,12 +340,9 @@ impl<'a> Parser<'a> {
         if self.at("<") {
             self.skip_generics();
         }
-        let first = self.type_path();
-        let mut trait_name = None;
-        let mut self_ty = first;
+        let mut self_ty = self.type_path();
         if !is_trait && self.at("for") {
             self.i += 1;
-            trait_name = Some(self_ty);
             self_ty = self.type_path();
         }
         // Skip bounds / where clause up to the body.
@@ -407,7 +404,6 @@ impl<'a> Parser<'a> {
         }
         Item::Impl {
             self_ty,
-            trait_name,
             span: self.span_range(start, self.i.saturating_sub(1)),
             fns,
         }
@@ -821,7 +817,7 @@ mod tests {
 
     fn fn_names(ast: &Ast) -> Vec<String> {
         let mut out = Vec::new();
-        crate::ast::walk_fns(&ast.items, &mut |_, ty, _, f| {
+        crate::ast::walk_fns(&ast.items, &mut |_, ty, f| {
             out.push(match ty {
                 Some(t) => format!("{t}::{}", f.name),
                 None => f.name.clone(),
@@ -858,7 +854,7 @@ mod tests {
     fn pub_and_unsafe_flags() {
         let ast = ast_of("pub fn a() {} unsafe fn b() {} pub(crate) fn c() {}");
         let mut flags = Vec::new();
-        crate::ast::walk_fns(&ast.items, &mut |_, _, _, f| {
+        crate::ast::walk_fns(&ast.items, &mut |_, _, f| {
             flags.push((f.name.clone(), f.is_pub, f.is_unsafe));
         });
         assert_eq!(
@@ -874,7 +870,7 @@ mod tests {
     fn events_of(src: &str) -> Vec<EventKind> {
         let ast = ast_of(src);
         let mut out = Vec::new();
-        crate::ast::walk_fns(&ast.items, &mut |_, _, _, f| {
+        crate::ast::walk_fns(&ast.items, &mut |_, _, f| {
             if let Some(b) = &f.body {
                 out.extend(b.events.iter().map(|e| e.kind.clone()));
             }
@@ -981,7 +977,7 @@ mod tests {
             for item in &ast.items {
                 check(item.span());
             }
-            crate::ast::walk_fns(&ast.items, &mut |_, _, _, f| {
+            crate::ast::walk_fns(&ast.items, &mut |_, _, f| {
                 check(&f.span);
                 if let Some(b) = &f.body {
                     check(&b.span);
@@ -1001,7 +997,7 @@ mod tests {
         let src = "fn f() { a(); { let g = m.lock(); b(); } c(); }";
         let ast = ast_of(src);
         let mut seen = false;
-        crate::ast::walk_fns(&ast.items, &mut |_, _, _, f| {
+        crate::ast::walk_fns(&ast.items, &mut |_, _, f| {
             let body = f.body.as_ref().unwrap();
             let bind = body
                 .events

@@ -578,12 +578,12 @@ R001 sees a panic only where it is written; R003 walks the workspace
 call graph. Entry points are the public functions of `ctrlplane` and
 `gateway` (plus the gateway binaries' `main`), the `ShardPool`
 worker entry points in `cloudsim/src/shard.rs` (`worker_main` and the
-pool's public surface) — the threads PR 5 keeps alive for the life of
-the fleet, where one panic wedges a shard barrier forever — and the
-`Backend` trait `tick`/`apply_config` impls anywhere in the `simdb`
-crate (today `SimDatabase`'s, in `engine.rs`, which reach both storage
-engines): the per-tick hot path every fleet node runs, where a
-reachable panic takes the whole drive down with it. From those
+pool's public surface) — the threads kept alive for the life of the
+fleet, where one panic wedges a shard barrier forever — and
+`SimDatabase::tick` and `SimDatabase::apply_config`, inherent or trait
+impl, anywhere in the `simdb` crate (today in `engine.rs`; they reach
+both storage engines): the per-tick hot path every fleet node runs,
+where a reachable panic takes the whole drive down with it. From those
 roots R003 traverses only *strict* (unambiguously resolved) call edges
 and flags every reachable `panic!`/`unimplemented!`/`todo!`/
 `.unwrap()`/`.expect(…)` in non-test code, printing the full

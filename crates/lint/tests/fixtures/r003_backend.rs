@@ -1,33 +1,51 @@
-//! Known-bad R003 fixture, backend-adapter half. Fed to `lint_sources`
-//! by `tests/lint_clean.rs` under the synthetic path
-//! `crates/simdb/src/backend/fixture_adapter.rs` — the `fixtures`
+//! Known-bad R003 fixture, engine half. Fed to `lint_sources` by
+//! `tests/lint_clean.rs` under the synthetic path
+//! `crates/simdb/src/backend/fixture_engine.rs` — the `fixtures`
 //! directory is excluded from the real workspace walk, so this file
 //! never fails the gate on its own.
 //!
-//! `tick` here is a `Backend` trait impl inside the `simdb` crate, i.e.
-//! an R003 entry point wherever its file lives: the per-tick hot path of
-//! a fleet node. Its chain crosses a private helper before
-//! reaching a panic; the plain inherent method with the same body must
-//! NOT be treated as an entry on its own.
+//! `SimDatabase::tick` (an inherent method) and `SimDatabase::apply_config`
+//! (a trait impl) are R003 entry points wherever their simdb file lives:
+//! the per-tick hot path of a fleet node. Each chain crosses a private
+//! helper before reaching a panic. `FixtureWal::tick` has the same name
+//! and the same shape on another receiver, so it must NOT be an entry,
+//! and its private panic helper is reachable from nowhere.
 
-pub struct FixtureEngine {
+pub struct SimDatabase {
     pending: Option<u64>,
+    staged: Option<u64>,
 }
 
-impl Backend for FixtureEngine {
-    fn tick(&mut self, dt_ms: u64) {
+impl SimDatabase {
+    pub fn tick(&mut self, dt_ms: u64) -> u64 {
         advance_clock(self, dt_ms)
     }
 }
 
-fn advance_clock(db: &mut FixtureEngine, dt_ms: u64) -> u64 {
+impl Backend for SimDatabase {
+    fn apply_config(&mut self) -> u64 {
+        land_staged(self)
+    }
+}
+
+fn advance_clock(db: &mut SimDatabase, dt_ms: u64) -> u64 {
     db.pending.unwrap() + dt_ms
 }
 
-impl FixtureEngine {
-    /// Same shape, but an ordinary inherent method: not an entry point,
-    /// so its private panic helper is only reachable via the trait impl.
-    pub fn helper_only(&mut self) -> u64 {
-        advance_clock(self, 1)
+fn land_staged(db: &mut SimDatabase) -> u64 {
+    db.staged.expect("staged knob")
+}
+
+pub struct FixtureWal {
+    segment: Option<u64>,
+}
+
+impl FixtureWal {
+    pub fn tick(&mut self, dt_ms: u64) -> u64 {
+        roll_segment(self, dt_ms)
     }
+}
+
+fn roll_segment(wal: &mut FixtureWal, dt_ms: u64) -> u64 {
+    wal.segment.unwrap() + dt_ms
 }

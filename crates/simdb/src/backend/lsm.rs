@@ -531,8 +531,8 @@ mod tests {
         assert!(d.lsm().flushes_done > 0);
         // The WAL window only holds what arrived since the last flush —
         // far less than everything ever written.
-        let window = Backend::wal(&d).bytes_since_checkpoint();
-        let total = Backend::wal(&d).insert_lsn();
+        let window = d.wal().bytes_since_checkpoint();
+        let total = d.wal().insert_lsn();
         assert!(window < total, "window {window} vs total {total}");
     }
 
@@ -556,7 +556,7 @@ mod tests {
             "recovery flush lands in L0"
         );
         assert_eq!(d.lsm().memtable_fill, 0.0);
-        assert_eq!(Backend::wal(&d).bytes_since_checkpoint(), 0);
+        assert_eq!(d.wal().bytes_since_checkpoint(), 0);
         for _ in 0..60 {
             d.tick(1_000);
         }
@@ -574,7 +574,7 @@ mod tests {
         d.apply_config(&[], ApplyMode::Restart);
         assert_eq!(d.lsm().memtable_fill, 0.0);
         assert_eq!(d.lsm().flushes_done, flushes + 1);
-        assert_eq!(Backend::wal(&d).bytes_since_checkpoint(), 0);
+        assert_eq!(d.wal().bytes_since_checkpoint(), 0);
     }
 
     #[test]

@@ -2,32 +2,31 @@
 //!
 //! The paper's central multiplier claim is that *one* AutoDBaaS deployment
 //! tunes a heterogeneous fleet. This module makes that claim testable in
-//! the reproduction: [`Backend`] is the typed trait API the TDE, control
-//! plane, fleet sim and benches consume, and the only method surface of
-//! [`SimDatabase`](crate::SimDatabase), the one database type. A `SimDatabase` runs either
-//! storage engine — the page heap (checkpoint write bursts) or the LSM
-//! tree in [`lsm`] (memtable flushes + levelled compaction, write-stall
-//! back-pressure) — under one service shell, and both produce the same
-//! observable vocabulary — spills, latency peaks, metric deltas — so the
-//! same detectors and tuners close the loop over both, and mixed fleets
-//! host both side by side. Metric identifiers stay backend-scoped through
-//! [`BackendKind::metric_catalog`]: every engine names the same 31
-//! metric-vector slots in its own vocabulary (the vector *layout* is
-//! shared so tuners transfer across engines), and a `KnobId` is only
-//! meaningful with its flavor's profile.
+//! the reproduction: [`SimDatabase`](crate::SimDatabase) is the one
+//! database type, and it runs either storage engine — the page heap
+//! (checkpoint write bursts) or the LSM tree in [`lsm`] (memtable flushes +
+//! levelled compaction, write-stall back-pressure) — under one service
+//! shell. Both produce the same observable vocabulary — spills, latency
+//! peaks, metric deltas — so the same detectors and tuners close the loop
+//! over both, and mixed fleets host both side by side. Metric identifiers
+//! stay backend-scoped through [`BackendKind::metric_catalog`]: every
+//! engine names the same 31 metric-vector slots in its own vocabulary (the
+//! vector *layout* is shared so tuners transfer across engines), and a
+//! `KnobId` is only meaningful with its flavor's profile.
+//!
+//! [`Backend`] keeps exactly the 13 methods the frozen benchmark
+//! (`benchmark/`) calls as `Backend::method(db)`; every other engine call
+//! is an inherent method of `SimDatabase`.
 
 pub(crate) mod lsm;
 
 use crate::catalog::Catalog;
-use crate::disk::DiskSet;
-use crate::engine::{ApplyMode, ApplyReport, ConfigChange, RecoveryReport, SubmitResult};
+use crate::engine::{ApplyMode, ApplyReport, ConfigChange, SubmitResult};
 use crate::instance::InstanceType;
-use crate::knobs::{DbFlavor, KnobId, KnobProfile, KnobSet};
+use crate::knobs::{DbFlavor, KnobProfile, KnobSet};
 use crate::metrics::{MetricId, Metrics, MetricsSnapshot};
-use crate::planner::{Plan, Planner};
+use crate::planner::Plan;
 use crate::query::QueryProfile;
-use crate::query_window::QueryWindow;
-use crate::wal::Wal;
 use autodbaas_telemetry::SimTime;
 
 /// Which engine family a backend belongs to. One kind can serve several
@@ -88,10 +87,11 @@ impl BackendKind {
     }
 }
 
-/// The engine surface the TDE, control plane, fleet sim and benches
-/// consume, implemented by [`SimDatabase`](crate::SimDatabase) for every
-/// flavor. It has no inherent copy of these methods, so callers holding
-/// one import this trait.
+/// The 13 engine methods the frozen benchmark names as
+/// `Backend::method(db)` (its README's "API surface" list), implemented by
+/// [`SimDatabase`](crate::SimDatabase) for every flavor. It has no
+/// inherent copy of these methods, so callers of them import this trait;
+/// the rest of the engine surface (`tick`, `crash`, `wal`, …) is inherent.
 ///
 /// The contract the conformance suite (`tests/backend_conformance.rs`)
 /// pins for every flavor:
@@ -102,7 +102,7 @@ impl BackendKind {
 /// * ticking is deterministic from a fixed seed;
 /// * a socket-activation stall queues batches and drains them after it,
 ///   and a full socket backlog sheds the batch as dropped;
-/// * [`Backend::crash`] costs downtime proportional to the un-durable WAL
+/// * [`SimDatabase::crash`](crate::SimDatabase::crash) costs downtime proportional to the un-durable WAL
 ///   window, drops the socket backlog and lands staged knobs.
 pub trait Backend {
     /// Knob vocabulary flavor.
@@ -113,62 +113,26 @@ pub trait Backend {
     fn profile(&self) -> &KnobProfile;
     /// Current configuration.
     fn knobs(&self) -> &KnobSet;
-    /// The planner (the TDE re-plans sampled queries through this).
-    fn planner(&self) -> &Planner;
     /// Catalog served.
     fn catalog(&self) -> &Catalog;
     /// Live metrics.
     fn metrics(&self) -> &Metrics;
     /// Snapshot the metric vector.
     fn metrics_snapshot(&self) -> MetricsSnapshot;
-    /// Disk set (latency and IOPS for the monitoring agent).
-    fn disks(&self) -> &DiskSet;
-    /// Mutable disk set: the bgwriter detector drops the latency samples
-    /// it has read.
-    fn disks_mut(&mut self) -> &mut DiskSet;
-    /// Durability log: LSN accounting for replication and crash recovery.
-    fn wal(&self) -> &Wal;
     /// Write-burst cycles completed: checkpoints on the page heap,
     /// compactions on the LSM engine. The bgwriter detector's cadence
     /// reading.
     fn checkpoints_done(&self) -> u64;
     /// Current sim time.
     fn now(&self) -> SimTime;
-    /// Hand over the window of queries executed since the last take and
-    /// start a new one sampling at most `capacity` queries from `seed`.
-    fn take_query_window(&mut self, capacity: usize, seed: u64) -> QueryWindow;
-    /// Working-set gauge; `reset` starts a new epoch.
-    fn working_set_bytes(&mut self, reset: bool) -> u64;
-    /// Active connection count.
-    fn active_connections(&self) -> u32;
-    /// Set the active connection count.
-    fn set_active_connections(&mut self, n: u32);
     /// True while the instance is hard-down.
     fn is_down(&self) -> bool;
     /// Plan a query without executing it (the `EXPLAIN` path).
     fn plan(&self, q: &QueryProfile) -> Plan;
     /// Submit `count` identical queries.
     fn submit(&mut self, q: &QueryProfile, count: u64) -> SubmitResult;
-    /// Latency multiplier from memory oversubscription.
-    fn swap_factor(&self) -> f64;
-    /// Advance the instance by `dt_ms`.
-    fn tick(&mut self, dt_ms: u64);
-    /// Advance the instance by `ticks` ticks of `dt_ms` with nothing
-    /// submitted in between. Must leave the backend exactly where `ticks`
-    /// calls of [`Backend::tick`] would.
-    fn tick_many(&mut self, ticks: u64, dt_ms: u64);
     /// Apply a configuration with §4 semantics.
     fn apply_config(&mut self, changes: &[ConfigChange], mode: ApplyMode) -> ApplyReport;
-    /// Crash the process now and run WAL crash recovery.
-    fn crash(&mut self) -> RecoveryReport;
-    /// Degrade performance for `duration_ms` by latency factor `factor`.
-    fn degrade(&mut self, duration_ms: u64, factor: f64);
-    /// Knob values currently staged for the next restart.
-    fn staged_changes(&self) -> &[ConfigChange];
-    /// Direct knob write for test/bench setup.
-    fn set_knob_direct(&mut self, knob: KnobId, value: f64);
-    /// Switch to the split WAL/stats disk layout.
-    fn use_split_disks(&mut self);
 }
 
 // ------------------------------------------------------- snapshot support

@@ -385,6 +385,201 @@ impl SimDatabase {
         }
     }
 
+    /// The planner (the TDE re-plans sampled queries through this).
+    pub fn planner(&self) -> &Planner {
+        &self.planner
+    }
+
+    /// Disk set (latency and IOPS for the monitoring agent).
+    pub fn disks(&self) -> &DiskSet {
+        &self.disk
+    }
+
+    /// Mutable disk set: the bgwriter detector drops the latency samples
+    /// it has read.
+    pub fn disks_mut(&mut self) -> &mut DiskSet {
+        &mut self.disk
+    }
+
+    /// Durability log: LSN accounting for replication and crash recovery.
+    pub fn wal(&self) -> &Wal {
+        self.storage.wal()
+    }
+
+    /// Hand over the window of queries executed since the last take and
+    /// start a new one sampling at most `capacity` queries from `seed`.
+    pub fn take_query_window(&mut self, capacity: usize, seed: u64) -> QueryWindow {
+        std::mem::replace(&mut self.query_window, QueryWindow::new(capacity, seed))
+    }
+
+    /// Working-set gauge; `reset` starts a new epoch.
+    pub fn working_set_bytes(&mut self, reset: bool) -> u64 {
+        self.pool.working_set_bytes(reset)
+    }
+
+    /// Latency multiplier from memory oversubscription: a configuration
+    /// whose §4 budget `A+B+C+D` exceeds the instance cap pushes the OS
+    /// into swap — §3.1's reason that "increasing working memory
+    /// continuously" forces "decreasing other knobs (to make room)". The
+    /// control plane does *not* silently rescale a tuner's recommendation;
+    /// a bad recommendation is allowed to hurt, which is what the tuners
+    /// must learn (and what corrupted tuners get wrong).
+    pub fn swap_factor(&self) -> f64 {
+        let budget = self.knobs.memory_budget_used(&self.profile);
+        let cap = self.instance.db_mem_cap();
+        if budget <= cap {
+            1.0
+        } else {
+            (1.0 + 4.0 * (budget / cap - 1.0)).min(12.0)
+        }
+    }
+
+    /// Advance the instance by `dt_ms`: background processes run, the disk
+    /// settles, gauges update, the per-tick worker pool resets, and any
+    /// socket-activation backlog drains.
+    pub fn tick(&mut self, dt_ms: u64) {
+        self.now += dt_ms;
+        self.workers.begin_tick();
+        self.tick_busy_ms = 0.0;
+        self.tick_capacity_ms = self.instance.vcpus() as f64 * dt_ms as f64 * CAPACITY_CONCURRENCY;
+        if self.now >= self.down_until {
+            self.storage.background_tick(
+                self.now,
+                dt_ms,
+                &self.knobs,
+                self.planner.roles(),
+                &self.catalog,
+                &mut self.pool,
+                &mut self.disk,
+                &mut self.metrics,
+            );
+            // Drain socket backlog once the stall clears — the burst the
+            // paper observes after socket-activation restarts.
+            if self.now >= self.stall_until && !self.backlog.is_empty() {
+                let backlog = std::mem::take(&mut self.backlog);
+                for (q, count) in backlog {
+                    let _ = self.run_now(&q, count);
+                }
+            }
+        }
+        self.disk.tick(self.now, dt_ms);
+
+        // Gauges.
+        self.metrics.set(
+            MetricId::DiskWriteLatencyMs,
+            self.disk.data().current_latency_ms(),
+        );
+        self.metrics
+            .set(MetricId::DiskIops, self.disk.data().current_iops());
+        self.metrics
+            .set(MetricId::ActiveConnections, self.active_connections as f64);
+        self.metrics
+            .set(MetricId::DbSizeBytes, self.catalog.total_bytes() as f64);
+    }
+
+    /// `ticks` ticks with nothing submitted. A tick that starts *quiet*
+    /// (see [`SimDatabase::quiet`]) runs the background processes for the
+    /// statistics drip alone and leaves the instance quiet, so after one
+    /// ordinary quiet tick every further one changes only the clock, the
+    /// drip's byte count and one latency sample per disk (the value the
+    /// first tick left). Those are repeated here; ticks before the
+    /// instance is quiet — every tick of an LSM instance — run in full.
+    pub fn tick_many(&mut self, ticks: u64, dt_ms: u64) {
+        let mut left = ticks;
+        while left > 0 && !self.quiet() {
+            self.tick(dt_ms);
+            left -= 1;
+        }
+        if left == 0 {
+            return;
+        }
+        self.tick(dt_ms);
+        let drip = stats_drip_bytes(dt_ms);
+        for _ in 1..left {
+            self.now += dt_ms;
+            self.disk.repeat_quiet_tick(self.now, drip);
+        }
+    }
+
+    /// Crash the process now and run WAL crash recovery.
+    ///
+    /// Models the PostgreSQL/InnoDB/RocksDB recovery sequence: everything
+    /// volatile dies with the process (socket backlog, stall/jitter state,
+    /// the in-flight checkpoint or compaction, the memtable), REDO replays
+    /// from the last durability point at a finite rate — so recovery time
+    /// is proportional to un-durable WAL — and the instance comes back with
+    /// a cold buffer pool. Staged restart-bound knobs land, exactly as on a
+    /// graceful restart.
+    pub fn crash(&mut self) -> RecoveryReport {
+        // Volatile state dies with the process. The socket backlog was
+        // counted as submitted when it queued, so its batches count as
+        // dropped.
+        let lost: u64 = self.backlog.drain(..).map(|(_, count)| count).sum();
+        if lost > 0 {
+            self.metrics.inc(MetricId::QueriesDropped, lost as f64);
+        }
+        self.stall_until = 0;
+        self.jitter_until = 0;
+        self.jitter_factor = 1.0;
+
+        let redo_bytes = self.storage.crash_recover(&mut self.disk);
+        let recovery_ms = RECOVERY_BASE_MS + redo_bytes / REDO_REPLAY_BYTES_PER_MS;
+
+        // The crash restart lands staged restart-bound knobs.
+        let staged = std::mem::take(&mut self.staged);
+        let staged_applied = staged.len();
+        for ch in &staged {
+            self.knobs.set(&self.profile, ch.knob, ch.value);
+        }
+
+        // Cold start: fresh (possibly resized) buffer pool, fresh workers.
+        let pool_bytes = self.knobs.get(self.planner.roles().buffer_pool) as u64;
+        self.pool.resize(pool_bytes);
+        self.workers.resize(self.instance.vcpus() * 2);
+
+        self.down_until = self.now + recovery_ms;
+        RecoveryReport {
+            redo_bytes,
+            recovery_ms,
+            staged_applied,
+        }
+    }
+
+    /// Degrade performance for `duration_ms` by latency factor `factor`
+    /// (≥ 1.0) — the disk-stall / noisy-neighbor fault model. Overlapping
+    /// degradations max-merge rather than stack.
+    pub fn degrade(&mut self, duration_ms: u64, factor: f64) {
+        let until = self.now + duration_ms;
+        if self.now < self.jitter_until {
+            self.jitter_factor = self.jitter_factor.max(factor.max(1.0));
+            self.jitter_until = self.jitter_until.max(until);
+        } else {
+            self.jitter_factor = factor.max(1.0);
+            self.jitter_until = until;
+        }
+    }
+
+    /// Knob values currently staged for the next restart.
+    pub fn staged_changes(&self) -> &[ConfigChange] {
+        &self.staged
+    }
+
+    /// Direct knob write for test/bench setup (bypasses apply semantics but
+    /// keeps clamping and the instance cap).
+    pub fn set_knob_direct(&mut self, knob: KnobId, value: f64) {
+        self.knobs.set(&self.profile, knob, value);
+        if self.profile.spec(knob).restart_required {
+            let pool_bytes = self.knobs.get(self.planner.roles().buffer_pool) as u64;
+            self.pool.resize(pool_bytes);
+        }
+    }
+
+    /// Switch to the split WAL/stats disk layout (§3.2's attribution
+    /// workaround). Loses no data; takes effect immediately.
+    pub fn use_split_disks(&mut self) {
+        self.disk = DiskSet::split(self.disk.data().kind());
+    }
+
     fn run_now(&mut self, q: &QueryProfile, count: u64) -> Option<ExecOutcome> {
         let plan = self.planner.plan(q, &self.knobs, &self.catalog);
         let is_write = q.rows_written > 0;
@@ -473,9 +668,6 @@ impl Backend for SimDatabase {
     fn knobs(&self) -> &KnobSet {
         &self.knobs
     }
-    fn planner(&self) -> &Planner {
-        &self.planner
-    }
     fn catalog(&self) -> &Catalog {
         &self.catalog
     }
@@ -485,32 +677,11 @@ impl Backend for SimDatabase {
     fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
     }
-    fn disks(&self) -> &DiskSet {
-        &self.disk
-    }
-    fn disks_mut(&mut self) -> &mut DiskSet {
-        &mut self.disk
-    }
-    fn wal(&self) -> &Wal {
-        self.storage.wal()
-    }
     fn checkpoints_done(&self) -> u64 {
         self.storage.checkpoints_done()
     }
     fn now(&self) -> SimTime {
         self.now
-    }
-    fn take_query_window(&mut self, capacity: usize, seed: u64) -> QueryWindow {
-        std::mem::replace(&mut self.query_window, QueryWindow::new(capacity, seed))
-    }
-    fn working_set_bytes(&mut self, reset: bool) -> u64 {
-        self.pool.working_set_bytes(reset)
-    }
-    fn active_connections(&self) -> u32 {
-        self.active_connections
-    }
-    fn set_active_connections(&mut self, n: u32) {
-        self.active_connections = n.max(1);
     }
     fn is_down(&self) -> bool {
         self.now < self.down_until
@@ -518,7 +689,6 @@ impl Backend for SimDatabase {
     fn plan(&self, q: &QueryProfile) -> Plan {
         self.planner.plan(q, &self.knobs, &self.catalog)
     }
-
     fn submit(&mut self, q: &QueryProfile, count: u64) -> SubmitResult {
         if self.now < self.down_until {
             return SubmitResult::Refused;
@@ -537,91 +707,6 @@ impl Backend for SimDatabase {
             None => SubmitResult::Saturated { dropped: count },
         }
     }
-
-    /// Latency multiplier from memory oversubscription: a configuration
-    /// whose §4 budget `A+B+C+D` exceeds the instance cap pushes the OS
-    /// into swap — §3.1's reason that "increasing working memory
-    /// continuously" forces "decreasing other knobs (to make room)". The
-    /// control plane does *not* silently rescale a tuner's recommendation;
-    /// a bad recommendation is allowed to hurt, which is what the tuners
-    /// must learn (and what corrupted tuners get wrong).
-    fn swap_factor(&self) -> f64 {
-        let budget = self.knobs.memory_budget_used(&self.profile);
-        let cap = self.instance.db_mem_cap();
-        if budget <= cap {
-            1.0
-        } else {
-            (1.0 + 4.0 * (budget / cap - 1.0)).min(12.0)
-        }
-    }
-
-    /// Advance the instance by `dt_ms`: background processes run, the disk
-    /// settles, gauges update, the per-tick worker pool resets, and any
-    /// socket-activation backlog drains.
-    fn tick(&mut self, dt_ms: u64) {
-        self.now += dt_ms;
-        self.workers.begin_tick();
-        self.tick_busy_ms = 0.0;
-        self.tick_capacity_ms = self.instance.vcpus() as f64 * dt_ms as f64 * CAPACITY_CONCURRENCY;
-        if self.now >= self.down_until {
-            self.storage.background_tick(
-                self.now,
-                dt_ms,
-                &self.knobs,
-                self.planner.roles(),
-                &self.catalog,
-                &mut self.pool,
-                &mut self.disk,
-                &mut self.metrics,
-            );
-            // Drain socket backlog once the stall clears — the burst the
-            // paper observes after socket-activation restarts.
-            if self.now >= self.stall_until && !self.backlog.is_empty() {
-                let backlog = std::mem::take(&mut self.backlog);
-                for (q, count) in backlog {
-                    let _ = self.run_now(&q, count);
-                }
-            }
-        }
-        self.disk.tick(self.now, dt_ms);
-
-        // Gauges.
-        self.metrics.set(
-            MetricId::DiskWriteLatencyMs,
-            self.disk.data().current_latency_ms(),
-        );
-        self.metrics
-            .set(MetricId::DiskIops, self.disk.data().current_iops());
-        self.metrics
-            .set(MetricId::ActiveConnections, self.active_connections as f64);
-        self.metrics
-            .set(MetricId::DbSizeBytes, self.catalog.total_bytes() as f64);
-    }
-
-    /// `ticks` ticks with nothing submitted. A tick that starts *quiet*
-    /// (see [`SimDatabase::quiet`]) runs the background processes for the
-    /// statistics drip alone and leaves the instance quiet, so after one
-    /// ordinary quiet tick every further one changes only the clock, the
-    /// drip's byte count and one latency sample per disk (the value the
-    /// first tick left). Those are repeated here; ticks before the
-    /// instance is quiet — every tick of an LSM instance — run in full.
-    fn tick_many(&mut self, ticks: u64, dt_ms: u64) {
-        let mut left = ticks;
-        while left > 0 && !self.quiet() {
-            self.tick(dt_ms);
-            left -= 1;
-        }
-        if left == 0 {
-            return;
-        }
-        self.tick(dt_ms);
-        let drip = stats_drip_bytes(dt_ms);
-        for _ in 1..left {
-            self.now += dt_ms;
-            self.disk.repeat_quiet_tick(self.now, drip);
-        }
-    }
-
     fn apply_config(&mut self, changes: &[ConfigChange], mode: ApplyMode) -> ApplyReport {
         let mut applied = Vec::new();
         let mut deferred = Vec::new();
@@ -680,84 +765,6 @@ impl Backend for SimDatabase {
             downtime_ms,
             capped_by_instance: capped,
         }
-    }
-
-    /// Crash the process now and run WAL crash recovery.
-    ///
-    /// Models the PostgreSQL/InnoDB/RocksDB recovery sequence: everything
-    /// volatile dies with the process (socket backlog, stall/jitter state,
-    /// the in-flight checkpoint or compaction, the memtable), REDO replays
-    /// from the last durability point at a finite rate — so recovery time
-    /// is proportional to un-durable WAL — and the instance comes back with
-    /// a cold buffer pool. Staged restart-bound knobs land, exactly as on a
-    /// graceful restart.
-    fn crash(&mut self) -> RecoveryReport {
-        // Volatile state dies with the process. The socket backlog was
-        // counted as submitted when it queued, so its batches count as
-        // dropped.
-        let lost: u64 = self.backlog.drain(..).map(|(_, count)| count).sum();
-        if lost > 0 {
-            self.metrics.inc(MetricId::QueriesDropped, lost as f64);
-        }
-        self.stall_until = 0;
-        self.jitter_until = 0;
-        self.jitter_factor = 1.0;
-
-        let redo_bytes = self.storage.crash_recover(&mut self.disk);
-        let recovery_ms = RECOVERY_BASE_MS + redo_bytes / REDO_REPLAY_BYTES_PER_MS;
-
-        // The crash restart lands staged restart-bound knobs.
-        let staged = std::mem::take(&mut self.staged);
-        let staged_applied = staged.len();
-        for ch in &staged {
-            self.knobs.set(&self.profile, ch.knob, ch.value);
-        }
-
-        // Cold start: fresh (possibly resized) buffer pool, fresh workers.
-        let pool_bytes = self.knobs.get(self.planner.roles().buffer_pool) as u64;
-        self.pool.resize(pool_bytes);
-        self.workers.resize(self.instance.vcpus() * 2);
-
-        self.down_until = self.now + recovery_ms;
-        RecoveryReport {
-            redo_bytes,
-            recovery_ms,
-            staged_applied,
-        }
-    }
-
-    /// Degrade performance for `duration_ms` by latency factor `factor`
-    /// (≥ 1.0) — the disk-stall / noisy-neighbor fault model. Overlapping
-    /// degradations max-merge rather than stack.
-    fn degrade(&mut self, duration_ms: u64, factor: f64) {
-        let until = self.now + duration_ms;
-        if self.now < self.jitter_until {
-            self.jitter_factor = self.jitter_factor.max(factor.max(1.0));
-            self.jitter_until = self.jitter_until.max(until);
-        } else {
-            self.jitter_factor = factor.max(1.0);
-            self.jitter_until = until;
-        }
-    }
-
-    fn staged_changes(&self) -> &[ConfigChange] {
-        &self.staged
-    }
-
-    /// Direct knob write for test/bench setup (bypasses apply semantics but
-    /// keeps clamping and the instance cap).
-    fn set_knob_direct(&mut self, knob: KnobId, value: f64) {
-        self.knobs.set(&self.profile, knob, value);
-        if self.profile.spec(knob).restart_required {
-            let pool_bytes = self.knobs.get(self.planner.roles().buffer_pool) as u64;
-            self.pool.resize(pool_bytes);
-        }
-    }
-
-    /// Switch to the split WAL/stats disk layout (§3.2's attribution
-    /// workaround). Loses no data; takes effect immediately.
-    fn use_split_disks(&mut self) {
-        self.disk = DiskSet::split(self.disk.data().kind());
     }
 }
 

@@ -20,7 +20,7 @@
 //!   tuners with the shared workload repository;
 //! * [`core`](tde) — the TDE: the class histogram over those windows,
 //!   the memory/bgwriter/MDP detectors, and entropy filtration;
-//! * [`ctrlplane`] — config director, service orchestrator, DFA adapters,
+//! * [`ctrlplane`] — config director, service orchestrator, the DFA,
 //!   reconciler, and maintenance-window logic;
 //! * [`cloudsim`] — the fleet simulator reproducing the §5 topology.
 //!
@@ -66,9 +66,7 @@ pub mod prelude {
     pub use autodbaas_core::{
         Tde, TdeConfig, TdeReport, ThrottleReason, ThrottleSignal, TuningPolicy,
     };
-    pub use autodbaas_ctrlplane::{
-        ConfigDirector, DataFederationAgent, ReplicaSet, ServiceOrchestrator, TunerKind,
-    };
+    pub use autodbaas_ctrlplane::{ConfigDirector, ReplicaSet, ServiceOrchestrator, TunerKind};
     pub use autodbaas_simdb::{
         ApplyMode, Backend, BackendKind, Catalog, ConfigChange, DbFlavor, DiskKind, InstanceType,
         KnobClass, KnobProfile, QueryKind, QueryProfile, SimDatabase, SubmitResult,

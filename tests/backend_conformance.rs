@@ -1,10 +1,10 @@
-//! Backend conformance suite — the contract every flavor behind the
-//! [`Backend`] trait must honour, on both storage engines.
+//! Backend conformance suite — the contract every flavor of
+//! `SimDatabase` must honour, on both storage engines.
 //!
-//! The TDE, the config director and the fleet engine are generic over the
-//! trait; they rely on exactly these behaviours, so each is pinned here
-//! for every flavor rather than trusted to hold by analogy with the
-//! page-heap engine:
+//! The TDE, the config director and the fleet engine drive every flavor
+//! through the same methods; they rely on exactly these behaviours, so
+//! each is pinned here for every flavor rather than trusted to hold by
+//! analogy with the page-heap engine:
 //!
 //! * knob writes clamp to the spec bounds (a recommendation outside
 //!   `[min, max]` must land at the bound, not explode the engine);
@@ -459,4 +459,38 @@ fn a_crash_during_a_stall_counts_the_lost_backlog_as_dropped() {
              ({executed} executed, {dropped} dropped)"
         );
     }
+}
+
+/// The `Backend` trait declares exactly the engine methods the frozen
+/// benchmark names on its README's `autodbaas-simdb` API line; everything
+/// else is inherent on `SimDatabase`, so the trait cannot regrow.
+#[test]
+fn backend_trait_declares_exactly_the_benchmark_api() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let read = |path: &str| {
+        std::fs::read_to_string(format!("{root}/{path}")).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    let src = read("crates/simdb/src/backend/mod.rs");
+    let body = src
+        .split_once("pub trait Backend {")
+        .and_then(|(_, rest)| rest.split_once("\n}"))
+        .expect("`pub trait Backend { … }` in backend/mod.rs")
+        .0;
+    let mut declared: Vec<&str> = body
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("fn "))
+        .map(|l| l.split(['(', '<']).next().unwrap_or(l))
+        .collect();
+    let readme = read("benchmark/README.md");
+    let names = readme
+        .lines()
+        .find(|l| l.starts_with("* `autodbaas-simdb`:"))
+        .and_then(|l| l.split_once("`Backend::{"))
+        .and_then(|(_, rest)| rest.split_once("}`"))
+        .expect("`Backend::{…}` on the README's autodbaas-simdb API line")
+        .0;
+    let mut listed: Vec<&str> = names.split(',').map(str::trim).collect();
+    declared.sort_unstable();
+    listed.sort_unstable();
+    assert_eq!(declared, listed);
 }

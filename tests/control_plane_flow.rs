@@ -1,10 +1,10 @@
 //! Control-plane integration: the §4 apply pipeline end-to-end —
-//! orchestrator provisioning, DFA adapter apply, slave-first ordering with
+//! orchestrator provisioning, DFA apply, slave-first ordering with
 //! fault injection, reconciliation, and the maintenance-window flow for
 //! restart-bound knobs.
 
 use autodbaas::ctrlplane::{
-    plan_buffer_update, DataFederationAgent, MaintenanceSchedule, ReconcileOutcome, Reconciler,
+    apply_recommendation, plan_buffer_update, MaintenanceSchedule, ReconcileOutcome, Reconciler,
     ServiceOrchestrator, ServiceSpec,
 };
 use autodbaas::prelude::*;
@@ -27,14 +27,11 @@ fn spec(flavor: DbFlavor) -> ServiceSpec {
 fn recommendation_applies_to_whole_service_and_persists() {
     let mut orch = ServiceOrchestrator::new();
     let (id, mut rs) = orch.provision(spec(DbFlavor::Postgres));
-    let dfa = DataFederationAgent::new();
     let profile = rs.master().profile().clone();
 
     // A mid-range recommendation for every knob.
     let unit = vec![0.5; profile.len()];
-    let (creds, report) = dfa
-        .apply_recommendation(&orch, id, &mut rs, &unit, false)
-        .expect("apply ok");
+    let (creds, report) = apply_recommendation(&orch, id, &mut rs, &unit, false).expect("apply ok");
     assert!(creds.user.starts_with("admin-"));
     assert!(!report.applied.is_empty());
 
@@ -57,7 +54,6 @@ fn recommendation_applies_to_whole_service_and_persists() {
 fn slave_crash_rejects_recommendation_and_reconciler_restores_consistency() {
     let mut orch = ServiceOrchestrator::new();
     let (id, mut rs) = orch.provision(spec(DbFlavor::Postgres));
-    let dfa = DataFederationAgent::new();
     let profile = rs.master().profile().clone();
     let wm = profile.lookup("work_mem").unwrap();
     let persisted_value = orch.persisted_config(id).unwrap().get(wm);
@@ -66,9 +62,7 @@ fn slave_crash_rejects_recommendation_and_reconciler_restores_consistency() {
     // and the master untouched.
     rs.inject_slave_crash(1);
     let unit = vec![0.9; profile.len()];
-    assert!(dfa
-        .apply_recommendation(&orch, id, &mut rs, &unit, false)
-        .is_err());
+    assert!(apply_recommendation(&orch, id, &mut rs, &unit, false).is_err());
     assert_eq!(rs.master().knobs().get(wm), persisted_value);
 
     // Slave 0 applied before the crash → drift. The reconciler (watcher
@@ -98,7 +92,6 @@ fn restart_bound_knob_flows_through_maintenance_window() {
     let (id, mut rs) = orch.provision(spec(DbFlavor::Postgres));
     let profile = rs.master().profile().clone();
     let shared = profile.lookup("shared_buffers").unwrap();
-    let dfa = DataFederationAgent::new();
 
     // Outside the window: the DFA must not restart, so the buffer change is
     // staged (deferred), not applied.
@@ -106,9 +99,7 @@ fn restart_bound_knob_flows_through_maintenance_window() {
     let spec_sb = profile.spec(shared);
     unit[shared.0 as usize] = (2.0 * GIB - spec_sb.min) / (spec_sb.max - spec_sb.min);
     let before = rs.master().knobs().get(shared);
-    let (_, report) = dfa
-        .apply_recommendation(&orch, id, &mut rs, &unit, false)
-        .unwrap();
+    let (_, report) = apply_recommendation(&orch, id, &mut rs, &unit, false).unwrap();
     assert!(report.deferred.contains(&shared));
     assert_eq!(
         rs.master().knobs().get(shared),
@@ -144,12 +135,9 @@ fn restart_bound_knob_flows_through_maintenance_window() {
 fn mysql_services_flow_through_the_same_control_plane() {
     let mut orch = ServiceOrchestrator::new();
     let (id, mut rs) = orch.provision(spec(DbFlavor::MySql));
-    let dfa = DataFederationAgent::new();
     let profile = rs.master().profile().clone();
     let unit = vec![0.4; profile.len()];
-    let (_, report) = dfa
-        .apply_recommendation(&orch, id, &mut rs, &unit, false)
-        .unwrap();
+    let (_, report) = apply_recommendation(&orch, id, &mut rs, &unit, false).unwrap();
     assert!(!report.applied.is_empty());
     let sort_buf = profile.lookup("sort_buffer_size").unwrap();
     let spec_sb = profile.spec(sort_buf);

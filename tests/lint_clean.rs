@@ -100,27 +100,39 @@ fn r003_fixture_treats_backend_tick_impls_as_entry_points() {
     let findings = fixture_findings(
         "R003",
         &[(
-            "crates/simdb/src/backend/fixture_adapter.rs",
+            "crates/simdb/src/backend/fixture_engine.rs",
             include_str!("../crates/lint/tests/fixtures/r003_backend.rs"),
         )],
     );
+    let mut chains: Vec<(Vec<&str>, &str)> = findings
+        .iter()
+        .map(|f| {
+            let chain = f.chain.iter().map(|h| h.function.as_str()).collect();
+            (chain, f.snippet.as_str())
+        })
+        .collect();
+    chains.sort();
     assert_eq!(
-        findings.len(),
-        1,
-        "the trait tick impl must root exactly one chain: {findings:#?}"
-    );
-    let f = &findings[0];
-    assert!(f.snippet.contains("pending.unwrap()"), "{f:#?}");
-    let chain: Vec<&str> = f.chain.iter().map(|h| h.function.as_str()).collect();
-    assert_eq!(
-        chain,
+        chains,
         [
-            "simdb::backend::fixture_adapter::FixtureEngine::tick",
-            "simdb::backend::fixture_adapter::advance_clock",
+            (
+                vec![
+                    "simdb::backend::fixture_engine::SimDatabase::apply_config",
+                    "simdb::backend::fixture_engine::land_staged",
+                ],
+                "db.staged.expect(\"staged knob\")",
+            ),
+            (
+                vec![
+                    "simdb::backend::fixture_engine::SimDatabase::tick",
+                    "simdb::backend::fixture_engine::advance_clock",
+                ],
+                "db.pending.unwrap() + dt_ms",
+            ),
         ],
-        "chain must be rooted at the Backend trait impl, not the inherent helper"
+        "the inherent tick and the trait apply_config root one chain each; \
+         the same-named tick on another type roots none: {findings:#?}"
     );
-    assert!(f.message.contains("tick"), "{}", f.message);
 }
 
 #[test]

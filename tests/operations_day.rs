@@ -5,7 +5,7 @@
 //! paper's Fig. 1 exercised end to end.
 
 use autodbaas::ctrlplane::{
-    plan_buffer_update, ConfigDirector, DataFederationAgent, MaintenanceSchedule,
+    apply_recommendation, plan_buffer_update, ConfigDirector, MaintenanceSchedule,
     RecommendationMeter, ReconcileOutcome, Reconciler, ServiceOrchestrator, ServiceSpec, TunerKind,
 };
 use autodbaas::prelude::*;
@@ -31,7 +31,6 @@ fn a_day_in_the_life_of_a_managed_service() {
         seed: 2024,
     });
     let profile = rs.master().profile().clone();
-    let dfa = DataFederationAgent::new();
     let mut director = ConfigDirector::new(&[TunerKind::Bo; 2]);
     let mut meter = RecommendationMeter::default();
     let mut reconciler = Reconciler::new(service, 30_000);
@@ -89,9 +88,9 @@ fn a_day_in_the_life_of_a_managed_service() {
             meter.record(service, service_ms);
             assert!(assignment.ready_at >= rs.master().now());
             if let Some(rec) = tuner.recommend_focused(&repo, wid, &focus) {
-                let (_, _report) = dfa
-                    .apply_recommendation(&orch, service, &mut rs, &rec.config, false)
-                    .expect("healthy apply");
+                let (_, _report) =
+                    apply_recommendation(&orch, service, &mut rs, &rec.config, false)
+                        .expect("healthy apply");
                 orch.persist_config(service, rs.master().knobs().clone());
                 director.record_recommendation(service, rs.master().now(), rec.config);
                 applied_any = true;
@@ -117,9 +116,7 @@ fn a_day_in_the_life_of_a_managed_service() {
     // --- 14:00 — a slave crashes during the next apply ---------------------
     rs.inject_slave_crash(1);
     let bad = vec![0.9; profile.len()];
-    assert!(dfa
-        .apply_recommendation(&orch, service, &mut rs, &bad, false)
-        .is_err());
+    assert!(apply_recommendation(&orch, service, &mut rs, &bad, false).is_err());
     // The master still matches the persisted config (the rejected
     // recommendation never reached it).
     assert_eq!(

@@ -8,7 +8,9 @@ then the total, then `config fields N`: the `pub` fields of every
 `pub struct *Config` in that same non-test code, and `pub items N`: the
 lines of that code declaring a `pub` fn, struct, enum, trait, const, static,
 type, mod or use item (`pub(crate)` and other restricted visibilities
-excluded) — the public surface, so a change reports its delta in one command.
+excluded), plus every `fn` declared inside a `pub trait` block (a trait
+method is public surface too, so moving one to an inherent `pub fn` counts
+as zero) — the public surface, so a change reports its delta in one command.
 """
 import os
 import re
@@ -19,6 +21,8 @@ CRATES = os.path.join(ROOT, "crates")
 
 CONFIG_OPEN = re.compile(r"^(\s*)pub struct \w*Config\b.*\{\s*$")
 PUB_FIELD = re.compile(r"^\s*pub \w+\s*:")
+PUB_TRAIT_OPEN = re.compile(r"^(\s*)pub trait \w+.*\{\s*$")
+TRAIT_FN = re.compile(r"^\s*(?:(?:const|async|unsafe)\s+)*fn\b")
 PUB_ITEM = re.compile(
     r'^\s*pub\s+(?:(?:const|async|unsafe|extern(?:\s+"[^"]*")?)\s+)*'
     r"(?:fn|struct|enum|trait|const|static|type|mod|use)\b"
@@ -29,6 +33,7 @@ def count(path):
     """(code lines, config fields, pub items) of one file's non-test part."""
     n = fields = items = 0
     close = None  # the line ending the open `pub struct *Config`, if any
+    trait_close = None  # the line ending the open `pub trait`, if any
     with open(path, encoding="utf-8") as f:
         for line in f:
             if line.startswith("#[cfg(test)]"):
@@ -37,6 +42,14 @@ def count(path):
             if s and not s.startswith("//"):
                 n += 1
             if PUB_ITEM.match(line):
+                items += 1
+            if trait_close is None:
+                m = PUB_TRAIT_OPEN.match(line)
+                if m:
+                    trait_close = m.group(1) + "}"
+            elif line.rstrip() == trait_close:
+                trait_close = None
+            elif TRAIT_FN.match(line):
                 items += 1
             if close is None:
                 m = CONFIG_OPEN.match(line)
