@@ -316,11 +316,17 @@ impl Tde {
         // Read-heavy workloads whose hot set outgrows the buffer show up as
         // a depressed hit ratio rather than a spill; that is a memory-class
         // throttle on the (restart-bound) buffer knob.
+        // The window's snapshot is refreshed in place: after the first run
+        // this copies the metric vector into the buffer it already has.
         let signature = {
-            let snap = db.metrics_snapshot();
-            let earlier = self.window_snapshot.as_ref().unwrap_or(&snap);
-            let hits = snap.delta_of(earlier, MetricId::BlksHit);
-            let reads = snap.delta_of(earlier, MetricId::BlksRead);
+            let metrics = db.metrics();
+            let (hits, reads) = match &self.window_snapshot {
+                Some(earlier) => (
+                    metrics.get(MetricId::BlksHit) - earlier.get(MetricId::BlksHit),
+                    metrics.get(MetricId::BlksRead) - earlier.get(MetricId::BlksRead),
+                ),
+                None => (0.0, 0.0),
+            };
             let total = hits + reads;
             if total > 1_000.0 {
                 let ratio = hits / total;
@@ -333,7 +339,9 @@ impl Tde {
                     });
                 }
             }
-            self.window_snapshot.insert(snap).as_vec()
+            let snap = self.window_snapshot.get_or_insert_with(Default::default);
+            metrics.snapshot_into(snap);
+            snap.as_vec()
         };
 
         // --- 4. Background-writer detector -------------------------------

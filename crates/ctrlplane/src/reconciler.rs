@@ -68,7 +68,7 @@ impl Reconciler {
         // lag behind the persisted value until the next maintenance window.
         // Every node in the set is watched — after a failover or a partial
         // slave-first apply the master can be clean while a slave drifts.
-        let profile = rs.master().profile().clone();
+        let profile = rs.master().profile();
         let drifted = std::iter::once(rs.master())
             .chain(rs.slaves().iter())
             .any(|node| {
@@ -88,7 +88,9 @@ impl Reconciler {
             return ReconcileOutcome::DriftObserved { for_ms };
         }
         // Timeout: enforce persisted config on all nodes.
-        let changes: Vec<ConfigChange> = profile
+        let changes: Vec<ConfigChange> = rs
+            .master()
+            .profile()
             .iter()
             .filter(|(_, spec)| !spec.restart_required)
             .map(|(id, _)| ConfigChange {

@@ -185,11 +185,6 @@ impl DiskSet {
         }
     }
 
-    /// True when WAL/stats traffic is isolated.
-    pub fn is_split(&self) -> bool {
-        self.aux.is_some()
-    }
-
     /// Route a write to the correct device.
     pub fn submit_write(&mut self, bytes: f64, source: WriteSource) {
         let to_aux = matches!(source, WriteSource::Wal | WriteSource::Stats);
@@ -217,15 +212,29 @@ impl DiskSet {
         self.data.pending_ios == 0.0 && self.aux.as_ref().is_none_or(|a| a.pending_ios == 0.0)
     }
 
-    /// Repeat, at `now`, a tick that started with no IO queued and then
-    /// took only `stats_bytes` of statistics drip: the drip is counted
-    /// where [`DiskSet::submit_write`] routes it, and each device records
-    /// the latency that tick left, which the same load gives again.
-    pub(crate) fn repeat_quiet_tick(&mut self, now: SimTime, stats_bytes: f64) {
+    /// Repeat `count` times, at `first, first + dt_ms, …`, a tick that
+    /// started with no IO queued and then took only `stats_bytes` of
+    /// statistics drip: the drip is counted, tick by tick, where
+    /// [`DiskSet::submit_write`] routes it, and each device appends the
+    /// latency that tick left, which the same load gives again, as one run.
+    pub(crate) fn repeat_quiet_ticks(
+        &mut self,
+        first: SimTime,
+        dt_ms: u64,
+        count: usize,
+        stats_bytes: f64,
+    ) {
         let stats = self.aux.as_mut().unwrap_or(&mut self.data);
-        stats.written_by_source[WriteSource::Stats.index()] += stats_bytes.max(0.0);
+        let written = &mut stats.written_by_source[WriteSource::Stats.index()];
+        let drip = stats_bytes.max(0.0);
+        // Added once per tick, not multiplied: a sum of `count` drips is
+        // not bit-identical to `count * drip` in general.
+        for _ in 0..count {
+            *written += drip;
+        }
         for disk in std::iter::once(&mut self.data).chain(&mut self.aux) {
-            disk.latency_series.push(now, disk.current_latency_ms);
+            disk.latency_series
+                .push_run(first, dt_ms, count, disk.current_latency_ms);
         }
     }
 

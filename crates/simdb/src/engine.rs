@@ -482,8 +482,9 @@ impl SimDatabase {
     /// statistics drip alone and leaves the instance quiet, so after one
     /// ordinary quiet tick every further one changes only the clock, the
     /// drip's byte count and one latency sample per disk (the value the
-    /// first tick left). Those are repeated here; ticks before the
-    /// instance is quiet — every tick of an LSM instance — run in full.
+    /// first tick left). Those are repeated here, the samples appended as
+    /// one run per disk; ticks before the instance is quiet — every tick of
+    /// an LSM instance — run in full.
     pub fn tick_many(&mut self, ticks: u64, dt_ms: u64) {
         let mut left = ticks;
         while left > 0 && !self.quiet() {
@@ -494,11 +495,14 @@ impl SimDatabase {
             return;
         }
         self.tick(dt_ms);
-        let drip = stats_drip_bytes(dt_ms);
-        for _ in 1..left {
-            self.now += dt_ms;
-            self.disk.repeat_quiet_tick(self.now, drip);
-        }
+        let repeats = left - 1;
+        self.disk.repeat_quiet_ticks(
+            self.now + dt_ms,
+            dt_ms,
+            repeats as usize,
+            stats_drip_bytes(dt_ms),
+        );
+        self.now += dt_ms * repeats;
     }
 
     /// Crash the process now and run WAL crash recovery.
@@ -1307,7 +1311,10 @@ mod tests {
 
     /// `tick_many(k, dt)` leaves every backend byte-for-byte where `k`
     /// calls of `tick(dt)` do, from every starting state, for tick lengths
-    /// below, at and above one second and run lengths around a TDE window.
+    /// below, at and above one second (1 ms drips a non-integer 2.048 B)
+    /// and run lengths around a TDE window; from the quiet page-heap
+    /// states, also for runs around the latency ring's capacity, which the
+    /// closed form appends in one call.
     #[test]
     fn tick_many_is_byte_identical_to_ticking_one_by_one() {
         use autodbaas_snapshot::{decode_from_slice, encode_to_vec};
@@ -1336,8 +1343,14 @@ mod tests {
                         assert_eq!(db.quiet(), broken.is_empty());
                     }
                     let start = encode_to_vec(&db);
-                    for dt in [250, 1_000, 1_500] {
-                        for k in [0, 1, 2, 59, 60, 61] {
+                    let closed_form = db.kind() == BackendKind::PageHeap && broken.is_empty();
+                    let ring_runs: &[u64] = if closed_form {
+                        &[16_383, 16_384, 16_385]
+                    } else {
+                        &[]
+                    };
+                    for dt in [1, 250, 1_000, 1_500] {
+                        for &k in [0, 1, 2, 59, 60, 61].iter().chain(ring_runs) {
                             let mut many: SimDatabase = decode_from_slice(&start).unwrap();
                             let mut one: SimDatabase = decode_from_slice(&start).unwrap();
                             many.tick_many(k, dt);
@@ -1354,6 +1367,8 @@ mod tests {
                 }
             }
         }
-        assert_eq!(checked, 3 * 2 * 9 * 3 * 6);
+        // Two flavours' two quiet states on both layouts add three runs
+        // per tick length.
+        assert_eq!(checked, 3 * 2 * 9 * 4 * 6 + 2 * 2 * 2 * 4 * 3);
     }
 }

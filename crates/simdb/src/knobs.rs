@@ -642,10 +642,25 @@ impl KnobProfile {
 }
 
 /// Concrete values for every knob of a profile, kept parallel to the
-/// profile's spec vector.
-#[derive(Debug, Clone, PartialEq)]
+/// profile's spec vector. The default is empty: a buffer for
+/// [`Clone::clone_from`] to fill, with no knob to read.
+#[derive(Debug, Default, PartialEq)]
 pub struct KnobSet {
     values: Vec<f64>,
+}
+
+impl Clone for KnobSet {
+    fn clone(&self) -> Self {
+        Self {
+            values: self.values.clone(),
+        }
+    }
+
+    /// Reuses this set's buffer: the TDE round copies a node's knobs
+    /// every window.
+    fn clone_from(&mut self, source: &Self) {
+        self.values.clone_from(&source.values);
+    }
 }
 
 impl KnobSet {

@@ -211,10 +211,17 @@ impl Metrics {
             values: self.values.clone(),
         }
     }
+
+    /// [`snapshot`](Metrics::snapshot) into an existing snapshot, reusing
+    /// its buffer: the per-window paths that run every TDE round.
+    pub fn snapshot_into(&self, out: &mut MetricsSnapshot) {
+        out.values.clone_from(&self.values);
+    }
 }
 
-/// A frozen copy of the metric vector.
-#[derive(Debug, Clone, PartialEq)]
+/// A frozen copy of the metric vector. The default is empty: a buffer for
+/// [`Metrics::snapshot_into`] to fill, with no metric to read.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     values: Vec<f64>,
 }
@@ -233,16 +240,10 @@ impl MetricsSnapshot {
     /// The training-sample vector for the window `earlier → self`:
     /// counters are differenced, gauges take the newer reading.
     pub fn delta(&self, earlier: &MetricsSnapshot) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.delta_into(earlier, &mut out);
-        out
-    }
-
-    /// [`delta`](MetricsSnapshot::delta) into a caller-owned buffer, for
-    /// per-window paths that run every TDE round.
-    pub fn delta_into(&self, earlier: &MetricsSnapshot, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(MetricId::ALL.iter().map(|&id| self.delta_of(earlier, id)));
+        MetricId::ALL
+            .iter()
+            .map(|&id| self.delta_of(earlier, id))
+            .collect()
     }
 
     /// The delta of a single metric over the window `earlier → self` —
@@ -319,9 +320,19 @@ mod tests {
         for &id in &MetricId::ALL {
             assert_eq!(s1.delta_of(&s0, id), full[id.index()], "{}", id.name());
         }
-        let mut buf = vec![999.0; 3];
-        s1.delta_into(&s0, &mut buf);
-        assert_eq!(buf, full);
+    }
+
+    #[test]
+    fn snapshot_into_overwrites_what_the_buffer_held() {
+        let mut m = Metrics::new();
+        m.inc(MetricId::QueriesExecuted, 12.0);
+        let mut buf = MetricsSnapshot::default();
+        m.snapshot_into(&mut buf);
+        assert_eq!(buf, m.snapshot());
+        m.inc(MetricId::QueriesExecuted, 30.0);
+        m.set(MetricId::DiskIops, 8.0);
+        m.snapshot_into(&mut buf);
+        assert_eq!(buf, m.snapshot());
     }
 
     #[test]

@@ -57,6 +57,31 @@ impl TimeSeries {
         self.samples.push_back(Sample { at, value });
     }
 
+    /// Append `count` observations of `value` at `first, first + step, …`:
+    /// what `count` calls of [`push`](Self::push) leave, with the front
+    /// trimmed once and, when the run alone overflows the ring, only its
+    /// last `capacity` samples written.
+    pub fn push_run(&mut self, first: SimTime, step: SimTime, count: usize, value: f64) {
+        if count == 0 {
+            return;
+        }
+        if let Some(last) = self.samples.back() {
+            assert!(
+                first >= last.at,
+                "time series must be appended in time order"
+            );
+        }
+        let skipped = count.saturating_sub(self.capacity);
+        let kept = count - skipped;
+        let evicted = (self.samples.len() + kept).saturating_sub(self.capacity);
+        self.samples.drain(..evicted);
+        let start = first + step * skipped as SimTime;
+        self.samples.extend((0..kept as SimTime).map(|i| Sample {
+            at: start + step * i,
+            value,
+        }));
+    }
+
     /// Number of retained samples.
     pub fn len(&self) -> usize {
         self.samples.len()
@@ -253,6 +278,36 @@ mod tests {
                     q
                 );
             }
+        }
+    }
+
+    proptest! {
+        /// A run appended in one call leaves the ring sample for sample
+        /// where as many single pushes do: over capacities the run fills,
+        /// overflows or dwarfs, pre-filled rings, and steps of 0.
+        #[test]
+        fn push_run_matches_repeated_push(
+            capacity in 1usize..48,
+            prefill in 0usize..64,
+            count in 0usize..128,
+            step in 0u64..4,
+            gap in 0u64..3,
+            value in -50.0f64..50.0,
+        ) {
+            let mut run = TimeSeries::with_capacity(capacity);
+            for i in 0..prefill {
+                run.push(i as u64 * 2, i as f64);
+            }
+            let mut pushed = run.clone();
+            let first = (prefill as u64 * 2).saturating_sub(2) + gap;
+            run.push_run(first, step, count, value);
+            for i in 0..count as u64 {
+                pushed.push(first + step * i, value);
+            }
+            prop_assert_eq!(
+                run.iter().copied().collect::<Vec<_>>(),
+                pushed.iter().copied().collect::<Vec<_>>()
+            );
         }
     }
 

@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""A/B pair runner: tools/ab.py PARENT CHANGE --workload W [--workload W2 ...] --pairs N --seed S [--save DIR]
+"""A/B pair runner: tools/ab.py PARENT CHANGE --workload W [--workload W2 ...] --pairs N --seed S [--seconds N] [--save DIR]
 
 Exports each commit with `git archive` into a temporary directory (removed at
 exit), builds its observatory with its own CARGO_TARGET_DIR and runs N pairs
-per workload through that commit's `benchmark/run.sh` at its default length,
-alternating which side runs first; no file of this checkout changes. Every run
+per workload through that commit's `benchmark/run.sh` at its default length
+(or `--seconds N`, passed through), alternating which side runs first; no file
+of this checkout changes. Every run
 must exit 0 with `correct` true and `failed` 0, and every run of both sides must
 print the same `# sim_digest` / `# sequence_digest`; `# CHECK FAILED` lines are
-echoed. Per end-to-end metric of BENCHMARK.json it prints both medians with
+echoed, and for fleet_idle each run's first and last `# snapshot decode_s`
+repetition is printed (a decode that slows down over a run shows there). Per
+end-to-end metric of BENCHMARK.json it prints both medians with
 [q1, q3], the ratio change/parent, the pairs the change won, the bound and a
 verdict ("unresolved" when the medians differ by no more than the parent's
 q3 - q1), and it flags a side whose per-process `setup_s` splits into two
@@ -43,6 +46,7 @@ def main():
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--seconds", type=int)
     ap.add_argument("--save")
     args = ap.parse_args()
     ok = True
@@ -64,11 +68,16 @@ def main():
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     src, env = sides[side]
-                    p = subprocess.run(["bash", "benchmark/run.sh", "--workload", w, "--seed", str(args.seed), "--trace", "0"],
+                    length = ["--seconds", str(args.seconds)] if args.seconds else []
+                    p = subprocess.run(["bash", "benchmark/run.sh", "--workload", w, "--seed", str(args.seed), "--trace", "0"] + length,
                                        cwd=src, env=env, capture_output=True, text=True)
                     for line in p.stdout.splitlines():
                         if line.startswith("# CHECK FAILED"):
                             print(f"  {side} pair {i + 1}: {line}")
+                    decode = re.search(r"^# snapshot decode_s \[([^\]]*)\]", p.stdout, re.M)
+                    if w == "fleet_idle" and decode:
+                        ds = decode.group(1).split(", ")
+                        print(f"  {side} pair {i + 1}: snapshot decode_s first {ds[0]} last {ds[-1]} of {len(ds)}")
                     digests.update(re.findall(r"^# (sim_digest|sequence_digest) ([0-9a-f]{16})", p.stdout, re.M))
                     try:
                         res = json.loads(p.stdout.strip().splitlines()[-1])
