@@ -14,8 +14,8 @@ use crate::shard::{DriveStats, HotState, ShardPool};
 
 use autodbaas_core::BaselineMemo;
 use autodbaas_ctrlplane::{
-    ApplyError, ConfigDirector, RecommendationMeter, ReconcileOutcome, Reconciler, ServiceId,
-    ServiceOrchestrator, TunerKind, WindowStat,
+    apply_recommendation, ApplyError, ConfigDirector, RecommendationMeter, ReconcileOutcome,
+    Reconciler, ServiceId, ServiceOrchestrator, TunerKind, WindowStat,
 };
 use autodbaas_simdb::{
     ApplyMode, Backend, ConfigChange, KnobSet, MetricId, MetricsSnapshot, SimDatabase,
@@ -1201,44 +1201,14 @@ impl FleetSim {
         self.apply_unit(idx, unit, 0);
     }
 
-    /// Vet a unit-cube recommendation and land it on service `idx` through
-    /// the slave-first protocol; `attempts` counts lag-guard refusals this
-    /// recommendation already suffered. Its callers have caught the node
-    /// up (a plan's knob push runs with nothing deferred).
+    /// Land a unit-cube recommendation on service `idx` through the one
+    /// vetted, lag-guarded apply path; `attempts` counts lag-guard refusals
+    /// this recommendation already suffered. Its callers have caught the
+    /// node up (a plan's knob push runs with nothing deferred).
     fn apply_unit(&mut self, idx: usize, unit: Vec<f64>, attempts: u32) {
         let node = &mut self.nodes[idx];
-        // §4 budget vetting: the config director checks `A+B+C+D < X`
-        // before shipping a recommendation — an oversubscribed config would
-        // swap the instance to death, so memory knobs are rescaled to fit.
-        // The vetted budget is the config *as it will run*: reloadable
-        // knobs take the recommended values, restart-bound ones keep their
-        // live values (they are deferred to the maintenance window).
-        let profile = node.service.master().profile().clone();
-        let raw = denormalize_config(&profile, &unit);
-        let mut vetted = node.service.master().knobs().clone();
-        for (i, (kid, spec)) in profile.iter().enumerate() {
-            if !spec.restart_required {
-                vetted.set(&profile, kid, raw[i]);
-            }
-        }
-        autodbaas_simdb::instance::enforce_memory_cap(
-            &profile,
-            &mut vetted,
-            node.service.master().instance(),
-        );
-        let raw: Vec<f64> = profile.iter().map(|(kid, _)| vetted.get(kid)).collect();
-        let changes: Vec<ConfigChange> = profile
-            .iter()
-            .zip(&raw)
-            .filter(|((_, spec), _)| !spec.restart_required)
-            .map(|((kid, _), &value)| ConfigChange { knob: kid, value })
-            .collect();
         let pre_apply = node.service.master().knobs().clone();
-        match node.service.apply_with_lag_guard(
-            &changes,
-            ApplyMode::Reload,
-            self.cfg.max_apply_lag_bytes,
-        ) {
+        match apply_recommendation(&mut node.service, &unit, self.cfg.max_apply_lag_bytes) {
             Ok(_) => {
                 // Persisting right after the master apply (§4) is what
                 // keeps the reconciler quiet about *successful* tuning.

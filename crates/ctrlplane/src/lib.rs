@@ -9,8 +9,9 @@
 //!   the config data repository (the Fig. 9 measurement point);
 //! * [`orchestrator`] — lifecycle, credentials, and the persistence storage
 //!   that makes tuned configs survive redeployments;
-//! * [`dfa`] — one function translating a normalised recommendation into
-//!   knob changes over the flavor's knob profile, applied slave-first;
+//! * [`dfa`] — the one apply path: a normalised recommendation becomes
+//!   knob changes over the flavor's knob profile, vetted against the §4
+//!   memory budget and reloaded slave-first behind the replica-lag guard;
 //! * [`apply`] — the replica-set apply protocol with fault injection;
 //! * [`reconciler`] — watcher-timeout reconciliation back to the persisted
 //!   config after partial failures;
@@ -26,7 +27,7 @@ pub mod orchestrator;
 pub mod reconciler;
 
 pub use apply::{ApplyError, FailoverReport, ReplicaSet};
-pub use dfa::{apply_recommendation, DfaError};
+pub use dfa::apply_recommendation;
 pub use director::{Assignment, ConfigDirector, TunerKind, TunerSlot, WindowStat};
 pub use maintenance::{plan_buffer_update, MaintenanceSchedule};
 pub use metering::{RecommendationMeter, TenantUsage, DEFAULT_TUNER_RATE_PER_HOUR};

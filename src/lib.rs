@@ -20,8 +20,9 @@
 //!   tuners with the shared workload repository;
 //! * [`core`](tde) — the TDE: the class histogram over those windows,
 //!   the memory/bgwriter/MDP detectors, and entropy filtration;
-//! * [`ctrlplane`] — config director, service orchestrator, the DFA,
-//!   reconciler, and maintenance-window logic;
+//! * [`ctrlplane`] — config director, service orchestrator, the DFA (the
+//!   one vetted, lag-guarded apply path), reconciler, and
+//!   maintenance-window logic;
 //! * [`cloudsim`] — the fleet simulator reproducing the §5 topology.
 //!
 //! ## Quickstart

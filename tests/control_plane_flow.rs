@@ -11,6 +11,8 @@ use autodbaas::prelude::*;
 use autodbaas::simdb::Catalog;
 
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
+/// The fleet's default replica-lag guard (`FleetConfig::max_apply_lag_bytes`).
+const MAX_APPLY_LAG: u64 = 64 * 1024 * 1024;
 
 fn spec(flavor: DbFlavor) -> ServiceSpec {
     ServiceSpec {
@@ -31,8 +33,8 @@ fn recommendation_applies_to_whole_service_and_persists() {
 
     // A mid-range recommendation for every knob.
     let unit = vec![0.5; profile.len()];
-    let (creds, report) = apply_recommendation(&orch, id, &mut rs, &unit, false).expect("apply ok");
-    assert!(creds.user.starts_with("admin-"));
+    let report = apply_recommendation(&mut rs, &unit, MAX_APPLY_LAG).expect("apply ok");
+    assert!(orch.credentials(id).unwrap().user.starts_with("admin-"));
     assert!(!report.applied.is_empty());
 
     // Success: the director would now persist.
@@ -62,7 +64,7 @@ fn slave_crash_rejects_recommendation_and_reconciler_restores_consistency() {
     // and the master untouched.
     rs.inject_slave_crash(1);
     let unit = vec![0.9; profile.len()];
-    assert!(apply_recommendation(&orch, id, &mut rs, &unit, false).is_err());
+    assert!(apply_recommendation(&mut rs, &unit, MAX_APPLY_LAG).is_err());
     assert_eq!(rs.master().knobs().get(wm), persisted_value);
 
     // Slave 0 applied before the crash → drift. The reconciler (watcher
@@ -93,22 +95,23 @@ fn restart_bound_knob_flows_through_maintenance_window() {
     let profile = rs.master().profile().clone();
     let shared = profile.lookup("shared_buffers").unwrap();
 
-    // Outside the window: the DFA must not restart, so the buffer change is
-    // staged (deferred), not applied.
+    // Outside the window: the DFA never restarts, so the buffer change is
+    // dropped — neither applied nor staged.
     let mut unit = autodbaas::tuner::normalize_config(&profile, rs.master().knobs().as_vec());
     let spec_sb = profile.spec(shared);
     unit[shared.0 as usize] = (2.0 * GIB - spec_sb.min) / (spec_sb.max - spec_sb.min);
     let before = rs.master().knobs().get(shared);
-    let (_, report) = apply_recommendation(&orch, id, &mut rs, &unit, false).unwrap();
-    assert!(report.deferred.contains(&shared));
+    let report = apply_recommendation(&mut rs, &unit, MAX_APPLY_LAG).unwrap();
+    assert!(!report.applied.contains(&shared));
+    assert!(!report.deferred.contains(&shared));
     assert_eq!(
         rs.master().knobs().get(shared),
         before,
         "no live change outside the window"
     );
 
-    // Window opens: the §4 buffer rule computes the value, the apply runs
-    // restart-class, staged values land.
+    // Window opens: the §4 buffer rule computes the value and the apply
+    // runs restart-class.
     let schedule = MaintenanceSchedule {
         every_ms: 86_400_000,
         duration_ms: 1_800_000,
@@ -134,10 +137,10 @@ fn restart_bound_knob_flows_through_maintenance_window() {
 #[test]
 fn mysql_services_flow_through_the_same_control_plane() {
     let mut orch = ServiceOrchestrator::new();
-    let (id, mut rs) = orch.provision(spec(DbFlavor::MySql));
+    let (_, mut rs) = orch.provision(spec(DbFlavor::MySql));
     let profile = rs.master().profile().clone();
     let unit = vec![0.4; profile.len()];
-    let (_, report) = apply_recommendation(&orch, id, &mut rs, &unit, false).unwrap();
+    let report = apply_recommendation(&mut rs, &unit, MAX_APPLY_LAG).unwrap();
     assert!(!report.applied.is_empty());
     let sort_buf = profile.lookup("sort_buffer_size").unwrap();
     let spec_sb = profile.spec(sort_buf);

@@ -5,7 +5,7 @@
 //! paper's Fig. 1 exercised end to end.
 
 use autodbaas::ctrlplane::{
-    apply_recommendation, plan_buffer_update, ConfigDirector, MaintenanceSchedule,
+    apply_recommendation, plan_buffer_update, ApplyError, ConfigDirector, MaintenanceSchedule,
     RecommendationMeter, ReconcileOutcome, Reconciler, ServiceOrchestrator, ServiceSpec, TunerKind,
 };
 use autodbaas::prelude::*;
@@ -16,6 +16,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
+/// The fleet's default replica-lag guard (`FleetConfig::max_apply_lag_bytes`).
+const MAX_APPLY_LAG: u64 = 64 * 1024 * 1024;
 
 #[test]
 fn a_day_in_the_life_of_a_managed_service() {
@@ -88,9 +90,7 @@ fn a_day_in_the_life_of_a_managed_service() {
             meter.record(service, service_ms);
             assert!(assignment.ready_at >= rs.master().now());
             if let Some(rec) = tuner.recommend_focused(&repo, wid, &focus) {
-                let (_, _report) =
-                    apply_recommendation(&orch, service, &mut rs, &rec.config, false)
-                        .expect("healthy apply");
+                apply_caught_up(&mut rs, &rec.config).expect("healthy apply");
                 orch.persist_config(service, rs.master().knobs().clone());
                 director.record_recommendation(service, rs.master().now(), rec.config);
                 applied_any = true;
@@ -116,7 +116,7 @@ fn a_day_in_the_life_of_a_managed_service() {
     // --- 14:00 — a slave crashes during the next apply ---------------------
     rs.inject_slave_crash(1);
     let bad = vec![0.9; profile.len()];
-    assert!(apply_recommendation(&orch, service, &mut rs, &bad, false).is_err());
+    assert!(apply_caught_up(&mut rs, &bad).is_err());
     // The master still matches the persisted config (the rejected
     // recommendation never reached it).
     assert_eq!(
@@ -179,4 +179,19 @@ fn a_day_in_the_life_of_a_managed_service() {
         rs.master().knobs().get(wm),
         "the tuned work_mem survives redeployment"
     );
+}
+
+/// Land a recommendation the way the fleet does. The adulterated workload
+/// writes WAL in bursts that leave the slaves hundreds of MB behind, and the
+/// lag guard refuses the apply until they replay them: tick and retry.
+fn apply_caught_up(
+    rs: &mut autodbaas::ctrlplane::ReplicaSet,
+    unit: &[f64],
+) -> Result<autodbaas::simdb::ApplyReport, ApplyError> {
+    loop {
+        match apply_recommendation(rs, unit, MAX_APPLY_LAG) {
+            Err(ApplyError::ReplicaLagging { .. }) => rs.tick(1_000),
+            done => return done,
+        }
+    }
 }
